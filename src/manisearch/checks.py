@@ -3,7 +3,9 @@
 Each suite exercises one module's contracts on seeded inputs and reports
 pass/fail with the measured margin, so a release can be gated on
 ``manisearch check``.  The manifold list is injectable to keep the
-suites testable against deliberately broken geometry.
+suites testable against deliberately broken geometry.  The manifold zoo,
+point sampler and hand-built problem defined here double as the test
+suite's fixtures.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .manifolds import (
     SymmetricPositiveDefinite,
     product_spheres,
     random_tangent,
+    tree_equal,
 )
 from .problems import ProblemInstance
 from .solvers import SolverConfig, run_rds_dd, run_rds_sb, run_rdse_sb
@@ -40,7 +43,8 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def default_manifolds():
+def manifold_zoo():
+    """One representative instance per manifold kind."""
     return [
         Sphere(8),
         product_spheres([4, 5]),
@@ -54,9 +58,12 @@ def default_manifolds():
     ]
 
 
-def _sample_point(m, rng):
-    # retraction bounds degrade toward the simplex boundary, so the
-    # geometry suite samples weights from a compact interior subset
+def sample_point(m, rng):
+    """Seeded point; simplex weights kept away from the boundary.
+
+    Retraction bounds degrade toward the simplex boundary, so the suites
+    sample weights from a compact interior subset.
+    """
     if isinstance(m, PositiveSimplex):
         while True:
             p = m.random_point(rng)
@@ -65,9 +72,22 @@ def _sample_point(m, rng):
     return m.random_point(rng)
 
 
+def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
+                 name="custom", known_opt=None):
+    """Hand-built problem instance for engineered objectives."""
+    if start is None:
+        start = man.random_point(np.random.default_rng([seed, 97]))
+    return ProblemInstance(
+        name=name, manifold=man, ambient_dim=man.ambient_dim,
+        requested_dim=man.ambient_dim, seed=seed, smooth=smooth, data={},
+        start=start, f0=float(f_val(start.value)), known_opt=known_opt,
+        _value_f=f_val, _grad_f=grad,
+    )
+
+
 def geometry_checks(manifolds=None, seed=0, cases=100):
     """Projection, metric, retraction, and feasibility contracts."""
-    manifolds = default_manifolds() if manifolds is None else manifolds
+    manifolds = manifold_zoo() if manifolds is None else manifolds
     results = []
     for m in manifolds:
         rng = np.random.default_rng([seed, 11])
@@ -75,7 +95,7 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
         ratio_lo, ratio_hi = np.inf, 0.0
         block_gap = 0.0
         for _ in range(cases):
-            x = _sample_point(m, rng)
+            x = sample_point(m, rng)
             u_amb = rng.standard_normal(m.ambient_dim)
             w_amb = rng.standard_normal(m.ambient_dim)
             pu = m.project_tangent(x, u_amb)
@@ -113,12 +133,8 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
                     b._project(xb, s)
                     for b, xb, s in zip(m.blocks, x.value, m._split(u_amb))
                 )
-                got = m.project_tangent(x, u_amb).value
-                for a, b in zip(got, manual):
-                    ga = a[0] if isinstance(a, tuple) else a
-                    gb = b[0] if isinstance(b, tuple) else b
-                    if not np.array_equal(np.asarray(ga), np.asarray(gb)):
-                        block_gap = 1.0
+                if not tree_equal(m.project_tangent(x, u_amb).value, manual):
+                    block_gap = 1.0
 
         name = m.spec_string()
         results.append(CheckResult(
@@ -145,7 +161,7 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
 
 def direction_checks(manifolds=None, seed=0, points=50, trials=200):
     """Spanning-basis and dense-direction contracts."""
-    manifolds = default_manifolds() if manifolds is None else manifolds
+    manifolds = manifold_zoo() if manifolds is None else manifolds
     results = []
     for m in manifolds:
         rng = np.random.default_rng([seed, 23])
@@ -153,7 +169,7 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         max_norm = 0.0
         tau_min = np.inf
         for i in range(points):
-            x = _sample_point(m, rng)
+            x = sample_point(m, rng)
             basis = spanning_basis(x)
             for v in basis.vectors:
                 tangency = max(tangency, m.tangency_residual(x, v))
@@ -187,26 +203,12 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
     return results
 
 
-def _constant_problem(man, level=1.0, seed=0):
-    start = man.random_point(np.random.default_rng([seed, 41]))
-
-    def f_val(v):
-        return float(level)
-
-    return ProblemInstance(
-        name="constant", manifold=man, ambient_dim=man.ambient_dim,
-        requested_dim=man.ambient_dim, seed=seed, smooth=True, data={},
-        start=start, f0=float(level), known_opt=float(level),
-        _value_f=f_val, _ambient_f=lambda a: float(level),
-        _grad_f=lambda v: np.zeros(man.ambient_dim),
-    )
-
-
 def solver_checks(seed=0):
     """Stepsize dynamics, budget accounting, and determinism contracts."""
     results = []
     man = Sphere(6)
-    prob = _constant_problem(man, seed=seed)
+    prob = make_problem(man, lambda v: 1.0, seed=seed, name="constant",
+                        start=man.random_point(np.random.default_rng([seed, 41])))
     k_iters = 5
     n_dirs = 2 * man.ambient_dim
 

@@ -1,52 +1,27 @@
-"""Hot objective-evaluation kernels, with an optional compiled lane.
+"""Hot objective-evaluation kernels.
 
 The kernels here sit inside the innermost evaluation loop of benchmark
-runs (one call per objective evaluation, up to ~10^6 calls per grid).
-Each kernel exists in two forms:
-
-* a vectorised numpy implementation (``*_numpy``), always available;
-* a tight-loop implementation compiled with numba's ``@njit`` when the
-  ``numba`` package imports cleanly and ``MANISEARCH_NO_NUMBA`` is unset.
-
-The public names (``smooth_l1_sum``, ``masked_residual_sq``,
-``masked_residual_abs``) point at whichever lane is active; both lanes
-return identical values up to floating-point rounding.  Run
-``benchmarks/bench_kernels.py`` to compare the two lanes.
-
-BLAS-bound operations (QR, SVD, matrix products) stay on numpy and are
-not routed through here.
+runs (one call per objective evaluation, up to ~10^6 calls per grid):
+the smoothed entrywise absolute sum and the masked residuals of a
+factored low-rank matrix.  They are vectorised numpy; BLAS-bound
+operations (QR, SVD, matrix products) are called directly where needed
+and are not routed through here.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FLAG = "MANISEARCH_NO_NUMBA"
-_disabled = os.environ.get(_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-_njit = None
-if not _disabled:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        _njit = None
-
-USING_NUMBA = _njit is not None
+# read by perfbench/run.py for its environment report
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def smooth_l1_sum_numpy(c: np.ndarray, eps: float) -> float:
+def smooth_l1_sum(c: np.ndarray, eps: float) -> float:
     """Sum of sqrt(c_ij^2 + eps^2) over all entries of ``c``."""
     return float(np.sqrt(c * c + eps * eps).sum())
 
 
-def masked_residual_sq_numpy(u, s, v, rows, cols, vals) -> float:
+def masked_residual_sq(u, s, v, rows, cols, vals) -> float:
     """Squared residual sum over observed entries of the factored matrix.
 
     The matrix is ``(u * s) @ v.T``; only entries ``(rows[t], cols[t])``
@@ -57,65 +32,7 @@ def masked_residual_sq_numpy(u, s, v, rows, cols, vals) -> float:
     return float(diff @ diff)
 
 
-def masked_residual_abs_numpy(u, s, v, rows, cols, vals) -> float:
+def masked_residual_abs(u, s, v, rows, cols, vals) -> float:
     """Absolute residual sum over observed entries of the factored matrix."""
     pred = ((u[rows] * s) * v[cols]).sum(axis=1)
     return float(np.abs(pred - vals).sum())
-
-
-# ---------------------------------------------------------------------------
-# loop lane (compiled when numba is active)
-# ---------------------------------------------------------------------------
-
-def _smooth_l1_loop(c, eps):
-    e2 = eps * eps
-    acc = 0.0
-    for i in range(c.shape[0]):
-        for j in range(c.shape[1]):
-            acc += math.sqrt(c[i, j] * c[i, j] + e2)
-    return acc
-
-
-def _masked_sq_loop(u, s, v, rows, cols, vals):
-    r = s.shape[0]
-    acc = 0.0
-    for t in range(rows.shape[0]):
-        i = rows[t]
-        j = cols[t]
-        x = 0.0
-        for q in range(r):
-            x += u[i, q] * s[q] * v[j, q]
-        d = x - vals[t]
-        acc += d * d
-    return acc
-
-
-def _masked_abs_loop(u, s, v, rows, cols, vals):
-    r = s.shape[0]
-    acc = 0.0
-    for t in range(rows.shape[0]):
-        i = rows[t]
-        j = cols[t]
-        x = 0.0
-        for q in range(r):
-            x += u[i, q] * s[q] * v[j, q]
-        acc += abs(x - vals[t])
-    return acc
-
-
-if USING_NUMBA:
-    smooth_l1_sum_jit = _njit(cache=True)(_smooth_l1_loop)
-    masked_residual_sq_jit = _njit(cache=True)(_masked_sq_loop)
-    masked_residual_abs_jit = _njit(cache=True)(_masked_abs_loop)
-
-    smooth_l1_sum = smooth_l1_sum_jit
-    masked_residual_sq = masked_residual_sq_jit
-    masked_residual_abs = masked_residual_abs_jit
-else:
-    smooth_l1_sum_jit = None
-    masked_residual_sq_jit = None
-    masked_residual_abs_jit = None
-
-    smooth_l1_sum = smooth_l1_sum_numpy
-    masked_residual_sq = masked_residual_sq_numpy
-    masked_residual_abs = masked_residual_abs_numpy

@@ -73,6 +73,9 @@ class ProblemInstance:
     budget when one is registered; ``raw_f`` and ``raw_ambient`` are
     uncounted helpers for diagnostics (``raw_ambient`` accepts slightly
     off-manifold flat vectors, which finite-difference checks need).
+    ``raw_ambient`` evaluates ``f`` on the flat vector read back in the
+    native layout, unless ``_ambient_f`` supplies an ambient objective
+    (needed where points are stored factored).
     """
 
     name: str
@@ -86,7 +89,7 @@ class ProblemInstance:
     f0: float
     known_opt: Optional[float]
     _value_f: Callable = field(repr=False)
-    _ambient_f: Callable = field(repr=False)
+    _ambient_f: Optional[Callable] = field(repr=False, default=None)
     _grad_f: Optional[Callable] = field(repr=False, default=None)
     counter: int = 0
     budget: Optional[int] = None
@@ -110,7 +113,10 @@ class ProblemInstance:
         return self._value_f(value)
 
     def raw_ambient(self, flat) -> float:
-        return self._ambient_f(np.asarray(flat, dtype=float).ravel())
+        flat = np.asarray(flat, dtype=float).ravel()
+        if self._ambient_f is not None:
+            return self._ambient_f(flat)
+        return self._value_f(self.manifold._from_flat(flat))
 
     def euclidean_gradient(self, value) -> np.ndarray:
         """Analytic ambient gradient, flattened (smooth problems only)."""
@@ -143,7 +149,9 @@ def _qr_cols(rng, m, n):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each returns (manifold, payload, smooth, f_val, f_amb, grad,
+# known_opt); f_amb, the objective on flat ambient vectors, is set only
+# where points are stored factored
 # ---------------------------------------------------------------------------
 
 def _build_largest_eig(n_p, seed):
@@ -155,14 +163,11 @@ def _build_largest_eig(n_p, seed):
     def f_val(x):
         return float(-(x @ a @ x))
 
-    def f_amb(flat):
-        return f_val(flat)
-
     def grad(x):
         return -2.0 * (a @ x)
 
     known = float(-np.linalg.eigvalsh(a)[-1])
-    return man, dict(a=a), True, f_val, f_amb, grad, known
+    return man, dict(a=a), True, f_val, None, grad, known
 
 
 def _build_largest_sv(n_p, seed):
@@ -176,15 +181,12 @@ def _build_largest_sv(n_p, seed):
         x, y = v
         return float(-(x @ a @ y))
 
-    def f_amb(flat):
-        return f_val((flat[:m], flat[m:]))
-
     def grad(v):
         x, y = v
         return np.concatenate([-(a @ y), -(a.T @ x)])
 
     known = float(-np.linalg.svd(a, compute_uv=False)[0])
-    return man, dict(a=a), True, f_val, f_amb, grad, known
+    return man, dict(a=a), True, f_val, None, grad, known
 
 
 def _build_top_sv(n_p, seed):
@@ -203,15 +205,12 @@ def _build_top_sv(n_p, seed):
         x, y = v
         return float(-np.sum(x * (a @ y)))
 
-    def f_amb(flat):
-        return f_val((flat[: m * r].reshape(m, r), flat[m * r:].reshape(h, r)))
-
     def grad(v):
         x, y = v
         return np.concatenate([-(a @ y).ravel(), -(a.T @ x).ravel()])
 
     known = float(-np.sum(np.linalg.svd(a, compute_uv=False)[:r]))
-    return man, dict(a=a, r=r), True, f_val, f_amb, grad, known
+    return man, dict(a=a, r=r), True, f_val, None, grad, known
 
 
 def _build_dict_learning(n_p, seed):
@@ -235,14 +234,6 @@ def _build_dict_learning(n_p, seed):
             np.ascontiguousarray(c), DICT_EPS
         )
 
-    def f_amb(flat):
-        dm = flat[: d * h].reshape(d, h, order="F")  # column blocks are contiguous
-        c = flat[d * h:].reshape(h, k)
-        resid = float(np.linalg.norm(y - dm @ c))
-        return resid + DICT_LAMBDA * kernels.smooth_l1_sum(
-            np.ascontiguousarray(c), DICT_EPS
-        )
-
     def grad(v):
         cols, c = v
         dm = np.column_stack(cols)
@@ -258,7 +249,7 @@ def _build_dict_learning(n_p, seed):
         return np.concatenate([g_d.ravel(order="F"), g_c.ravel()])
 
     payload = dict(y=y, d_bar=d_bar, c_bar=c_bar, lam=DICT_LAMBDA, eps=DICT_EPS)
-    return man, payload, True, f_val, f_amb, grad, None
+    return man, payload, True, f_val, None, grad, None
 
 
 def _build_sync_rotations(n_p, seed):
@@ -276,9 +267,6 @@ def _build_sync_rotations(n_p, seed):
         diff = a - h_meas @ b
         return float(np.sum(diff * diff))
 
-    def f_amb(flat):
-        return f_val((flat[: d * d].reshape(d, d), flat[d * d:].reshape(d, d)))
-
     def grad(v):
         a, b = v
         diff = a - h_meas @ b
@@ -286,7 +274,7 @@ def _build_sync_rotations(n_p, seed):
 
     sv = np.linalg.svd(h_meas, compute_uv=False)
     known = float(d + np.sum(h_meas * h_meas) - 2.0 * np.sum(sv))
-    return man, dict(h=h_meas), True, f_val, f_amb, grad, known
+    return man, dict(h=h_meas), True, f_val, None, grad, known
 
 
 def _mc_shapes(n_p):
@@ -399,12 +387,6 @@ def _build_gmm(n_p, seed):
         ll = np.logaddexp(np.log(w[0]) + lq1, np.log(w[1]) + lq2)
         return float(-ll.sum())
 
-    def f_amb(flat):
-        s1 = flat[: dd * dd].reshape(dd, dd)
-        s2 = flat[dd * dd: 2 * dd * dd].reshape(dd, dd)
-        w = flat[2 * dd * dd:]
-        return f_val((s1, s2, w))
-
     def grad(v):
         s1, s2, w = v
         lqs = [_log_q(s1), _log_q(s2)]
@@ -422,7 +404,7 @@ def _build_gmm(n_p, seed):
 
     payload = dict(observations=xs, y_aug=y_aug, w_bar=w_bar, means=means,
                    covs=covs, base_dim=d)
-    return man, payload, True, f_val, f_amb, grad, None
+    return man, payload, True, f_val, None, grad, None
 
 
 def _build_procrustes(n_p, seed):
@@ -439,13 +421,10 @@ def _build_procrustes(n_p, seed):
         diff = a @ x - b
         return float(np.sum(diff * diff))
 
-    def f_amb(flat):
-        return f_val(flat.reshape(n, p))
-
     def grad(x):
         return (2.0 * a.T @ (a @ x - b)).ravel()
 
-    return man, dict(a=a, b=b, x_bar=x_bar), True, f_val, f_amb, grad, None
+    return man, dict(a=a, b=b, x_bar=x_bar), True, f_val, None, grad, None
 
 
 def _build_sparsest_vector(n_p, seed):
@@ -459,10 +438,7 @@ def _build_sparsest_vector(n_p, seed):
     def f_val(x):
         return float(np.abs(q @ x).sum())
 
-    def f_amb(flat):
-        return f_val(flat)
-
-    return man, dict(q=q), False, f_val, f_amb, None, None
+    return man, dict(q=q), False, f_val, None, None, None
 
 
 _BUILDERS = {

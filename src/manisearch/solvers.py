@@ -21,6 +21,7 @@ direction randomness, so identical inputs give identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,6 +249,10 @@ def _trace(ev: _Eval, st: _State, **extra) -> RunTrace:
     )
 
 
+def _slot_alphas(atil) -> dict:
+    return {int(i): float(a) for i, a in enumerate(atil)}
+
+
 def _start(problem, cfg, on_eval):
     """Fresh instance, evaluator, and state seeded with f(x0)."""
     inst = problem.fresh(budget=cfg.budget)
@@ -348,10 +353,7 @@ def run_rdse_sb(problem, cfg: SolverConfig, *, on_accept=None, on_eval=None) -> 
     cache = _BasisCache(cfg.drop_tol)
     atil = np.full(2 * problem.manifold.ambient_dim, float(cfg.alpha0))
     _rdse_sb_phase(ev, st, atil, cfg, cache, on_accept)
-    return _trace(
-        ev, st,
-        final_alpha_by_slot={int(i): float(a) for i, a in enumerate(atil)},
-    )
+    return _trace(ev, st, final_alpha_by_slot=_slot_alphas(atil))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +467,7 @@ def run_switching(problem, cfg: SolverConfig, variant: str,
     ev, st = _start(problem, cfg, on_eval)
     cache = _BasisCache(cfg.drop_tol)
     switch_eval = None
+    by_slot = None
     if variant == "plain":
         switched = _rds_sb_phase(
             ev, st, cfg.alpha0, cfg, cache, on_accept, stop_leq=cfg.alpha_eps
@@ -474,6 +477,7 @@ def run_switching(problem, cfg: SolverConfig, variant: str,
         switched = _rdse_sb_phase(
             ev, st, atil, cfg, cache, on_accept, stop_max_leq=cfg.alpha_eps
         )
+        by_slot = _slot_alphas(atil)
     if switched and not st.exhausted:
         switch_eval = ev.inst.counter
         stream = DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
@@ -481,7 +485,8 @@ def run_switching(problem, cfg: SolverConfig, variant: str,
             _rds_dd_phase(ev, st, cfg2.alpha0, cfg2, stream, on_accept)
         else:
             _rdse_dd_phase(ev, st, cfg2.alpha0, cfg2, stream, on_accept)
-    return _trace(ev, st, switch_eval=switch_eval, final_alpha=st.alpha)
+    return _trace(ev, st, switch_eval=switch_eval, final_alpha=st.alpha,
+                  final_alpha_by_slot=by_slot)
 
 
 # ---------------------------------------------------------------------------
@@ -525,52 +530,44 @@ def run_zo_rgd(problem, cfg: SolverConfig, mu: float = 1e-6,
 # registry
 # ---------------------------------------------------------------------------
 
-SOLVER_NAMES = (
-    "rds-sb", "rdse-sb", "rds-dd", "rdse-dd",
-    "rds-dd-plus", "rdse-dd-plus", "zo-rgd",
-)
+_HOOKS = ("on_accept", "on_eval")
 
-# tuned defaults; alpha0 = 1 for all direct-search methods
-DEFAULT_PARAMS = {
-    "rds-sb": dict(gamma=0.77, gamma1=0.61, gamma2=1.0),
-    "rdse-sb": dict(gamma=0.11, gamma1=0.81, gamma2=3.12),
-    "rds-dd": dict(gamma=1.0, gamma1=0.95, gamma2=2.0),
-    "rdse-dd": dict(gamma=1.0, gamma1=0.95, gamma2=2.0),
-    "rds-dd-plus": dict(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha_eps=1e-3),
-    "rdse-dd-plus": dict(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha_eps=1e-3),
-    "zo-rgd": dict(gamma=1.0, gamma1=0.5, gamma2=1.0),  # gamma* unused here
+# name -> (runner, the run_solver keywords it takes, tuned defaults);
+# alpha0 = 1 for all direct-search methods
+_SOLVERS = {
+    "rds-sb": (run_rds_sb, _HOOKS, dict(gamma=0.77, gamma1=0.61, gamma2=1.0)),
+    "rdse-sb": (run_rdse_sb, _HOOKS, dict(gamma=0.11, gamma1=0.81, gamma2=3.12)),
+    "rds-dd": (run_rds_dd, _HOOKS, dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
+    "rdse-dd": (run_rdse_dd, _HOOKS, dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
+    "rds-dd-plus": (partial(run_switching, variant="plain"), ("cfg2", *_HOOKS),
+                    dict(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha_eps=1e-3)),
+    "rdse-dd-plus": (partial(run_switching, variant="extrapolated"), ("cfg2", *_HOOKS),
+                     dict(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha_eps=1e-3)),
+    "zo-rgd": (run_zo_rgd, ("mu", "on_eval"),
+               dict(gamma=1.0, gamma1=0.5, gamma2=1.0)),  # gamma* unused here
 }
 
+SOLVER_NAMES = tuple(_SOLVERS)
+DEFAULT_PARAMS = {name: params for name, (_, _, params) in _SOLVERS.items()}
 DEFAULT_MU = 1e-6
+
+
+def _lookup(name: str) -> tuple:
+    if name not in _SOLVERS:
+        raise ValueError(f"unknown solver '{name}'")
+    return _SOLVERS[name]
 
 
 def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
     """Config with the tuned defaults for ``solver``, plus overrides."""
-    if solver not in DEFAULT_PARAMS:
-        raise ValueError(f"unknown solver '{solver}'")
-    params = dict(DEFAULT_PARAMS[solver])
-    params.update(overrides)
+    params = {**_lookup(solver)[2], **overrides}
     return SolverConfig(budget=budget, seed=seed, **params)
 
 
 def run_solver(name: str, problem, cfg: SolverConfig, *, mu: float = DEFAULT_MU,
                cfg2: Optional[SolverConfig] = None,
                on_accept=None, on_eval=None) -> RunTrace:
-    """Dispatch a solver by its stable name."""
-    if name == "rds-sb":
-        return run_rds_sb(problem, cfg, on_accept=on_accept, on_eval=on_eval)
-    if name == "rdse-sb":
-        return run_rdse_sb(problem, cfg, on_accept=on_accept, on_eval=on_eval)
-    if name == "rds-dd":
-        return run_rds_dd(problem, cfg, on_accept=on_accept, on_eval=on_eval)
-    if name == "rdse-dd":
-        return run_rdse_dd(problem, cfg, on_accept=on_accept, on_eval=on_eval)
-    if name == "rds-dd-plus":
-        return run_switching(problem, cfg, "plain", cfg2,
-                             on_accept=on_accept, on_eval=on_eval)
-    if name == "rdse-dd-plus":
-        return run_switching(problem, cfg, "extrapolated", cfg2,
-                             on_accept=on_accept, on_eval=on_eval)
-    if name == "zo-rgd":
-        return run_zo_rgd(problem, cfg, mu=mu, on_eval=on_eval)
-    raise ValueError(f"unknown solver '{name}'")
+    """Run a solver by its stable name; keywords it does not take are ignored."""
+    run, takes, _ = _lookup(name)
+    given = dict(mu=mu, cfg2=cfg2, on_accept=on_accept, on_eval=on_eval)
+    return run(problem, cfg, **{k: given[k] for k in takes})

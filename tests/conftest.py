@@ -1,60 +1,8 @@
-import numpy as np
 import pytest
 
-from manisearch.manifolds import (
-    Euclidean,
-    FixedRank,
-    PositiveSimplex,
-    Product,
-    SpecialOrthogonal,
-    Sphere,
-    Stiefel,
-    SymmetricPositiveDefinite,
-    product_spheres,
-)
-
-
-def manifold_zoo():
-    """One representative instance per manifold kind."""
-    return [
-        Sphere(8),
-        product_spheres([4, 5]),
-        Stiefel(7, 3),
-        SpecialOrthogonal(3),
-        FixedRank(6, 5, 2),
-        SymmetricPositiveDefinite(4),
-        PositiveSimplex(3),
-        Euclidean((3, 2)),
-        Product([Sphere(3), Stiefel(4, 2)]),
-    ]
+from manisearch.checks import make_problem, manifold_zoo, sample_point  # noqa: F401
 
 
 @pytest.fixture
 def zoo():
     return manifold_zoo()
-
-
-def sample_point(m, rng):
-    """Seeded point; simplex weights kept away from the boundary."""
-    if isinstance(m, PositiveSimplex):
-        while True:
-            p = m.random_point(rng)
-            if np.min(p.value) >= 0.5 / m.k:
-                return p
-    return m.random_point(rng)
-
-
-def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
-                 name="custom", known_opt=None):
-    """Hand-built problem instance for engineered objectives."""
-    from manisearch.problems import ProblemInstance
-
-    if start is None:
-        start = man.random_point(np.random.default_rng([seed, 97]))
-    return ProblemInstance(
-        name=name, manifold=man, ambient_dim=man.ambient_dim,
-        requested_dim=man.ambient_dim, seed=seed, smooth=smooth, data={},
-        start=start, f0=float(f_val(start.value)), known_opt=known_opt,
-        _value_f=f_val, _ambient_f=lambda a: float(f_val(man._from_flat(a))),
-        _grad_f=grad,
-    )

@@ -4,7 +4,7 @@ from manisearch.bench import CSV_HEADER, ResultTable
 from manisearch.checks import CheckResult, geometry_checks
 from manisearch.cli import main, parse_config_file, render_profile_svg, stable_seed
 from manisearch.errors import CliError
-from manisearch.manifolds import Sphere
+from manisearch.manifolds import FixedRank, Product, Sphere
 
 
 RUN_ARGS = [
@@ -165,6 +165,19 @@ def test_check_detects_broken_retraction():
     results = geometry_checks([BrokenSphere(6)], seed=0, cases=20)
     failed = [r for r in results if not r.passed]
     assert any("feasibility" in r.name for r in failed)
+
+
+def test_check_detects_corrupted_nested_block():
+    # the corruption sits in the second factor of a fixed-rank tangent triple
+    class CorruptProduct(Product):
+        def _project(self, x, a):
+            (mid, up, vp), rest = super()._project(x, a)
+            return ((mid, 2.0 * up, vp), rest)
+
+    man = CorruptProduct([FixedRank(6, 5, 2), Sphere(3)])
+    results = geometry_checks([man], seed=0, cases=5)
+    blockwise = [r for r in results if r.name.startswith("geometry/blockwise")]
+    assert len(blockwise) == 1 and not blockwise[0].passed
 
 
 def test_check_cli_exit_codes(tmp_path, monkeypatch):

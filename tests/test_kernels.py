@@ -1,76 +1,26 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from manisearch import kernels
 
 
-def _random_factored(rng, m=12, h=9, r=3, n_obs=40):
-    u = rng.standard_normal((m, r))
-    s = rng.uniform(0.5, 2.0, r)
-    v = rng.standard_normal((h, r))
-    rows = rng.integers(0, m, n_obs).astype(np.int64)
-    cols = rng.integers(0, h, n_obs).astype(np.int64)
-    vals = rng.standard_normal(n_obs)
-    return u, s, v, rows, cols, vals
-
-
 def test_numpy_lane_matches_reference_formulas():
     rng = np.random.default_rng(1)
     c = rng.standard_normal((7, 5))
-    assert kernels.smooth_l1_sum_numpy(c, 0.01) == pytest.approx(
+    assert kernels.smooth_l1_sum(c, 0.01) == pytest.approx(
         np.sqrt(c * c + 1e-4).sum(), rel=1e-14
     )
-    u, s, v, rows, cols, vals = _random_factored(rng)
+    u = rng.standard_normal((12, 3))
+    s = rng.uniform(0.5, 2.0, 3)
+    v = rng.standard_normal((9, 3))
+    rows = rng.integers(0, 12, 40).astype(np.int64)
+    cols = rng.integers(0, 9, 40).astype(np.int64)
+    vals = rng.standard_normal(40)
     full = (u * s) @ v.T
     diff = full[rows, cols] - vals
-    assert kernels.masked_residual_sq_numpy(u, s, v, rows, cols, vals) == pytest.approx(
+    assert kernels.masked_residual_sq(u, s, v, rows, cols, vals) == pytest.approx(
         float(diff @ diff), rel=1e-12
     )
-    assert kernels.masked_residual_abs_numpy(u, s, v, rows, cols, vals) == pytest.approx(
+    assert kernels.masked_residual_abs(u, s, v, rows, cols, vals) == pytest.approx(
         float(np.abs(diff).sum()), rel=1e-12
     )
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba lane inactive")
-def test_compiled_lane_matches_numpy_lane():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        c = np.ascontiguousarray(rng.standard_normal((6, 8)))
-        assert kernels.smooth_l1_sum_jit(c, 0.003) == pytest.approx(
-            kernels.smooth_l1_sum_numpy(c, 0.003), rel=1e-13
-        )
-        u, s, v, rows, cols, vals = _random_factored(rng)
-        assert kernels.masked_residual_sq_jit(u, s, v, rows, cols, vals) == pytest.approx(
-            kernels.masked_residual_sq_numpy(u, s, v, rows, cols, vals), rel=1e-12
-        )
-        assert kernels.masked_residual_abs_jit(u, s, v, rows, cols, vals) == pytest.approx(
-            kernels.masked_residual_abs_numpy(u, s, v, rows, cols, vals), rel=1e-12
-        )
-
-
-def test_env_flag_selects_numpy_lane():
-    env = dict(os.environ, MANISEARCH_NO_NUMBA="1")
-    code = (
-        "from manisearch import kernels;"
-        "assert not kernels.USING_NUMBA;"
-        "assert kernels.smooth_l1_sum is kernels.smooth_l1_sum_numpy;"
-        "print('numpy lane ok')"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "numpy lane ok" in out.stdout
-
-
-def test_active_lane_consistent_with_flag():
-    disabled = os.environ.get("MANISEARCH_NO_NUMBA", "").lower() in {"1", "true", "yes", "on"}
-    if disabled:
-        assert not kernels.USING_NUMBA
-    if kernels.USING_NUMBA:
-        assert kernels.smooth_l1_sum is kernels.smooth_l1_sum_jit
-    else:
-        assert kernels.smooth_l1_sum is kernels.smooth_l1_sum_numpy

@@ -161,6 +161,23 @@ def test_gradients_match_central_differences():
                 assert abs(fd - g[i]) <= scale, (name, pseed, i)
 
 
+def test_raw_ambient_reads_flat_vector_in_native_layout():
+    # exact equality off the manifold too; the factored fixed-rank problems
+    # keep their own ambient objective and are covered by the gradient test
+    for name in PROBLEM_NAMES:
+        if name in ("matrix-completion", "nonsmooth-mc"):
+            continue
+        for n_p in DIMS:
+            inst = build_instance(name, n_p, 0)
+            rng = np.random.default_rng([n_p, 5])
+            for pseed in range(5):
+                x = random_point(inst.manifold, pseed)
+                flat = inst.manifold.point_ambient(x.value)
+                flat = flat + 1e-3 * rng.standard_normal(flat.size)
+                expected = inst.raw_f(inst.manifold._from_flat(flat))
+                assert inst.raw_ambient(flat) == expected, (name, n_p, pseed)
+
+
 def test_projected_gradient_matches_directional_derivative():
     # <P grad, d> (ambient pairing) against (f(R(x, t d)) - f(x)) / t
     for name in SMOOTH_PROBLEMS:

@@ -3,7 +3,9 @@ import pytest
 
 from manisearch.errors import BudgetExhausted
 from manisearch.manifolds import Sphere, TangentVector
+from manisearch.problems import build_instance
 from manisearch.solvers import (
+    SOLVER_NAMES,
     STEP_FLOOR,
     SolverConfig,
     default_config,
@@ -336,6 +338,36 @@ def test_switching_records_no_switch_when_budget_dies_first():
     trace = run_switching(prob, cfg, "plain")
     assert trace.switch_eval is None
     assert trace.evals_used == 3
+
+
+def test_rdse_dd_plus_without_switch_keeps_slot_stepsizes():
+    # a run that never switches is an rdse-sb run and reports the same stepsizes
+    inst = build_instance("largest-eig", 10, 1)
+    cfg = default_config("rdse-dd-plus", budget=30, seed=1)
+    trace = run_solver("rdse-dd-plus", inst, cfg)
+    assert trace.switch_eval is None
+    reference = run_rdse_sb(inst, cfg)
+    assert trace.history == reference.history
+    assert trace.final_alpha_by_slot == reference.final_alpha_by_slot
+    assert len(trace.final_alpha_by_slot) == 2 * inst.ambient_dim
+
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+def test_solver_names_order():
+    assert SOLVER_NAMES == ("rds-sb", "rdse-sb", "rds-dd", "rdse-dd",
+                            "rds-dd-plus", "rdse-dd-plus", "zo-rgd")
+
+
+def test_unknown_solver_name_rejected():
+    prob = make_problem(Sphere(3), lambda v: 1.0)
+    cfg = default_config("rds-sb", budget=10, seed=0)
+    with pytest.raises(ValueError, match="unknown solver 'nope'"):
+        run_solver("nope", prob, cfg)
+    with pytest.raises(ValueError, match="unknown solver 'nope'"):
+        default_config("nope", budget=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
