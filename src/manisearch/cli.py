@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +36,21 @@ def stable_seed(*parts) -> int:
     """Platform-independent seed derived from string parts."""
     text = "\x1f".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``path`` through ``<name>.tmp`` and a rename.
+
+    An interrupted or failed write leaves the previous file intact rather
+    than a half-written one.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_config_file(path: Path) -> dict:
@@ -147,9 +163,9 @@ def cmd_run(args) -> int:
                     lines = ["eval_index,best_f"]
                     lines += [f"{i},{v!r}" for i, v in trace.history]
                     trace_path = traces_dir / f"{problem}__{n_p}__{seed}__{solver}.csv"
-                    trace_path.write_text("\n".join(lines) + "\n")
+                    _write_atomic(trace_path, "\n".join(lines) + "\n")
     table = bench.assemble_results(records, settings["taus"])
-    (out / "results.csv").write_text(table.to_csv())
+    _write_atomic(out / "results.csv", table.to_csv())
     n_keys = len({(r["problem"], r["n_p"], r["seed"]) for r in records})
     for solver in settings["solvers"]:
         parts = []
@@ -190,11 +206,11 @@ def cmd_profile(args) -> int:
                 curves = bench.data_profile(table, tau, kappa_max=budget_mult)
             for curve in curves:
                 name = f"{curve.solver}__{kind}__tau{tau:g}.csv"
-                (prof_dir / name).write_text(bench.profile_curve_csv(curve))
+                _write_atomic(prof_dir / name, bench.profile_curve_csv(curve))
                 written += 1
             if args.svg:
                 svg = render_profile_svg(curves, f"{kind} profile, tau={tau:g}")
-                (prof_dir / f"{kind}__tau{tau:g}.svg").write_text(svg)
+                _write_atomic(prof_dir / f"{kind}__tau{tau:g}.svg", svg)
     print(f"wrote {written} profile curve files to {prof_dir}")
     return 0
 

@@ -3,14 +3,18 @@
 Two direction sources feed the solvers.  For smooth problems, the signed
 ambient coordinate directions (+e_1..+e_n, -e_1..-e_n) are projected onto
 the current tangent space, which yields a positive spanning set of that
-space whenever the point is non-degenerate.  For nonsmooth problems, a
-deterministic stream of random unit ambient vectors (dense in the unit
-sphere with probability one) is projected and normalised one direction
-per iteration.
+space whenever the point is non-degenerate.  Which directions survive is
+read off the closed-form diagonal of the tangent projector; a direction
+itself is projected only on first access and then cached in its basis,
+so a poll that moves the iterate early pays for the directions it tried.
+For nonsmooth problems, a deterministic stream of random unit ambient
+vectors (dense in the unit sphere with probability one) is projected and
+normalised one direction per iteration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,52 @@ from .errors import DegenerateBasis, InvalidShape
 from .manifolds import ManifoldPoint, TangentVector, random_tangent
 
 DEFAULT_DROP_TOL = 1e-12
+# a squared norm this close to drop_tol**2 is within rounding of the
+# threshold; such slots are decided on the projected vector itself
+_ROUNDING_BAND = 1e-9
+
+
+def _project_coordinate(x: ManifoldPoint, i: int):
+    """Raw tangent value of the projection of +e_i onto T_x."""
+    m = x.manifold
+    e = np.zeros(m.ambient_dim)
+    e[i] = 1.0
+    return m._project(x.value, e)
+
+
+class BasisVectors(Sequence):
+    """The signed projected coordinate directions of one basis, lazily.
+
+    Entry j < k is the projection of +e_{coords[j]} and entry k + j its
+    negative.  Reaching either sign projects the coordinate once and
+    caches both, so every entry is computed at most once per basis.
+    """
+
+    __slots__ = ("_base", "_coords", "_cache")
+
+    def __init__(self, base: ManifoldPoint, coords):
+        self._base = base
+        self._coords = coords
+        self._cache = [None] * (2 * len(coords))
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(*j.indices(len(self))))
+        v = self._cache[j]
+        if v is None:
+            k = len(self._coords)
+            i = j % k
+            plus = TangentVector(self._base, _project_coordinate(self._base, self._coords[i]))
+            self._cache[i], self._cache[i + k] = plus, plus.scaled(-1.0)
+            v = self._cache[j]
+        return v
+
+    def __iter__(self):
+        for j in range(len(self._cache)):
+            yield self[j]
 
 
 @dataclass(frozen=True)
@@ -27,13 +77,14 @@ class SpanningBasis:
 
     ``vectors[i]`` is the projection of the signed ambient coordinate
     direction identified by ``slots[i]`` (slot s < n means +e_s, slot
-    n + s means -e_s).  ``measured_b`` is the largest ambient norm among
-    the kept vectors; it never exceeds 1 because orthogonal projection
-    contracts ambient norms.
+    n + s means -e_s); it is projected on first access and cached in this
+    basis.  ``measured_b`` is the largest ambient norm among the kept
+    vectors; it never exceeds 1 because orthogonal projection contracts
+    ambient norms.
     """
 
     base: ManifoldPoint
-    vectors: tuple
+    vectors: BasisVectors
     slots: tuple
     measured_b: float
     drop_tol: float
@@ -43,11 +94,15 @@ class SpanningBasis:
 
 
 def spanning_basis(x: ManifoldPoint, drop_tol: float = DEFAULT_DROP_TOL) -> SpanningBasis:
-    """Project the signed ambient coordinate basis onto T_x.
+    """Projected signed ambient coordinate basis of T_x.
 
-    Directions whose projection has ambient norm at most ``drop_tol``
-    are discarded (their negatives drop with them); the survivors keep
-    the order +e_1..+e_n, -e_1..-e_n.
+    Every projector here is ambient-orthogonal, so the projection of e_i
+    has squared ambient norm P_ii; the manifold's closed-form diagonal
+    decides which directions survive and gives ``measured_b`` without
+    projecting anything.  Directions whose projection has ambient norm at
+    most ``drop_tol`` are discarded (their negatives drop with them); the
+    survivors keep the order +e_1..+e_n, -e_1..-e_n and are projected on
+    first access.
 
     Raises
     ------
@@ -58,28 +113,21 @@ def spanning_basis(x: ManifoldPoint, drop_tol: float = DEFAULT_DROP_TOL) -> Span
         raise ValueError("drop_tol must lie in (0, 1)")
     m = x.manifold
     n = m.ambient_dim
-    e = np.zeros(n)
-    kept = []
-    for i in range(n):
-        e[i] = 1.0
-        t = m._project(x.value, e)
-        e[i] = 0.0
-        nrm = m.tangent_ambient_norm(x.value, t)
-        if nrm > drop_tol:
-            kept.append((i, t, nrm))
-    if not kept:
+    q = m._coord_sqnorms(x.value)
+    norms = np.sqrt(np.maximum(q, 0.0))
+    for i in np.flatnonzero(np.abs(q - drop_tol * drop_tol) <= _ROUNDING_BAND):
+        norms[i] = m.tangent_ambient_norm(x.value, _project_coordinate(x, i))
+    kept = np.flatnonzero(norms > drop_tol)
+    if kept.size == 0:
         raise DegenerateBasis(
             f"all {2 * n} projected coordinate directions fell below {drop_tol}"
         )
-    plus = [TangentVector(x, t) for _, t, _ in kept]
-    minus = [v.scaled(-1.0) for v in plus]
-    slots = tuple(i for i, _, _ in kept) + tuple(n + i for i, _, _ in kept)
-    measured_b = max(nrm for _, _, nrm in kept)
+    coords = kept.tolist()
     return SpanningBasis(
         base=x,
-        vectors=tuple(plus + minus),
-        slots=slots,
-        measured_b=measured_b,
+        vectors=BasisVectors(x, coords),
+        slots=tuple(coords) + tuple(i + n for i in coords),
+        measured_b=float(norms[kept].max()),
         drop_tol=drop_tol,
     )
 
@@ -98,10 +146,13 @@ def measure_tau(basis: SpanningBasis, trials: int, seed) -> float:
     x = basis.base
     m = x.manifold
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    # the minus half negates the plus half exactly, and so do the inner
+    # products, so |<r, p>| over the plus half covers both signs
+    plus = basis.vectors[: len(basis) // 2]
     worst = np.inf
     for _ in range(trials):
         r = random_tangent(x, rng, unit=True)
-        best = max(m._inner(x.value, r.value, p.value) for p in basis.vectors)
+        best = max(abs(m._inner(x.value, r.value, p.value)) for p in plus)
         worst = min(worst, best)
     return float(worst)
 

@@ -142,6 +142,10 @@ class Manifold:
     def _project(self, x, a_flat: np.ndarray):
         raise NotImplementedError
 
+    def _coord_sqnorms(self, x) -> np.ndarray:
+        # diag of the ambient-orthogonal projector at x: |P e_i|^2 = P_ii
+        raise NotImplementedError
+
     def _retract(self, x, t):
         raise NotImplementedError
 
@@ -299,6 +303,9 @@ class Sphere(Manifold):
     def _project(self, x, a):
         return a - (a @ x) * x
 
+    def _coord_sqnorms(self, x):
+        return 1.0 - x * x  # diag(I - x x^T)
+
     def _retract(self, x, t):
         y = x + t
         return y / np.linalg.norm(y)
@@ -351,6 +358,11 @@ class Stiefel(Manifold):
     def _project(self, x, a):
         z = a.reshape(self.n, self.p)
         return z - x @ _sym(x.T @ z)
+
+    def _coord_sqnorms(self, x):
+        # P_(ij),(ij) = 1 - (|X_i,:|^2 + X_ij^2) / 2
+        xx = x * x
+        return (1.0 - 0.5 * (xx.sum(axis=1, keepdims=True) + xx)).ravel()
 
     def _retract(self, x, t):
         return _qr_fixed(x + t)
@@ -451,6 +463,13 @@ class FixedRank(Manifold):
         up = zv - u @ mid
         vp = ztu - v @ mid.T
         return (mid, up, vp)
+
+    def _coord_sqnorms(self, x):
+        # P_(ij),(ij) = a_i + b_j - a_i b_j with a = |U_i,:|^2, b = |V_j,:|^2
+        u, s, v = x
+        a = np.sum(u * u, axis=1)[:, None]
+        b = np.sum(v * v, axis=1)[None, :]
+        return (a + b - a * b).ravel()
 
     @staticmethod
     def _complement_factor(u, up):
@@ -559,6 +578,10 @@ class SymmetricPositiveDefinite(Manifold):
     def _project(self, x, a):
         return _sym(a.reshape(self.d, self.d))
 
+    def _coord_sqnorms(self, x):
+        # |sym(E_ij)|^2 = 1 if i == j, else 1/2
+        return np.where(np.eye(self.d, dtype=bool), 1.0, 0.5).ravel()
+
     def _retract(self, x, t):
         w = np.linalg.solve(x, t)
         return _sym(x + t + 0.5 * (t @ w))
@@ -620,6 +643,9 @@ class PositiveSimplex(Manifold):
     def _project(self, x, a):
         return a - a.mean()
 
+    def _coord_sqnorms(self, x):
+        return np.full(self.k, 1.0 - 1.0 / self.k)  # diag(I - 11^T / k)
+
     def _retract(self, x, t):
         z = t / x
         z -= z.max()  # rescaling cancels in the normalisation
@@ -674,6 +700,9 @@ class Euclidean(Manifold):
 
     def _project(self, x, a):
         return a.reshape(self.shape).copy()
+
+    def _coord_sqnorms(self, x):
+        return np.ones(self.ambient_dim)  # identity projector
 
     def _retract(self, x, t):
         return x + t
@@ -731,6 +760,10 @@ class Product(Manifold):
         return tuple(
             b._project(xb, s) for b, xb, s in zip(self.blocks, x, self._split(a))
         )
+
+    def _coord_sqnorms(self, x):
+        # block-diagonal projector: the blocks' diagonals in flat order
+        return np.concatenate([b._coord_sqnorms(xb) for b, xb in zip(self.blocks, x)])
 
     def _retract(self, x, t):
         return tuple(

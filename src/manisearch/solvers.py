@@ -90,6 +90,8 @@ class RunTrace:
     ``history`` holds one ``(eval_index, best_f)`` pair per objective
     evaluation (1-based, best_f non-increasing).  ``switch_eval`` is the
     evaluation count at which a *-plus strategy changed phase, when it did.
+    ``stop_reason`` says why the run ended: ``"budget"`` when an evaluation
+    was refused, ``"step-floor"`` when the stepsize fell below ``STEP_FLOOR``.
     """
 
     history: list
@@ -100,6 +102,7 @@ class RunTrace:
     final_alpha: Optional[float] = None
     final_alpha_by_slot: Optional[dict] = None
     switch_eval: Optional[int] = None
+    stop_reason: Optional[str] = None
 
     @property
     def best_f(self) -> float:
@@ -245,6 +248,7 @@ def _trace(ev: _Eval, st: _State, **extra) -> RunTrace:
         evals_used=ev.inst.counter,
         iterations=st.iters,
         success_count=st.succ,
+        stop_reason="budget" if st.exhausted else "step-floor",
         **extra,
     )
 
@@ -312,9 +316,11 @@ def _rdse_sb_phase(ev, st, atil, cfg, cache, on_accept, k0=0, stop_max_leq=None)
     """Cyclic linesearch loop.  Returns True when the switch test fired."""
     k = k0
     try:
+        seen = None
         while True:
             basis = cache.get(st.x)
-            slots = list(basis.slots)
+            if basis is not seen:
+                seen, slots = basis, np.array(basis.slots)
             if atil[slots].max() < STEP_FLOOR:
                 return False
             j = k % len(basis)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from manisearch.bench import CSV_HEADER, ResultTable
@@ -63,6 +66,33 @@ def test_rerun_is_byte_identical(tmp_path):
     for p1 in sorted((out1 / "traces").iterdir()):
         p2 = out2 / "traces" / p1.name
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_table_write_keeps_previous_table(tmp_path, monkeypatch):
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "results.csv").write_text("previous table\n")
+    replace = os.replace
+
+    def refuse_table(src, dst):
+        if Path(dst).name == "results.csv":
+            raise OSError("simulated failure while moving the table into place")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_table)
+    with pytest.raises(OSError, match="simulated"):
+        main(RUN_ARGS + ["--out", str(out)])
+    assert (out / "results.csv").read_text() == "previous table\n"
+    assert len(list((out / "traces").iterdir())) == 8
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_outputs_leave_no_temp_files(tmp_path):
+    out = tmp_path / "res"
+    assert main(RUN_ARGS + ["--out", str(out)]) == 0
+    assert main(["profile", "--out", str(out), "--budget-mult", "6", "--svg"]) == 0
+    assert (out / "profiles" / "data__tau0.1.svg").exists()
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_unknown_names_fail_with_diagnostic(tmp_path, capsys):

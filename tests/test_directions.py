@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from manisearch.directions import (
+    DEFAULT_DROP_TOL,
     DenseDirectionStream,
     dense_direction,
     measure_tau,
     spanning_basis,
 )
 from manisearch.errors import DegenerateBasis
-from manisearch.manifolds import Sphere, Stiefel
+from manisearch.manifolds import (
+    FixedRank,
+    SpecialOrthogonal,
+    Sphere,
+    Stiefel,
+    tree_equal,
+    tree_scale,
+)
 
 from conftest import manifold_zoo, sample_point
 
@@ -77,6 +85,127 @@ def test_basis_vectors_tangent_and_bounded():
             for vec in basis.vectors:
                 assert m.tangency_residual(x, vec) <= 1e-10
                 assert vec.ambient_norm() <= 1 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# lazy basis against an eager oracle
+# ---------------------------------------------------------------------------
+
+def _coordinate(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+def _eager_basis(x, drop_tol=DEFAULT_DROP_TOL):
+    """Project every +e_i up front; keep i iff the projection's norm > drop_tol."""
+    m = x.manifold
+    n = m.ambient_dim
+    kept = []
+    for i in range(n):
+        t = m._project(x.value, _coordinate(n, i))
+        nrm = m.tangent_ambient_norm(x.value, t)
+        if nrm > drop_tol:
+            kept.append((i, t, nrm))
+    slots = tuple(i for i, _, _ in kept) + tuple(n + i for i, _, _ in kept)
+    values = [t for _, t, _ in kept] + [tree_scale(t, -1.0) for _, t, _ in kept]
+    return slots, values, max(nrm for _, _, nrm in kept)
+
+
+def _rotation_near_identity(eps):
+    # I + A + A^2/2 for a skew A with entries of size eps (orthonormalised
+    # by the caller): the diagonal rounds to 1, so the closed-form squared
+    # norms of the diagonal slots cancel to 0, while their projections
+    # have norm about eps
+    a = np.array([[0.0, -eps, 2 * eps], [eps, 0.0, -3 * eps], [-2 * eps, 3 * eps, 0.0]])
+    return np.eye(3) + a + 0.5 * a @ a
+
+
+def _degenerate_points():
+    so = SpecialOrthogonal(3)
+    fr = FixedRank(6, 5, 2)
+    rng = np.random.default_rng(5)
+    u = np.insert(np.linalg.qr(rng.standard_normal((5, 2)))[0], 3, 0.0, axis=0)
+    v = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    near_pole = np.array([1.0, 1e-9, 0.0])
+    return [
+        Sphere(3).point(np.array([1.0, 0.0, 0.0])),
+        Sphere(3).point(near_pole / np.linalg.norm(near_pole)),
+        Stiefel(2, 2).point(np.eye(2)),
+        so.point(np.eye(3)),
+        so.point(so._retract(_rotation_near_identity(1e-9), np.zeros((3, 3)))),
+        fr.point((u, np.array([2.0, 1.0]), v)),
+    ]
+
+
+def _sampled_points():
+    for m in manifold_zoo():
+        rng = np.random.default_rng(83)
+        for _ in range(5):
+            yield sample_point(m, rng)
+
+
+def _assert_matches_eager(x):
+    slots, values, measured_b = _eager_basis(x)
+    basis = spanning_basis(x)
+    assert basis.slots == slots
+    assert len(basis.vectors) == len(values)
+    for vec, value in zip(basis.vectors, values):
+        assert vec.point is x
+        assert tree_equal(vec.value, value)
+    assert abs(basis.measured_b - measured_b) <= 1e-14
+
+
+def test_lazy_basis_matches_eager_oracle_at_sampled_points():
+    for x in _sampled_points():
+        _assert_matches_eager(x)
+
+
+def test_lazy_basis_matches_eager_oracle_at_degenerate_points():
+    # the near-pole and near-identity points sit within rounding of the
+    # drop_tol boundary of the closed-form diagonal, where 1 - x_i^2
+    # cancels to 0 but the projected vectors have norm about 1e-9
+    for x in _degenerate_points():
+        _assert_matches_eager(x)
+
+
+def test_lazy_basis_any_access_order_gives_same_vectors():
+    x = sample_point(Stiefel(7, 3), np.random.default_rng(89))
+    _, values, _ = _eager_basis(x)
+    basis = spanning_basis(x)
+    for j in reversed(range(len(basis))):
+        assert tree_equal(basis.vectors[j].value, values[j])
+    assert tree_equal(basis.vectors[-1].value, values[-1])
+    assert basis.vectors[:2] == tuple(basis.vectors)[:2]  # the cached objects
+
+
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
+def test_coord_sqnorms_is_projector_diagonal(m):
+    rng = np.random.default_rng(97)
+    n = m.ambient_dim
+    for _ in range(5):
+        x = sample_point(m, rng)
+        q = m._coord_sqnorms(x.value)
+        assert q.shape == (n,)
+        for i in range(n):
+            t = m._project(x.value, _coordinate(n, i))
+            assert abs(q[i] - m.tangent_ambient_norm(x.value, t) ** 2) <= 1e-12
+
+
+def test_polling_first_vector_projects_once(monkeypatch):
+    m = Stiefel(7, 3)
+    x = sample_point(m, np.random.default_rng(101))
+    calls = []
+    project = m._project
+    monkeypatch.setattr(m, "_project", lambda xv, a: calls.append(1) or project(xv, a))
+    basis = spanning_basis(x)
+    assert calls == []
+    first = basis.vectors[0]
+    assert len(calls) == 1
+    # the minus sign was cached with the plus sign
+    assert tree_equal(basis.vectors[len(basis) // 2].value, tree_scale(first.value, -1.0))
+    assert basis.vectors[0] is first
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,30 @@ def test_rdse_dd_plus_without_switch_keeps_slot_stepsizes():
 
 
 # ---------------------------------------------------------------------------
+# stop reasons
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_stop_reason_names_the_stop(name):
+    # f = 0 never passes 0 <= 0 - gamma alpha^2, so every stepsize shrinks
+    # geometrically below STEP_FLOOR well within 5000 evaluations
+    prob = make_problem(Sphere(3), lambda v: 0.0)
+    short = run_solver(name, prob, default_config(name, budget=3, seed=0))
+    assert short.stop_reason == "budget"
+    assert short.evals_used == 3
+    cfg = default_config(name, budget=5000, seed=0)
+    trace = run_solver(name, prob, cfg)
+    if name == "zo-rgd":  # no stepsize: only the budget stops it
+        assert trace.stop_reason == "budget"
+        assert trace.evals_used == cfg.budget
+    else:
+        assert trace.stop_reason == "step-floor"
+        assert trace.evals_used < cfg.budget
+    if name.endswith("-plus"):  # the phase switch is still recorded apart
+        assert trace.switch_eval is not None
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
