@@ -35,13 +35,9 @@ from .manifolds import (
     Stiefel,
     SymmetricPositiveDefinite,
     TangentVector,
-    constraint_residual,
-    inner,
     product_spheres,
-    project_tangent,
     random_point,
     random_tangent,
-    retract,
 )
 from .problems import (
     NONSMOOTH_PROBLEMS,

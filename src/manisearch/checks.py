@@ -26,7 +26,6 @@ from .manifolds import (
     SymmetricPositiveDefinite,
     product_spheres,
     random_tangent,
-    tree_equal,
 )
 from .problems import ProblemInstance
 from .solvers import SolverConfig, run_rds_dd, run_rds_sb, run_rdse_sb
@@ -80,7 +79,7 @@ def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
     return ProblemInstance(
         name=name, manifold=man, ambient_dim=man.ambient_dim,
         requested_dim=man.ambient_dim, seed=seed, smooth=smooth, data={},
-        start=start, f0=float(f_val(start.value)), known_opt=known_opt,
+        start=start, f0=float(f_val(man._unpack(start.value))), known_opt=known_opt,
         _value_f=f_val, _grad_f=grad,
     )
 
@@ -129,11 +128,11 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
                         ratio_hi = max(ratio_hi, e1 / e2)
 
             if isinstance(m, Product):
-                manual = tuple(
-                    b._project(xb, s)
-                    for b, xb, s in zip(m.blocks, x.value, m._split(u_amb))
-                )
-                if not tree_equal(m.project_tangent(x, u_amb).value, manual):
+                manual = np.concatenate([
+                    b._project(x.value[sl], u_amb[sl])
+                    for b, sl in zip(m.blocks, m._slices)
+                ])
+                if not np.array_equal(m.project_tangent(x, u_amb).value, manual):
                     block_gap = 1.0
 
         name = m.spec_string()

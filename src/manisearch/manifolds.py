@@ -1,12 +1,17 @@
 """Embedded manifolds: tangent projections, metrics, retractions, sampling.
 
 Every manifold here is a submanifold of some flat ambient space R^n.
-Points and tangent vectors are stored in a per-kind native layout
-(vectors, matrices, factor triples, or tuples of blocks for products),
-while a single flat ambient coordinate vector of length ``ambient_dim``
-is the common currency for direction generation: coordinate directions
-and random ambient directions enter through ``project_tangent`` and the
-resulting tangent vectors are moved along with ``retract``.
+Every point and every tangent vector is stored as one flat 1-D float64
+array.  For all kinds except fixed-rank that array is the flat ambient
+coordinate vector of length ``ambient_dim`` itself (matrices in row-major
+order, products as their blocks' vectors concatenated), so scaling a
+tangent is ``c * t`` and the zero test is ``not t.any()``.  Fixed-rank
+points and tangents are stored factored, packed flat by
+``FixedRank.pack``.  This module alone knows the layouts: ``_unpack``
+returns reshaped views of a point value in the shapes the objectives
+read.  Coordinate directions and random ambient directions enter
+through ``project_tangent`` and the resulting tangent vectors are moved
+along with ``retract``.
 
 Supported kinds and their stable names:
 
@@ -18,7 +23,7 @@ Supported kinds and their stable names:
     spd(d)               symmetric positive definite matrices, affine-invariant metric
     simplex(K)           strictly positive weights summing to one, Fisher metric
     euclidean(...)       an unconstrained block (used inside products)
-    product(...)         direct product of any of the above
+    product(...)         direct product of any of the above except fixed-rank
 """
 
 from __future__ import annotations
@@ -30,48 +35,20 @@ import numpy as np
 from .errors import BaseMismatch, InvalidShape
 
 
-# ---------------------------------------------------------------------------
-# tangent-value trees (ndarray, or nested tuples of ndarrays for products)
-# ---------------------------------------------------------------------------
-
-def tree_scale(value, c: float):
-    if isinstance(value, tuple):
-        return tuple(tree_scale(b, c) for b in value)
-    return value * c
-
-
-def tree_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(tree_add(x, y) for x, y in zip(a, b))
-    return a + b
-
-
-def tree_equal(a, b) -> bool:
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(tree_equal(x, y) for x, y in zip(a, b))
-    return np.array_equal(a, b)
-
-
-def tree_is_zero(value) -> bool:
-    if isinstance(value, tuple):
-        return all(tree_is_zero(b) for b in value)
-    return not np.any(value)
-
-
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
-    """A feasible point, stored in the manifold's native layout."""
+    """A feasible point, stored as its manifold's flat value."""
 
     manifold: "Manifold"
-    value: object
+    value: np.ndarray
 
     def ambient(self) -> np.ndarray:
         """Flat ambient coordinates of the point."""
-        return self.manifold.point_ambient(self.value)
+        return self.manifold._point_ambient(self.value)
 
     def residual(self) -> float:
         """Constraint violation of the stored value (0 within rounding iff feasible)."""
-        return self.manifold.point_residual(self.value)
+        return float(self.manifold._point_residual(self.value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +56,14 @@ class TangentVector:
     """A tangent vector tagged with its base point."""
 
     point: ManifoldPoint
-    value: object
+    value: np.ndarray
 
     @property
     def manifold(self) -> "Manifold":
         return self.point.manifold
 
     def scaled(self, c: float) -> "TangentVector":
-        return TangentVector(self.point, tree_scale(self.value, c))
+        return TangentVector(self.point, self.value * c)
 
     def __neg__(self) -> "TangentVector":
         return self.scaled(-1.0)
@@ -94,7 +71,7 @@ class TangentVector:
     def __add__(self, other: "TangentVector") -> "TangentVector":
         if not _same_point(self.point, other.point):
             raise BaseMismatch("cannot add tangent vectors with different base points")
-        return TangentVector(self.point, tree_add(self.value, other.value))
+        return TangentVector(self.point, self.value + other.value)
 
     def norm(self) -> float:
         """Riemannian norm at the base point."""
@@ -103,19 +80,19 @@ class TangentVector:
 
     def ambient(self) -> np.ndarray:
         """Flat ambient coordinates of the tangent vector."""
-        return self.manifold.embed_tangent(self.point.value, self.value)
+        return self.manifold._embed(self.point.value, self.value)
 
     def ambient_norm(self) -> float:
         return self.manifold.tangent_ambient_norm(self.point.value, self.value)
 
     def is_zero(self) -> bool:
-        return tree_is_zero(self.value)
+        return not self.value.any()
 
 
 def _same_point(a: ManifoldPoint, b: ManifoldPoint) -> bool:
     if a is b:
         return True
-    return a.manifold is b.manifold and tree_equal(a.value, b.value)
+    return a.manifold is b.manifold and np.array_equal(a.value, b.value)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +103,12 @@ class Manifold:
     """Common surface for all manifold kinds.
 
     Subclasses implement the raw-value geometry (single underscore
-    methods); this class adds validation and the point/tangent wrappers
-    used by the solvers.  All operations are pure functions of their
-    inputs and instances are immutable after construction, so a manifold
-    may be shared freely between concurrent runs.
+    methods, on flat values); this class adds validation and the
+    point/tangent wrappers used by the solvers.  The defaults below hold
+    for every kind whose point and tangent values are their own ambient
+    vectors.  All operations are pure functions of their inputs and
+    instances are immutable after construction, so a manifold may be
+    shared freely between concurrent runs.
     """
 
     kind: str = "abstract"
@@ -137,45 +116,45 @@ class Manifold:
     intrinsic_dim: int
     feasibility_tol: float = 1e-10
 
-    # ---- raw geometry, per kind ------------------------------------
+    # ---- raw geometry on flat values, per kind ------------------------
 
-    def _project(self, x, a_flat: np.ndarray):
+    def _unpack(self, x):
+        """Views of the point value ``x`` in the shapes its objective reads."""
+        return x
+
+    def _project(self, x, a_flat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _coord_sqnorms(self, x) -> np.ndarray:
         # diag of the ambient-orthogonal projector at x: |P e_i|^2 = P_ii
         raise NotImplementedError
 
-    def _retract(self, x, t):
+    def _retract(self, x, t) -> np.ndarray:
         raise NotImplementedError
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
 
     def _embed(self, x, t) -> np.ndarray:
-        raise NotImplementedError
+        return t
 
     def _point_ambient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return x
 
     def _point_residual(self, x) -> float:
         raise NotImplementedError
 
     def _ambient_residual(self, a_flat: np.ndarray) -> float:
-        # default: interpret the flat vector as a point value
-        return self._point_residual(self._from_flat(a_flat))
+        return self._point_residual(a_flat)
 
     def _tangent_residual(self, x, t) -> float:
         raise NotImplementedError
 
-    def _random_point(self, rng: np.random.Generator):
+    def _random_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def _zero_tangent(self, x):
-        raise NotImplementedError
-
-    def _from_flat(self, a_flat: np.ndarray):
-        raise NotImplementedError
+    def _zero_tangent(self, x) -> np.ndarray:
+        return np.zeros(self.ambient_dim)
 
     # ---- public surface ---------------------------------------------
 
@@ -183,10 +162,13 @@ class Manifold:
         raise NotImplementedError
 
     def point(self, value, validate: bool = True) -> ManifoldPoint:
-        """Wrap a native-layout value as a point, checking feasibility."""
+        """Wrap a flat point value as a point, checking feasibility."""
+        value = np.asarray(value, dtype=float)
+        if value.ndim != 1:
+            raise InvalidShape(f"a point value is a flat vector, got shape {value.shape}")
         p = ManifoldPoint(self, value)
         if validate:
-            r = self.point_residual(value)
+            r = p.residual()
             if not r <= 10 * self.feasibility_tol:
                 raise InvalidShape(
                     f"value is not on {self.spec_string()} (residual {r:.3e})"
@@ -221,7 +203,7 @@ class Manifold:
         """
         if not _same_point(d.point, x):
             raise BaseMismatch("tangent vector is rooted at a different point")
-        if tree_is_zero(d.value):
+        if not d.value.any():
             return x
         return ManifoldPoint(self, self._retract(x.value, d.value))
 
@@ -230,9 +212,6 @@ class Manifold:
         if not (_same_point(u.point, x) and _same_point(v.point, x)):
             raise BaseMismatch("inner product requires tangents based at x")
         return float(self._inner(x.value, u.value, v.value))
-
-    def norm(self, x: ManifoldPoint, u: TangentVector) -> float:
-        return float(np.sqrt(max(0.0, self.inner(x, u, u))))
 
     def constraint_residual(self, a) -> float:
         """Feasibility residual of a flat ambient vector (0 iff on the manifold)."""
@@ -243,17 +222,8 @@ class Manifold:
             )
         return float(self._ambient_residual(a_flat))
 
-    def point_residual(self, value) -> float:
-        return float(self._point_residual(value))
-
     def tangency_residual(self, x: ManifoldPoint, t: TangentVector) -> float:
         return float(self._tangent_residual(x.value, t.value))
-
-    def point_ambient(self, value) -> np.ndarray:
-        return self._point_ambient(value)
-
-    def embed_tangent(self, x_value, t_value) -> np.ndarray:
-        return self._embed(x_value, t_value)
 
     def tangent_ambient_norm(self, x_value, t_value) -> float:
         return float(np.linalg.norm(self._embed(x_value, t_value)))
@@ -297,9 +267,6 @@ class Sphere(Manifold):
     def spec_string(self) -> str:
         return f"sphere({self.n})"
 
-    def _from_flat(self, a):
-        return a
-
     def _project(self, x, a):
         return a - (a @ x) * x
 
@@ -313,12 +280,6 @@ class Sphere(Manifold):
     def _inner(self, x, u, v):
         return float(u @ v)
 
-    def _embed(self, x, t):
-        return t
-
-    def _point_ambient(self, x):
-        return np.asarray(x, dtype=float)
-
     def _point_residual(self, x):
         return abs(np.linalg.norm(x) - 1.0)
 
@@ -331,9 +292,6 @@ class Sphere(Manifold):
             nrm = np.linalg.norm(v)
             if nrm > 1e-12:
                 return v / nrm
-
-    def _zero_tangent(self, x):
-        return np.zeros(self.n)
 
 
 class Stiefel(Manifold):
@@ -352,41 +310,34 @@ class Stiefel(Manifold):
     def spec_string(self) -> str:
         return f"stiefel({self.n},{self.p})"
 
-    def _from_flat(self, a):
-        return a.reshape(self.n, self.p)
+    def _unpack(self, x):
+        return x.reshape(self.n, self.p)
 
     def _project(self, x, a):
-        z = a.reshape(self.n, self.p)
-        return z - x @ _sym(x.T @ z)
+        x, z = self._unpack(x), self._unpack(a)
+        return (z - x @ _sym(x.T @ z)).ravel()
 
     def _coord_sqnorms(self, x):
         # P_(ij),(ij) = 1 - (|X_i,:|^2 + X_ij^2) / 2
+        x = self._unpack(x)
         xx = x * x
         return (1.0 - 0.5 * (xx.sum(axis=1, keepdims=True) + xx)).ravel()
 
     def _retract(self, x, t):
-        return _qr_fixed(x + t)
+        return _qr_fixed(self._unpack(x + t)).ravel()
 
     def _inner(self, x, u, v):
         return float(np.sum(u * v))
 
-    def _embed(self, x, t):
-        return t.ravel()
-
-    def _point_ambient(self, x):
-        return np.asarray(x, dtype=float).ravel()
-
     def _point_residual(self, x):
+        x = self._unpack(x)
         return float(np.linalg.norm(x.T @ x - np.eye(self.p)))
 
     def _tangent_residual(self, x, t):
-        return float(np.linalg.norm(_sym(x.T @ t)))
+        return float(np.linalg.norm(_sym(self._unpack(x).T @ self._unpack(t))))
 
     def _random_point(self, rng):
-        return _qr_fixed(rng.standard_normal((self.n, self.p)))
-
-    def _zero_tangent(self, x):
-        return np.zeros((self.n, self.p))
+        return _qr_fixed(rng.standard_normal((self.n, self.p))).ravel()
 
 
 class SpecialOrthogonal(Stiefel):
@@ -405,15 +356,15 @@ class SpecialOrthogonal(Stiefel):
         return f"so({self.d})"
 
     def _retract(self, x, t):
-        q = _qr_fixed(x + t)
+        q = _qr_fixed(self._unpack(x + t))
         if np.linalg.det(q) <= 0:
             # cannot happen for genuinely tangent steps x @ skew
             raise InvalidShape("so retraction left the det=+1 component")
-        return q
+        return q.ravel()
 
     def _point_residual(self, x):
         r = super()._point_residual(x)
-        if np.linalg.det(x) <= 0:
+        if np.linalg.det(self._unpack(x)) <= 0:
             r += 2.0
         return r
 
@@ -422,7 +373,7 @@ class SpecialOrthogonal(Stiefel):
         if np.linalg.det(q) < 0:
             q = q.copy()
             q[:, -1] = -q[:, -1]
-        return q
+        return q.ravel()
 
 
 class FixedRank(Manifold):
@@ -430,12 +381,13 @@ class FixedRank(Manifold):
 
     ``U`` (m x r) and ``V`` (h x r) have orthonormal columns and ``s``
     holds positive singular values, so the represented matrix is
-    ``(U * s) @ V.T``.  Tangent vectors are stored as the triple
-    (M, Up, Vp) with ``U.T @ Up = 0`` and ``V.T @ Vp = 0``, embedding as
-    ``U @ M @ V.T + Up @ V.T + U @ Vp.T``.  The retraction is the rank-r
-    truncated SVD of ``X + t``, computed on a (2r x 2r) core; singular
-    values that fall below ``feasibility_tol`` are clamped up to it so
-    iterates never leave the rank-r set.
+    ``(U * s) @ V.T``.  Tangent vectors are the triple (M, Up, Vp) with
+    ``U.T @ Up = 0`` and ``V.T @ Vp = 0``, embedding as
+    ``U @ M @ V.T + Up @ V.T + U @ Vp.T``.  A point value is
+    ``pack(U, s, V)`` and a tangent value ``pack(M, Up, Vp)``.  The
+    retraction is the rank-r truncated SVD of ``X + t``, computed on a
+    (2r x 2r) core; singular values that fall below ``feasibility_tol``
+    are clamped up to it so iterates never leave the rank-r set.
     """
 
     kind = "fixed-rank"
@@ -447,26 +399,40 @@ class FixedRank(Manifold):
         self.ambient_dim = self.m * self.h
         self.intrinsic_dim = (self.m + self.h - self.r) * self.r
         self.feasibility_tol = feasibility_tol
+        # where the second and third factor start in a point / tangent value
+        self._point_cuts = (self.m * self.r, (self.m + 1) * self.r)
+        self._tangent_cuts = (self.r * self.r, (self.r + self.m) * self.r)
 
     def spec_string(self) -> str:
         return f"fixed-rank({self.m},{self.h},{self.r})"
 
-    def _from_flat(self, a):
-        raise InvalidShape("fixed-rank points are factored; use constraint_residual")
+    @staticmethod
+    def pack(*factors) -> np.ndarray:
+        """One flat value from ``(U, s, V)`` (a point) or ``(M, Up, Vp)`` (a tangent)."""
+        return np.concatenate([np.ravel(f) for f in factors])
+
+    def _unpack(self, x):
+        i, j = self._point_cuts
+        return x[:i].reshape(self.m, self.r), x[i:j], x[j:].reshape(self.h, self.r)
+
+    def _unpack_tangent(self, t):
+        i, j = self._tangent_cuts
+        r = self.r
+        return t[:i].reshape(r, r), t[i:j].reshape(self.m, r), t[j:].reshape(self.h, r)
 
     def _project(self, x, a):
-        u, s, v = x
+        u, s, v = self._unpack(x)
         z = a.reshape(self.m, self.h)
         zv = z @ v
         ztu = z.T @ u
         mid = u.T @ zv
         up = zv - u @ mid
         vp = ztu - v @ mid.T
-        return (mid, up, vp)
+        return self.pack(mid, up, vp)
 
     def _coord_sqnorms(self, x):
         # P_(ij),(ij) = a_i + b_j - a_i b_j with a = |U_i,:|^2, b = |V_j,:|^2
-        u, s, v = x
+        u, s, v = self._unpack(x)
         a = np.sum(u * u, axis=1)[:, None]
         b = np.sum(v * v, axis=1)[None, :]
         return (a + b - a * b).ravel()
@@ -483,8 +449,8 @@ class FixedRank(Manifold):
         return q, ru
 
     def _retract(self, x, t):
-        u, s, v = x
-        mid, up, vp = t
+        u, s, v = self._unpack(x)
+        mid, up, vp = self._unpack_tangent(t)
         r = self.r
         qu, ru = self._complement_factor(u, up)
         qv, rv = self._complement_factor(v, vp)
@@ -496,28 +462,29 @@ class FixedRank(Manifold):
         sv = np.maximum(sv[:r], self.feasibility_tol)
         new_u = np.hstack([u, qu]) @ w[:, :r]
         new_v = np.hstack([v, qv]) @ zt[:r, :].T
-        return (new_u, sv, new_v)
+        return self.pack(new_u, sv, new_v)
 
     def _inner(self, x, u, v):
+        u, v = self._unpack_tangent(u), self._unpack_tangent(v)
         return float(np.sum(u[0] * v[0]) + np.sum(u[1] * v[1]) + np.sum(u[2] * v[2]))
 
     def _embed(self, x, t):
-        u, s, v = x
-        mid, up, vp = t
+        u, s, v = self._unpack(x)
+        mid, up, vp = self._unpack_tangent(t)
         return (u @ mid @ v.T + up @ v.T + u @ vp.T).ravel()
 
     def tangent_ambient_norm(self, x_value, t_value):
         # the three blocks embed orthogonally, so the Frobenius norm
         # of the embedding equals the factored norm
-        mid, up, vp = t_value
+        mid, up, vp = self._unpack_tangent(t_value)
         return float(np.sqrt(np.sum(mid * mid) + np.sum(up * up) + np.sum(vp * vp)))
 
     def _point_ambient(self, x):
-        u, s, v = x
+        u, s, v = self._unpack(x)
         return ((u * s) @ v.T).ravel()
 
     def _point_residual(self, x):
-        u, s, v = x
+        u, s, v = self._unpack(x)
         r = float(np.linalg.norm(u.T @ u - np.eye(self.r)))
         r += float(np.linalg.norm(v.T @ v - np.eye(self.r)))
         if np.min(s) <= 0:
@@ -532,22 +499,18 @@ class FixedRank(Manifold):
         return tail + rank_gap
 
     def _tangent_residual(self, x, t):
-        u, s, v = x
-        mid, up, vp = t
+        u, s, v = self._unpack(x)
+        mid, up, vp = self._unpack_tangent(t)
         return float(np.linalg.norm(u.T @ up) + np.linalg.norm(v.T @ vp))
 
     def _random_point(self, rng):
         u = _qr_fixed(rng.standard_normal((self.m, self.r)))
         v = _qr_fixed(rng.standard_normal((self.h, self.r)))
-        s = np.sort(rng.uniform(0.5, 2.0, self.r))[::-1].copy()
-        return (u, s, v)
+        s = np.sort(rng.uniform(0.5, 2.0, self.r))[::-1]
+        return self.pack(u, s, v)
 
     def _zero_tangent(self, x):
-        return (
-            np.zeros((self.r, self.r)),
-            np.zeros((self.m, self.r)),
-            np.zeros((self.h, self.r)),
-        )
+        return np.zeros(self.r * (self.r + self.m + self.h))
 
 
 class SymmetricPositiveDefinite(Manifold):
@@ -572,32 +535,29 @@ class SymmetricPositiveDefinite(Manifold):
     def spec_string(self) -> str:
         return f"spd({self.d})"
 
-    def _from_flat(self, a):
-        return a.reshape(self.d, self.d)
+    def _unpack(self, x):
+        return x.reshape(self.d, self.d)
 
     def _project(self, x, a):
-        return _sym(a.reshape(self.d, self.d))
+        return _sym(self._unpack(a)).ravel()
 
     def _coord_sqnorms(self, x):
         # |sym(E_ij)|^2 = 1 if i == j, else 1/2
         return np.where(np.eye(self.d, dtype=bool), 1.0, 0.5).ravel()
 
     def _retract(self, x, t):
+        x, t = self._unpack(x), self._unpack(t)
         w = np.linalg.solve(x, t)
-        return _sym(x + t + 0.5 * (t @ w))
+        return _sym(x + t + 0.5 * (t @ w)).ravel()
 
     def _inner(self, x, u, v):
-        a = np.linalg.solve(x, u)
-        b = np.linalg.solve(x, v)
+        x = self._unpack(x)
+        a = np.linalg.solve(x, self._unpack(u))
+        b = np.linalg.solve(x, self._unpack(v))
         return float(np.sum(a * b.T))
 
-    def _embed(self, x, t):
-        return t.ravel()
-
-    def _point_ambient(self, x):
-        return np.asarray(x, dtype=float).ravel()
-
     def _point_residual(self, x):
+        x = self._unpack(x)
         r = float(np.linalg.norm(x - x.T))
         lam = float(np.linalg.eigvalsh(_sym(x))[0])
         if lam <= 0:
@@ -605,14 +565,12 @@ class SymmetricPositiveDefinite(Manifold):
         return r
 
     def _tangent_residual(self, x, t):
+        t = self._unpack(t)
         return float(np.linalg.norm(t - t.T))
 
     def _random_point(self, rng):
         a = rng.standard_normal((self.d, self.d))
-        return a @ a.T + np.eye(self.d)
-
-    def _zero_tangent(self, x):
-        return np.zeros((self.d, self.d))
+        return (a @ a.T + np.eye(self.d)).ravel()
 
 
 class PositiveSimplex(Manifold):
@@ -637,9 +595,6 @@ class PositiveSimplex(Manifold):
     def spec_string(self) -> str:
         return f"simplex({self.k})"
 
-    def _from_flat(self, a):
-        return a
-
     def _project(self, x, a):
         return a - a.mean()
 
@@ -656,12 +611,6 @@ class PositiveSimplex(Manifold):
     def _inner(self, x, u, v):
         return float(np.sum(u * v / x))
 
-    def _embed(self, x, t):
-        return t
-
-    def _point_ambient(self, x):
-        return np.asarray(x, dtype=float)
-
     def _point_residual(self, x):
         if np.min(x) <= 0:
             return np.inf
@@ -674,9 +623,6 @@ class PositiveSimplex(Manifold):
         w = rng.uniform(0.0, 1.0, self.k)
         w = np.maximum(w, 1e-6)
         return w / w.sum()
-
-    def _zero_tangent(self, x):
-        return np.zeros(self.k)
 
 
 class Euclidean(Manifold):
@@ -695,11 +641,11 @@ class Euclidean(Manifold):
     def spec_string(self) -> str:
         return f"euclidean({'x'.join(str(s) for s in self.shape)})"
 
-    def _from_flat(self, a):
-        return a.reshape(self.shape)
+    def _unpack(self, x):
+        return x.reshape(self.shape)
 
     def _project(self, x, a):
-        return a.reshape(self.shape).copy()
+        return a.copy()
 
     def _coord_sqnorms(self, x):
         return np.ones(self.ambient_dim)  # identity projector
@@ -710,12 +656,6 @@ class Euclidean(Manifold):
     def _inner(self, x, u, v):
         return float(np.sum(u * v))
 
-    def _embed(self, x, t):
-        return np.asarray(t, dtype=float).ravel()
-
-    def _point_ambient(self, x):
-        return np.asarray(x, dtype=float).ravel()
-
     def _point_residual(self, x):
         return 0.0
 
@@ -723,85 +663,70 @@ class Euclidean(Manifold):
         return 0.0
 
     def _random_point(self, rng):
-        return rng.standard_normal(self.shape)
-
-    def _zero_tangent(self, x):
-        return np.zeros(self.shape)
+        return rng.standard_normal(self.ambient_dim)
 
 
 class Product(Manifold):
-    """Direct product of manifolds; every operation applies blockwise."""
+    """Direct product of manifolds; every operation applies blockwise.
+
+    A value is the blocks' values concatenated, so one offsets table
+    locates every block.  Fixed-rank blocks are rejected: their point,
+    tangent and ambient vectors have different lengths.
+    """
 
     def __init__(self, blocks, kind: str = "product", feasibility_tol: float = 1e-10):
         blocks = tuple(blocks)
         if not blocks:
             raise InvalidShape("product needs at least one block")
+        if any(isinstance(b, FixedRank) for b in blocks):
+            raise InvalidShape("a product cannot hold a fixed-rank block")
         self.blocks = blocks
         self.kind = kind
         self.ambient_dim = sum(b.ambient_dim for b in blocks)
         self.intrinsic_dim = sum(b.intrinsic_dim for b in blocks)
         self.feasibility_tol = feasibility_tol
-        self._offsets = np.cumsum([0] + [b.ambient_dim for b in blocks])
+        offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
+        self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
 
     def spec_string(self) -> str:
         inner = ",".join(b.spec_string() for b in self.blocks)
         return f"{self.kind}({inner})"
 
-    def _split(self, a_flat):
-        return [
-            a_flat[self._offsets[i]: self._offsets[i + 1]]
-            for i in range(len(self.blocks))
-        ]
-
-    def _from_flat(self, a):
-        return tuple(b._from_flat(s) for b, s in zip(self.blocks, self._split(a)))
+    def _unpack(self, x):
+        return tuple(b._unpack(x[sl]) for b, sl in zip(self.blocks, self._slices))
 
     def _project(self, x, a):
-        return tuple(
-            b._project(xb, s) for b, xb, s in zip(self.blocks, x, self._split(a))
+        return np.concatenate(
+            [b._project(x[sl], a[sl]) for b, sl in zip(self.blocks, self._slices)]
         )
 
     def _coord_sqnorms(self, x):
         # block-diagonal projector: the blocks' diagonals in flat order
-        return np.concatenate([b._coord_sqnorms(xb) for b, xb in zip(self.blocks, x)])
+        return np.concatenate(
+            [b._coord_sqnorms(x[sl]) for b, sl in zip(self.blocks, self._slices)]
+        )
 
     def _retract(self, x, t):
-        return tuple(
-            xb if tree_is_zero(tb) else b._retract(xb, tb)
-            for b, xb, tb in zip(self.blocks, x, t)
-        )
+        y = x.copy()
+        for b, sl in zip(self.blocks, self._slices):
+            if t[sl].any():
+                y[sl] = b._retract(x[sl], t[sl])
+        return y
 
     def _inner(self, x, u, v):
-        return float(
-            sum(b._inner(xb, ub, vb) for b, xb, ub, vb in zip(self.blocks, x, u, v))
-        )
-
-    def _embed(self, x, t):
-        return np.concatenate(
-            [b._embed(xb, tb) for b, xb, tb in zip(self.blocks, x, t)]
-        )
-
-    def _point_ambient(self, x):
-        return np.concatenate([b._point_ambient(xb) for b, xb in zip(self.blocks, x)])
+        return float(sum(b._inner(x[sl], u[sl], v[sl])
+                         for b, sl in zip(self.blocks, self._slices)))
 
     def _point_residual(self, x):
-        return float(sum(b._point_residual(xb) for b, xb in zip(self.blocks, x)))
-
-    def _ambient_residual(self, a):
-        return float(
-            sum(b._ambient_residual(s) for b, s in zip(self.blocks, self._split(a)))
-        )
+        return float(sum(b._point_residual(x[sl])
+                         for b, sl in zip(self.blocks, self._slices)))
 
     def _tangent_residual(self, x, t):
-        return float(
-            sum(b._tangent_residual(xb, tb) for b, xb, tb in zip(self.blocks, x, t))
-        )
+        return float(sum(b._tangent_residual(x[sl], t[sl])
+                         for b, sl in zip(self.blocks, self._slices)))
 
     def _random_point(self, rng):
-        return tuple(b._random_point(rng) for b in self.blocks)
-
-    def _zero_tangent(self, x):
-        return tuple(b._zero_tangent(xb) for b, xb in zip(self.blocks, x))
+        return np.concatenate([b._random_point(rng) for b in self.blocks])
 
 
 def product_spheres(dims) -> Product:
@@ -810,28 +735,8 @@ def product_spheres(dims) -> Product:
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
+# sampling
 # ---------------------------------------------------------------------------
-
-def project_tangent(x: ManifoldPoint, a) -> TangentVector:
-    """Project a flat ambient vector onto the tangent space at ``x``."""
-    return x.manifold.project_tangent(x, a)
-
-
-def retract(x: ManifoldPoint, d: TangentVector) -> ManifoldPoint:
-    """Retract the tangent step ``d`` from ``x`` onto the manifold."""
-    return x.manifold.retract(x, d)
-
-
-def inner(x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-    """Riemannian scalar product at ``x``."""
-    return x.manifold.inner(x, u, v)
-
-
-def constraint_residual(m: Manifold, a) -> float:
-    """Feasibility residual of a flat ambient vector for manifold ``m``."""
-    return m.constraint_residual(a)
-
 
 def random_point(m: Manifold, seed) -> ManifoldPoint:
     """Deterministic seeded sample from ``m``."""

@@ -73,8 +73,10 @@ class ProblemInstance:
     budget when one is registered; ``raw_f`` and ``raw_ambient`` are
     uncounted helpers for diagnostics (``raw_ambient`` accepts slightly
     off-manifold flat vectors, which finite-difference checks need).
-    ``raw_ambient`` evaluates ``f`` on the flat vector read back in the
-    native layout, unless ``_ambient_f`` supplies an ambient objective
+    Point values are flat; the objective ``_value_f`` and gradient
+    ``_grad_f`` receive them as the manifold's ``_unpack`` views.
+    ``raw_ambient`` evaluates ``f`` on the flat ambient vector read as a
+    point value, unless ``_ambient_f`` supplies an ambient objective
     (needed where points are stored factored).
     """
 
@@ -107,22 +109,22 @@ class ProblemInstance:
                 f"budget of {self.budget} evaluations spent on {self.name}"
             )
         self.counter += 1
-        return self._value_f(value)
+        return self._value_f(self.manifold._unpack(value))
 
     def raw_f(self, value) -> float:
-        return self._value_f(value)
+        return self._value_f(self.manifold._unpack(value))
 
     def raw_ambient(self, flat) -> float:
         flat = np.asarray(flat, dtype=float).ravel()
         if self._ambient_f is not None:
             return self._ambient_f(flat)
-        return self._value_f(self.manifold._from_flat(flat))
+        return self.raw_f(flat)
 
     def euclidean_gradient(self, value) -> np.ndarray:
         """Analytic ambient gradient, flattened (smooth problems only)."""
         if self._grad_f is None:
             raise Unsupported(f"{self.name} has no smooth gradient")
-        return self._grad_f(value)
+        return self._grad_f(self.manifold._unpack(value))
 
 
 def _round(x: float) -> int:
@@ -256,8 +258,8 @@ def _build_sync_rotations(n_p, seed):
     d = max(2, _round(math.sqrt(n_p / 2)))
     rng = _payload_rng("sync-rotations", seed)
     man = Product([SpecialOrthogonal(d), SpecialOrthogonal(d)])
-    r1 = man.blocks[0]._random_point(rng)
-    r2 = man.blocks[1]._random_point(rng)
+    r1 = man.blocks[0]._random_point(rng).reshape(d, d)
+    r2 = man.blocks[1]._random_point(rng).reshape(d, d)
     g = rng.standard_normal((d, d))
     noise = scipy.linalg.expm(0.1 * (g - g.T) / 2.0)
     h_meas = r1 @ r2.T @ noise
@@ -482,7 +484,7 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
         smooth=smooth,
         data=payload,
         start=start,
-        f0=float(f_val(start.value)),
+        f0=float(f_val(man._unpack(start.value))),
         known_opt=known,
         _value_f=f_val,
         _ambient_f=f_amb,

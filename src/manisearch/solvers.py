@@ -13,7 +13,8 @@ return a ``RunTrace`` with the per-evaluation best-value history.
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
 A step is accepted only under sufficient decrease
-``f(new) <= f(old) - gamma * alpha^2``.  Everything is deterministic:
+``f(new) <= f(old) - gamma * alpha^2``; a NaN value fails that test, so
+it counts as a failed poll.  Everything is deterministic:
 the problem seed fixes the instance and the config seed fixes all
 direction randomness, so identical inputs give identical traces.
 """
@@ -140,9 +141,9 @@ def linesearch_extrapolate(
 ) -> LinesearchResult:
     """Test ``alpha_tilde`` along ``d`` and extrapolate while decrease holds.
 
-    One evaluation decides failure: if ``f(R(x, alpha_tilde d))`` does not
-    drop below ``f(x) - gamma alpha_tilde^2`` the result is
-    ``(0, gamma1 * alpha_tilde)``.  On success the step is expanded by
+    One evaluation decides failure: unless ``f(R(x, alpha_tilde d))`` is
+    at most ``f(x) - gamma alpha_tilde^2`` (a NaN value is not) the result
+    is ``(0, gamma1 * alpha_tilde)``.  On success the step is expanded by
     ``gamma2`` until the decrease test first fails, and the last
     successful step is returned as both the accepted and the next
     tentative stepsize.  With ``gamma2 == 1`` no expansion is attempted
@@ -165,7 +166,7 @@ def linesearch_extrapolate(
         f_trial = f(trial)
     except BudgetExhausted:
         return LinesearchResult(0.0, alpha_tilde, truncated=True)
-    if f_trial > f_x - gamma * alpha_tilde * alpha_tilde:
+    if not f_trial <= f_x - gamma * alpha_tilde * alpha_tilde:
         return LinesearchResult(0.0, gamma1 * alpha_tilde)
 
     alpha, f_alpha, pt = alpha_tilde, f_trial, trial

@@ -7,7 +7,7 @@ from manisearch.bench import CSV_HEADER, ResultTable
 from manisearch.checks import CheckResult, geometry_checks
 from manisearch.cli import main, parse_config_file, render_profile_svg, stable_seed
 from manisearch.errors import CliError
-from manisearch.manifolds import FixedRank, Product, Sphere
+from manisearch.manifolds import Product, Sphere, Stiefel
 
 
 RUN_ARGS = [
@@ -198,13 +198,15 @@ def test_check_detects_broken_retraction():
 
 
 def test_check_detects_corrupted_nested_block():
-    # the corruption sits in the second factor of a fixed-rank tangent triple
+    # the corruption sits in one column of the Stiefel block's slice of
+    # the flat tangent; the sphere block is left intact
     class CorruptProduct(Product):
         def _project(self, x, a):
-            (mid, up, vp), rest = super()._project(x, a)
-            return ((mid, 2.0 * up, vp), rest)
+            t = super()._project(x, a)
+            t[4::2] *= 2.0
+            return t
 
-    man = CorruptProduct([FixedRank(6, 5, 2), Sphere(3)])
+    man = CorruptProduct([Sphere(3), Stiefel(4, 2)])
     results = geometry_checks([man], seed=0, cases=5)
     blockwise = [r for r in results if r.name.startswith("geometry/blockwise")]
     assert len(blockwise) == 1 and not blockwise[0].passed

@@ -11,12 +11,8 @@ from manisearch.manifolds import (
     Stiefel,
     SymmetricPositiveDefinite,
     TangentVector,
-    constraint_residual,
-    inner,
-    project_tangent,
     random_point,
     random_tangent,
-    retract,
 )
 
 from conftest import sample_point
@@ -28,29 +24,32 @@ from conftest import sample_point
 
 def test_sphere_projection_removes_normal_component():
     # oracle: v - <v, x> x evaluated by hand
-    x = Sphere(3).point(np.array([1.0, 0.0, 0.0]))
-    t = project_tangent(x, [0.3, 0.4, 0.5])
+    sph = Sphere(3)
+    x = sph.point(np.array([1.0, 0.0, 0.0]))
+    t = sph.project_tangent(x, [0.3, 0.4, 0.5])
     np.testing.assert_allclose(t.value, [0.0, 0.4, 0.5], atol=1e-15)
 
 
 def test_sphere_projection_annihilates_normal_vector():
-    x = Sphere(3).point(np.array([1.0, 0.0, 0.0]))
-    t = project_tangent(x, [1.0, 0.0, 0.0])
+    sph = Sphere(3)
+    x = sph.point(np.array([1.0, 0.0, 0.0]))
+    t = sph.project_tangent(x, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(t.value, [0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_stiefel_single_column_matches_sphere():
     st = Stiefel(3, 1)
-    x = st.point(np.array([[1.0], [0.0], [0.0]]))
-    t = project_tangent(x, [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(t.value, np.zeros((3, 1)), atol=1e-15)
+    x = st.point(np.array([1.0, 0.0, 0.0]))
+    t = st.project_tangent(x, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(t.value, np.zeros(3), atol=1e-15)
 
 
 def test_sphere_retraction_normalises():
     # oracle: (x + d) / |x + d| = (1, 0.75, 0) / 1.25
-    x = Sphere(3).point(np.array([1.0, 0.0, 0.0]))
+    sph = Sphere(3)
+    x = sph.point(np.array([1.0, 0.0, 0.0]))
     d = TangentVector(x, np.array([0.0, 0.75, 0.0]))
-    y = retract(x, d)
+    y = sph.retract(x, d)
     np.testing.assert_allclose(y.value, [0.8, 0.6, 0.0], atol=1e-15)
 
 
@@ -58,52 +57,52 @@ def test_retract_zero_returns_same_point(zoo):
     rng = np.random.default_rng(5)
     for m in zoo:
         x = sample_point(m, rng)
-        assert retract(x, m.zero_tangent(x)) is x
+        assert m.retract(x, m.zero_tangent(x)) is x
 
 
 def test_so2_zero_tangent_keeps_identity():
     so = SpecialOrthogonal(2)
-    x = so.point(np.eye(2))
+    x = so.point(np.eye(2).ravel())
     theta = 0.0
-    d = TangentVector(x, np.array([[0.0, -theta], [theta, 0.0]]))
-    np.testing.assert_array_equal(retract(x, d).value, np.eye(2))
+    d = TangentVector(x, np.array([0.0, -theta, theta, 0.0]))
+    np.testing.assert_array_equal(so.retract(x, d).value, np.eye(2).ravel())
 
 
 def test_sphere_inner_examples():
-    x = Sphere(3).point(np.array([1.0, 0.0, 0.0]))
+    sph = Sphere(3)
+    x = sph.point(np.array([1.0, 0.0, 0.0]))
     u = TangentVector(x, np.array([0.0, 1.0, 0.0]))
     v = TangentVector(x, np.array([0.0, 0.0, 1.0]))
-    assert inner(x, u, u) == 1.0
-    assert inner(x, u, v) == 0.0
+    assert sph.inner(x, u, u) == 1.0
+    assert sph.inner(x, u, v) == 0.0
 
 
 def test_spd_affine_invariant_inner_at_identity():
     # oracle: trace(X^-1 u X^-1 v) at X = I with u = v = E11
     spd = SymmetricPositiveDefinite(2)
-    x = spd.point(np.eye(2))
-    e11 = np.zeros((2, 2))
-    e11[0, 0] = 1.0
-    u = TangentVector(x, e11)
-    assert inner(x, u, u) == pytest.approx(1.0, abs=1e-14)
+    x = spd.point(np.eye(2).ravel())
+    u = TangentVector(x, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert spd.inner(x, u, u) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_constraint_residual_examples():
-    assert constraint_residual(Sphere(2), [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert constraint_residual(Sphere(2), [2.0, 0.0]) == pytest.approx(1.0)
-    assert constraint_residual(Stiefel(2, 2), np.eye(2).ravel()) == pytest.approx(
+    assert Sphere(2).constraint_residual([1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert Sphere(2).constraint_residual([2.0, 0.0]) == pytest.approx(1.0)
+    assert Stiefel(2, 2).constraint_residual(np.eye(2).ravel()) == pytest.approx(
         0.0, abs=1e-15
     )
 
 
 def test_constraint_residual_rejects_bad_shape():
     with pytest.raises(InvalidShape):
-        constraint_residual(Sphere(3), [1.0, 0.0])
+        Sphere(3).constraint_residual([1.0, 0.0])
 
 
 def test_project_rejects_bad_shape():
-    x = Sphere(3).point(np.array([1.0, 0.0, 0.0]))
+    sph = Sphere(3)
+    x = sph.point(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidShape):
-        project_tangent(x, [1.0, 0.0])
+        sph.project_tangent(x, [1.0, 0.0])
 
 
 def test_inner_rejects_base_mismatch():
@@ -113,9 +112,9 @@ def test_inner_rejects_base_mismatch():
     u = TangentVector(x, np.array([0.0, 1.0, 0.0]))
     w = TangentVector(y, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(BaseMismatch):
-        inner(x, u, w)
+        sph.inner(x, u, w)
     with pytest.raises(BaseMismatch):
-        retract(x, w)
+        sph.retract(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +132,9 @@ def test_random_sphere_norm_and_so_det():
     for seed in range(10):
         x = random_point(Sphere(10), seed)
         assert abs(np.linalg.norm(x.value) - 1.0) <= 1e-12
-        q = random_point(SpecialOrthogonal(3), seed)
-        assert abs(np.linalg.det(q.value) - 1.0) <= 1e-10
+        so = SpecialOrthogonal(3)
+        q = random_point(so, seed)
+        assert abs(np.linalg.det(so._unpack(q.value)) - 1.0) <= 1e-10
 
 
 def test_random_point_feasible(zoo):
@@ -172,7 +172,7 @@ def test_retraction_feasible_for_large_steps(zoo):
             if nrm <= 1e-12:
                 continue
             d = t.scaled(rng.uniform(0.1, 10.0) / nrm)
-            y = retract(x, d)
+            y = m.retract(x, d)
             assert y.residual() <= 1e-8, m.spec_string()
             assert m.constraint_residual(y.ambient()) <= 1e-8, m.spec_string()
             assert m.tangency_residual(x, d) <= 1e-8 * (1 + d.ambient_norm())
@@ -190,11 +190,11 @@ def test_retraction_first_order_ratio(zoo):
             unit = t.scaled(1.0 / nrm)
             for step in (1e-2, 1e-3):
                 e1 = np.linalg.norm(
-                    retract(x, unit.scaled(step)).ambient()
+                    m.retract(x, unit.scaled(step)).ambient()
                     - (x.ambient() + step * unit.ambient())
                 )
                 e2 = np.linalg.norm(
-                    retract(x, unit.scaled(step / 2)).ambient()
+                    m.retract(x, unit.scaled(step / 2)).ambient()
                     - (x.ambient() + (step / 2) * unit.ambient())
                 )
                 if e1 < 1e-14 or e2 < 1e-14:
@@ -212,7 +212,7 @@ def test_retraction_step_bounded(zoo):
             if nrm <= 1e-12:
                 continue
             d = t.scaled(rng.uniform(0.05, 1.0) / nrm)
-            moved = np.linalg.norm(retract(x, d).ambient() - x.ambient())
+            moved = np.linalg.norm(m.retract(x, d).ambient() - x.ambient())
             assert moved <= 2.0 * d.ambient_norm(), m.spec_string()
 
 
@@ -223,23 +223,32 @@ def test_product_operations_match_blockwise():
         x = prod.random_point(rng)
         a = rng.standard_normal(prod.ambient_dim)
         got = prod.project_tangent(x, a)
-        xs, xst = x.value
+        xs, xst = x.value[:3], x.value[3:]
         a_s, a_st = a[:3], a[3:]
         sph, st = prod.blocks
         man_s = sph._project(xs, a_s)
         man_st = st._project(xst, a_st)
-        assert np.array_equal(got.value[0], man_s)
-        assert np.array_equal(got.value[1], man_st)
+        assert np.array_equal(got.value[:3], man_s)
+        assert np.array_equal(got.value[3:], man_st)
 
         y = prod.retract(x, got)
-        assert np.array_equal(y.value[0], sph._retract(xs, man_s))
-        assert np.array_equal(y.value[1], st._retract(xst, man_st))
+        assert np.array_equal(y.value[:3], sph._retract(xs, man_s))
+        assert np.array_equal(y.value[3:], st._retract(xst, man_st))
 
         u = prod.project_tangent(x, rng.standard_normal(prod.ambient_dim))
         assert prod.inner(x, got, u) == (
-            sph._inner(xs, got.value[0], u.value[0])
-            + st._inner(xst, got.value[1], u.value[1])
+            sph._inner(xs, got.value[:3], u.value[:3])
+            + st._inner(xst, got.value[3:], u.value[3:])
         )
+
+
+def test_product_retract_leaves_untouched_blocks_bitwise():
+    prod = Product([Sphere(3), Stiefel(4, 2)])
+    x = prod.random_point(np.random.default_rng(44))
+    t = prod.project_tangent(x, np.concatenate([np.zeros(3), np.ones(8)]))
+    y = prod.retract(x, t)
+    assert np.array_equal(y.value[:3], x.value[:3])
+    assert not np.array_equal(y.value[3:], x.value[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +270,16 @@ def test_fixed_rank_degenerate_tangent_blocks_stay_feasible():
     fr = FixedRank(6, 5, 2)
     rng = np.random.default_rng(3)
     x = fr.random_point(rng)
-    u, s, v = x.value
+    u, s, v = fr._unpack(x.value)
     vp_raw = rng.standard_normal((5, 2))
     vp = vp_raw - v @ (v.T @ vp_raw)
-    zero_up = TangentVector(x, (rng.standard_normal((2, 2)), np.zeros((6, 2)), vp))
+    zero_up = TangentVector(x, fr.pack(rng.standard_normal((2, 2)), np.zeros((6, 2)), vp))
     assert fr.tangency_residual(x, zero_up) < 1e-12
-    assert retract(x, zero_up).residual() <= 1e-10
+    assert fr.retract(x, zero_up).residual() <= 1e-10
     up_raw = np.outer(rng.standard_normal(6), np.array([1.0, 0.0]))
     up = up_raw - u @ (u.T @ up_raw)
-    rank1_up = TangentVector(x, (rng.standard_normal((2, 2)), up, vp))
-    assert retract(x, rank1_up.scaled(5.0)).residual() <= 1e-10
+    rank1_up = TangentVector(x, fr.pack(rng.standard_normal((2, 2)), up, vp))
+    assert fr.retract(x, rank1_up.scaled(5.0)).residual() <= 1e-10
 
 
 def test_fixed_rank_retraction_keeps_rank():
@@ -278,8 +287,8 @@ def test_fixed_rank_retraction_keeps_rank():
     rng = np.random.default_rng(53)
     x = fr.random_point(rng)
     t = random_tangent(x, rng, unit=True).scaled(5.0)
-    y = retract(x, t)
-    u, s, v = y.value
+    y = fr.retract(x, t)
+    u, s, v = fr._unpack(y.value)
     assert s.shape == (2,)
     assert np.min(s) > 0
     assert np.linalg.matrix_rank((u * s) @ v.T) == 2
@@ -289,7 +298,7 @@ def test_simplex_retraction_survives_huge_steps():
     sx = PositiveSimplex(3)
     x = sx.point(np.array([0.2, 0.3, 0.5]))
     d = TangentVector(x, np.array([400.0, -100.0, -300.0]))
-    y = retract(x, d)
+    y = sx.retract(x, d)
     assert y.residual() <= 1e-8
     assert np.min(y.value) > 0
 
@@ -299,13 +308,73 @@ def test_spd_retraction_stays_positive_definite():
     rng = np.random.default_rng(59)
     x = spd.random_point(rng)
     t = random_tangent(x, rng, unit=False).scaled(20.0)
-    y = retract(x, t)
-    assert np.linalg.eigvalsh(y.value)[0] > 0
+    y = spd.retract(x, t)
+    assert np.linalg.eigvalsh(spd._unpack(y.value))[0] > 0
 
 
 def test_point_constructor_validates():
     with pytest.raises(InvalidShape):
         Sphere(3).point(np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(InvalidShape):
+        Stiefel(2, 2).point(np.eye(2))  # a point value is flat
+
+
+# ---------------------------------------------------------------------------
+# flat layout
+# ---------------------------------------------------------------------------
+
+def _documented_sizes(m):
+    """(point, tangent) value lengths: the ambient length except fixed-rank."""
+    if isinstance(m, FixedRank):
+        return (m.m + 1 + m.h) * m.r, (m.r + m.m + m.h) * m.r
+    return m.ambient_dim, m.ambient_dim
+
+
+def _leaves(views):
+    if isinstance(views, tuple):
+        return [leaf for v in views for leaf in _leaves(v)]
+    return [views]
+
+
+def test_values_are_flat_with_documented_sizes(zoo):
+    rng = np.random.default_rng(61)
+    for m in zoo:
+        x = sample_point(m, rng)
+        t = random_tangent(x, rng)
+        n_point, n_tangent = _documented_sizes(m)
+        for value, n in ((x.value, n_point), (t.value, n_tangent),
+                         (m.zero_tangent(x).value, n_tangent),
+                         (m.retract(x, t).value, n_point)):
+            assert value.dtype == np.float64 and value.shape == (n,), m.spec_string()
+
+
+def test_unpack_returns_views_of_the_flat_value(zoo):
+    rng = np.random.default_rng(67)
+    for m in zoo:
+        x = sample_point(m, rng)
+        leaves = _leaves(m._unpack(x.value))
+        assert all(np.shares_memory(leaf, x.value) for leaf in leaves), m.spec_string()
+        assert sum(leaf.size for leaf in leaves) == x.value.size
+
+
+def test_fixed_rank_pack_round_trips():
+    fr = FixedRank(6, 5, 2)
+    rng = np.random.default_rng(71)
+    x = fr.random_point(rng)
+    u, s, v = fr._unpack(x.value)
+    assert (u.shape, s.shape, v.shape) == ((6, 2), (2,), (5, 2))
+    assert np.array_equal(fr.pack(u, s, v), x.value)
+    factors = (rng.standard_normal((2, 2)), rng.standard_normal((6, 2)),
+               rng.standard_normal((5, 2)))
+    for got, want in zip(fr._unpack_tangent(fr.pack(*factors)), factors):
+        assert np.array_equal(got, want)
+
+
+def test_product_rejects_fixed_rank_block():
+    with pytest.raises(InvalidShape):
+        Product([FixedRank(6, 5, 2), Sphere(3)])
+    with pytest.raises(InvalidShape):
+        Product([Sphere(3), Product([FixedRank(4, 4, 1)])])
 
 
 def test_intrinsic_dims():

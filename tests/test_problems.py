@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from manisearch.errors import BudgetExhausted, InvalidDimension, UnknownProblem, Unsupported
-from manisearch.manifolds import random_point, random_tangent
+from manisearch.manifolds import FixedRank, random_point, random_tangent
 from manisearch.problems import (
     NONSMOOTH_PROBLEMS,
     PROBLEM_NAMES,
@@ -101,10 +101,10 @@ def test_largest_eig_matches_quadratic_form():
 
 def test_matrix_completion_truth_point_scores_zero():
     inst = build_instance("matrix-completion", 10, 4)
-    truth = (inst.data["u_bar"], inst.data["s_bar"], inst.data["v_bar"])
+    truth = FixedRank.pack(inst.data["u_bar"], inst.data["s_bar"], inst.data["v_bar"])
     assert inst.raw_f(truth) == pytest.approx(0.0, abs=1e-20)
     inst_ns = build_instance("nonsmooth-mc", 10, 4)
-    truth = (inst_ns.data["u_bar"], inst_ns.data["s_bar"], inst_ns.data["v_bar"])
+    truth = FixedRank.pack(inst_ns.data["u_bar"], inst_ns.data["s_bar"], inst_ns.data["v_bar"])
     assert inst_ns.raw_f(truth) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_gradients_match_central_differences():
         for pseed in range(5):
             x = random_point(inst.manifold, pseed)
             g = inst.euclidean_gradient(x.value)
-            flat = inst.manifold.point_ambient(x.value)
+            flat = x.ambient()
             idx = rng.choice(flat.size, size=min(12, flat.size), replace=False)
             scale = 1e-5 * (1 + np.linalg.norm(g))
             for i in idx:
@@ -172,9 +172,8 @@ def test_raw_ambient_reads_flat_vector_in_native_layout():
             rng = np.random.default_rng([n_p, 5])
             for pseed in range(5):
                 x = random_point(inst.manifold, pseed)
-                flat = inst.manifold.point_ambient(x.value)
-                flat = flat + 1e-3 * rng.standard_normal(flat.size)
-                expected = inst.raw_f(inst.manifold._from_flat(flat))
+                flat = x.ambient() + 1e-3 * rng.standard_normal(x.value.size)
+                expected = inst._value_f(inst.manifold._unpack(flat))
                 assert inst.raw_ambient(flat) == expected, (name, n_p, pseed)
 
 
@@ -271,7 +270,7 @@ def test_shape_schedule_spot_values():
 
 def test_gmm_objective_finite_and_positive_weights():
     inst = build_instance("gmm", 10, 1)
-    s1, s2, w = inst.start.value
+    s1, s2, w = inst.manifold._unpack(inst.start.value)
     assert np.all(np.linalg.eigvalsh(s1) > 0)
     assert np.all(np.linalg.eigvalsh(s2) > 0)
     assert np.min(w) > 0
