@@ -55,13 +55,7 @@ from .solvers import (
     SolverConfig,
     default_config,
     linesearch_extrapolate,
-    run_rds_dd,
-    run_rds_sb,
-    run_rdse_dd,
-    run_rdse_sb,
     run_solver,
-    run_switching,
-    run_zo_rgd,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .manifolds import (
     random_tangent,
 )
 from .problems import ProblemInstance
-from .solvers import SolverConfig, run_rds_dd, run_rds_sb, run_rdse_sb
+from .solvers import SolverConfig, run_solver
 
 
 @dataclass
@@ -213,7 +213,7 @@ def solver_checks(seed=0):
 
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0,
                        budget=1 + k_iters * n_dirs, seed=seed)
-    trace = run_rds_sb(prob, cfg)
+    trace = run_solver("rds-sb", prob, cfg)
     expected = cfg.alpha0
     for _ in range(k_iters):
         expected *= cfg.gamma1
@@ -226,7 +226,7 @@ def solver_checks(seed=0):
 
     cfg_dd = SolverConfig(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0,
                           budget=1 + k_iters, seed=seed)
-    trace_dd = run_rds_dd(prob, cfg_dd)
+    trace_dd = run_solver("rds-dd", prob, cfg_dd)
     expected = cfg_dd.alpha0
     for _ in range(trace_dd.iterations):
         expected *= cfg_dd.gamma1
@@ -236,7 +236,7 @@ def solver_checks(seed=0):
 
     cfg_e = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha0=1.0,
                          budget=1 + n_dirs, seed=seed)
-    trace_e = run_rdse_sb(prob, cfg_e)
+    trace_e = run_solver("rdse-sb", prob, cfg_e)
     slot_alphas = np.array(list(trace_e.final_alpha_by_slot.values()))
     one_shrink = cfg_e.gamma1 * cfg_e.alpha0
     results.append(CheckResult(
@@ -252,8 +252,8 @@ def solver_checks(seed=0):
     results.append(CheckResult(
         "solvers/monotone-history", mono_ok, "best_f non-increasing"))
 
-    t1 = run_rds_sb(prob, cfg)
-    t2 = run_rds_sb(prob, cfg)
+    t1 = run_solver("rds-sb", prob, cfg)
+    t2 = run_solver("rds-sb", prob, cfg)
     results.append(CheckResult(
         "solvers/determinism", t1.history == t2.history,
         f"{len(t1.history)} evaluations identical"))

@@ -65,6 +65,8 @@ def parse_config_file(path: Path) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if "." in key:
             solver, param = key.split(".", 1)
+            if solver not in SOLVER_NAMES:
+                raise CliError(f"{path}:{lineno}: unknown solver '{solver}' in '{key}'")
             if param not in _SOLVER_PARAM_KEYS:
                 raise CliError(f"{path}:{lineno}: unknown solver parameter '{param}'")
             out["solver_overrides"].setdefault(solver, {})[param] = float(value)
@@ -110,6 +112,12 @@ def _resolve_run_settings(args) -> dict:
         budget_mult = int(cfg.get("budget_mult", 100))
     except ValueError as exc:
         raise CliError(f"bad numeric value in configuration: {exc}") from None
+    for d in dims:
+        if d < 2:
+            raise CliError(f"dimension must be an integer >= 2, got {d}")
+    for s in seeds:
+        if s < 0:
+            raise CliError(f"seed must be an integer >= 0, got {s}")
     if budget_mult < 1:
         raise CliError("budget_mult must be >= 1")
     for t in taus:

@@ -100,9 +100,6 @@ class ProblemInstance:
         """Clone sharing the payload, with a zeroed counter and new budget."""
         return replace(self, counter=0, budget=budget)
 
-    def start_point(self) -> ManifoldPoint:
-        return self.start
-
     def evaluate(self, value) -> float:
         if self.budget is not None and self.counter >= self.budget:
             raise BudgetExhausted(

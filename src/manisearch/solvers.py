@@ -1,16 +1,31 @@
 """Direct-search solvers on manifolds.
 
-Seven runners share one contract: consume a problem instance and a
-``SolverConfig``, spend at most ``budget`` objective evaluations, and
-return a ``RunTrace`` with the per-evaluation best-value history.
+The paper's two direct-search algorithms are two search loops, each fed
+by a direction source:
 
-    rds-sb        poll a projected spanning basis, fixed stepsize update
-    rdse-sb       cycle through the basis, one extrapolation linesearch per iteration
-    rds-dd        one dense projected direction per iteration, accept/shrink
-    rdse-dd       dense direction explored with the extrapolation linesearch
-    rds-dd-plus   rds-sb until the stepsize falls below alpha_eps, then rds-dd
-    rdse-dd-plus  rdse-sb until every tentative stepsize falls below alpha_eps, then rdse-dd
+    poll loop (RDS)        poll the directions in order, accept the first
+                           sufficient decrease, else shrink one stepsize
+    linesearch loop (RDSE) one extrapolation linesearch per iteration along
+                           direction k mod K, one tentative stepsize per slot
+
+    spanning basis  the projected signed coordinate set at the iterate
+                    (smooth problems)
+    dense stream    one fresh projected stream direction per iteration
+                    (nonsmooth problems)
+
+One registry names each solver by its loop and its sources:
+
+    rds-sb        poll loop over the spanning basis
+    rdse-sb       linesearch loop over the spanning basis
+    rds-dd        poll loop over the dense stream
+    rdse-dd       linesearch loop over the dense stream
+    rds-dd-plus   rds-sb until the stepsize falls to alpha_eps, then rds-dd
+    rdse-dd-plus  rdse-sb until every tentative stepsize falls to alpha_eps, then rdse-dd
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
+
+``run_solver`` runs any of them: it consumes a problem instance and a
+``SolverConfig``, spends at most ``budget`` objective evaluations, and
+returns a ``RunTrace`` with the per-evaluation best-value history.
 
 A step is accepted only under sufficient decrease
 ``f(new) <= f(old) - gamma * alpha^2``; a NaN value fails that test, so
@@ -22,7 +37,6 @@ direction randomness, so identical inputs give identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +44,6 @@ import numpy as np
 from .directions import (
     DEFAULT_DROP_TOL,
     DenseDirectionStream,
-    SpanningBasis,
     dense_direction,
     spanning_basis,
 )
@@ -78,10 +91,6 @@ class SolverConfig:
             raise ValueError("alpha_eps must be > 0")
         if not 0 < self.drop_tol < 1:
             raise ValueError("drop_tol must lie in (0, 1)")
-
-    def require_expanding(self, who: str) -> None:
-        if not self.gamma2 > 1:
-            raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
 
 
 @dataclass
@@ -213,36 +222,25 @@ class _Eval:
         return f
 
 
-class _BasisCache:
-    """Reuses the spanning basis while the iterate does not move."""
-
-    def __init__(self, drop_tol: float):
-        self.drop_tol = drop_tol
-        self._point = None
-        self._basis = None
-
-    def get(self, x: ManifoldPoint) -> SpanningBasis:
-        if self._point is not x:
-            self._basis = spanning_basis(x, self.drop_tol)
-            self._point = x
-        return self._basis
-
-
 class _State:
-    """Mutable per-run state shared between solver phases."""
+    """Mutable per-run state shared between solver phases.
 
-    __slots__ = ("x", "fx", "alpha", "iters", "succ", "exhausted")
+    ``fields`` collects the stepsize fields of the ``RunTrace``; a later
+    phase overwrites what an earlier one set.
+    """
+
+    __slots__ = ("x", "fx", "iters", "succ", "exhausted", "fields")
 
     def __init__(self, x, fx):
         self.x = x
         self.fx = fx
-        self.alpha = None
         self.iters = 0
         self.succ = 0
         self.exhausted = False
+        self.fields = {}
 
 
-def _trace(ev: _Eval, st: _State, **extra) -> RunTrace:
+def _trace(ev: _Eval, st: _State) -> RunTrace:
     return RunTrace(
         history=ev.history,
         final_point=st.x,
@@ -250,258 +248,186 @@ def _trace(ev: _Eval, st: _State, **extra) -> RunTrace:
         iterations=st.iters,
         success_count=st.succ,
         stop_reason="budget" if st.exhausted else "step-floor",
-        **extra,
+        **st.fields,
     )
-
-
-def _slot_alphas(atil) -> dict:
-    return {int(i): float(a) for i, a in enumerate(atil)}
 
 
 def _start(problem, cfg, on_eval):
     """Fresh instance, evaluator, and state seeded with f(x0)."""
     inst = problem.fresh(budget=cfg.budget)
     ev = _Eval(inst, on_eval)
-    x = problem.start_point()
-    st = _State(x, ev(x))  # budget >= 1, so the first evaluation never raises
+    st = _State(problem.start, ev(problem.start))  # budget >= 1: never raises
     return ev, st
 
 
 # ---------------------------------------------------------------------------
-# spanning-basis family
+# direction sources
 # ---------------------------------------------------------------------------
 
-def _rds_sb_phase(ev, st, alpha, cfg, cache, on_accept, stop_leq=None) -> bool:
-    """Poll loop.  Returns True when the phase ended on the switch test."""
-    st.alpha = alpha
+class _Basis:
+    """The projected spanning basis at the iterate, one slot per signed coordinate.
+
+    The basis is rebuilt only when the iterate has moved, so a failed
+    poll or linesearch reuses the directions already projected.
+    """
+
+    def __init__(self, problem, cfg):
+        self.n_slots = 2 * problem.manifold.ambient_dim
+        self.drop_tol = cfg.drop_tol
+        self.basis = None
+
+    def slots(self, x: ManifoldPoint) -> np.ndarray:
+        if self.basis is None or self.basis.base is not x:
+            self.basis = spanning_basis(x, self.drop_tol)
+            self._slots = np.array(self.basis.slots)
+        return self._slots
+
+    def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
+        return self.basis.vectors[j]
+
+    def trace_fields(self, atil) -> dict:
+        return dict(final_alpha_by_slot={int(i): float(a) for i, a in enumerate(atil)})
+
+
+class _Stream:
+    """One fresh dense stream direction per iteration, always in slot 0.
+
+    The direction is drawn only when the loop asks for it, after its
+    stepsize test, so every draw is spent on a search.
+    """
+
+    n_slots = 1
+    _SLOTS = np.zeros(1, dtype=int)
+
+    def __init__(self, problem, cfg):
+        self.stream = DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
+        self.drop_tol = cfg.drop_tol
+
+    def slots(self, x: ManifoldPoint) -> np.ndarray:
+        return self._SLOTS
+
+    def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
+        return dense_direction(self.stream, x, self.drop_tol)
+
+    def trace_fields(self, atil) -> dict:
+        return dict(final_alpha=float(atil[0]))
+
+
+# ---------------------------------------------------------------------------
+# search loops
+# ---------------------------------------------------------------------------
+
+def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
+    """RDS: poll the source's directions in order with one stepsize.
+
+    The first sufficient decrease moves the iterate and expands the
+    stepsize by gamma2; if every poll fails it shrinks by gamma1.  A zero
+    direction fails without spending an evaluation.  Runs until the
+    budget or the stepsize floor stops it; returns True when it stopped
+    because the stepsize fell to ``switch_at``.
+    """
+    alpha = cfg.alpha0
     try:
-        while st.alpha >= STEP_FLOOR:
-            basis = cache.get(st.x)
-            accepted = False
-            for d in basis.vectors:
-                trial = st.x.manifold.retract(st.x, d.scaled(st.alpha))
+        while alpha >= STEP_FLOOR:
+            for j in range(len(source.slots(st.x))):
+                d = source.direction(st.x, j)
+                if d.is_zero():
+                    continue
+                trial = st.x.manifold.retract(st.x, d.scaled(alpha))
                 f_trial = ev(trial)
-                if f_trial <= st.fx - cfg.gamma * st.alpha * st.alpha:
+                if f_trial <= st.fx - cfg.gamma * alpha * alpha:
                     if on_accept is not None:
-                        on_accept(st.x, d, st.alpha, st.fx, f_trial)
+                        on_accept(st.x, d, alpha, st.fx, f_trial)
                     st.x, st.fx = trial, f_trial
-                    st.alpha *= cfg.gamma2
+                    alpha *= cfg.gamma2
                     st.succ += 1
-                    accepted = True
                     break
-            if not accepted:
-                st.alpha *= cfg.gamma1
+            else:
+                alpha *= cfg.gamma1
             st.iters += 1
-            if stop_leq is not None and st.alpha <= stop_leq:
+            if switch_at is not None and alpha <= switch_at:
                 return True
     except BudgetExhausted:
         st.exhausted = True
+    finally:
+        st.fields["final_alpha"] = alpha
     return False
 
 
-def run_rds_sb(problem, cfg: SolverConfig, *, on_accept=None, on_eval=None) -> RunTrace:
-    """Spanning-basis direct search with a single stepsize.
+def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
+    """RDSE: iteration k runs the extrapolation linesearch along direction k mod K.
 
-    Each iteration polls the projected basis directions in order and
-    accepts the first sufficient decrease (expanding the stepsize by
-    gamma2); if every poll fails the stepsize shrinks by gamma1 and the
-    iterate stays.  Stops at the budget or below the stepsize floor.
+    Keeps one tentative stepsize per source slot; a slot whose direction
+    drops out of the basis keeps its stepsize until it reappears.  Stops
+    when every stepsize of the current directions is below the floor, or
+    at the budget; returns True when it stopped because every one fell
+    to ``switch_at``.
     """
-    ev, st = _start(problem, cfg, on_eval)
-    cache = _BasisCache(cfg.drop_tol)
-    _rds_sb_phase(ev, st, cfg.alpha0, cfg, cache, on_accept)
-    return _trace(ev, st, final_alpha=st.alpha)
-
-
-def _rdse_sb_phase(ev, st, atil, cfg, cache, on_accept, k0=0, stop_max_leq=None) -> bool:
-    """Cyclic linesearch loop.  Returns True when the switch test fired."""
-    k = k0
+    atil = np.full(source.n_slots, float(cfg.alpha0))
+    k = 0
     try:
-        seen = None
         while True:
-            basis = cache.get(st.x)
-            if basis is not seen:
-                seen, slots = basis, np.array(basis.slots)
+            slots = source.slots(st.x)
             if atil[slots].max() < STEP_FLOOR:
-                return False
-            j = k % len(basis)
-            slot = basis.slots[j]
+                break
+            j = k % len(slots)
             res = linesearch_extrapolate(
-                ev, st.x, float(atil[slot]), basis.vectors[j], cfg,
+                ev, st.x, float(atil[slots[j]]), source.direction(st.x, j), cfg,
                 f_x=st.fx, on_accept=on_accept,
             )
-            atil[slot] = res.alpha_next
+            atil[slots[j]] = res.alpha_next
             if res.alpha > 0:
                 st.x, st.fx = res.accepted_point, res.f_accepted
                 st.succ += 1
             if res.truncated:
                 st.exhausted = True
-                return False
+                break
             k += 1
             st.iters += 1
-            if stop_max_leq is not None and atil[slots].max() <= stop_max_leq:
+            if switch_at is not None and atil[slots].max() <= switch_at:
                 return True
     except BudgetExhausted:
         st.exhausted = True
+    finally:
+        st.fields.update(source.trace_fields(atil))
     return False
 
-
-def run_rdse_sb(problem, cfg: SolverConfig, *, on_accept=None, on_eval=None) -> RunTrace:
-    """Spanning-basis direct search with per-direction extrapolation.
-
-    Keeps one tentative stepsize per signed coordinate slot, cycles
-    through the current basis (iteration k explores direction k mod K),
-    and runs the extrapolation linesearch along the selected direction.
-    Stepsizes of directions that drop out of the basis are retained and
-    reattached if the direction reappears.
-    """
-    cfg.require_expanding("rdse-sb")
-    ev, st = _start(problem, cfg, on_eval)
-    cache = _BasisCache(cfg.drop_tol)
-    atil = np.full(2 * problem.manifold.ambient_dim, float(cfg.alpha0))
-    _rdse_sb_phase(ev, st, atil, cfg, cache, on_accept)
-    return _trace(ev, st, final_alpha_by_slot=_slot_alphas(atil))
-
-
-# ---------------------------------------------------------------------------
-# dense-direction family
-# ---------------------------------------------------------------------------
-
-def _rds_dd_phase(ev, st, alpha, cfg, stream, on_accept) -> None:
-    st.alpha = alpha
-    try:
-        while st.alpha >= STEP_FLOOR:
-            d = dense_direction(stream, st.x, cfg.drop_tol)
-            if d.is_zero():
-                st.alpha *= cfg.gamma1  # unsuccessful, no evaluation spent
-                st.iters += 1
-                continue
-            trial = st.x.manifold.retract(st.x, d.scaled(st.alpha))
-            f_trial = ev(trial)
-            if f_trial <= st.fx - cfg.gamma * st.alpha * st.alpha:
-                if on_accept is not None:
-                    on_accept(st.x, d, st.alpha, st.fx, f_trial)
-                st.x, st.fx = trial, f_trial
-                st.alpha *= cfg.gamma2
-                st.succ += 1
-            else:
-                st.alpha *= cfg.gamma1
-            st.iters += 1
-    except BudgetExhausted:
-        st.exhausted = True
-
-
-def run_rds_dd(problem, cfg: SolverConfig, *, on_accept=None, on_eval=None,
-               _stream=None) -> RunTrace:
-    """Dense-direction direct search for nonsmooth objectives.
-
-    One projected stream direction per iteration; sufficient decrease
-    expands the stepsize by gamma2, failure shrinks it by gamma1.  A
-    zero projection counts as a failure without costing an evaluation.
-    """
-    ev, st = _start(problem, cfg, on_eval)
-    stream = _stream or DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
-    _rds_dd_phase(ev, st, cfg.alpha0, cfg, stream, on_accept)
-    return _trace(ev, st, final_alpha=st.alpha)
-
-
-def _rdse_dd_phase(ev, st, atil, cfg, stream, on_accept) -> None:
-    st.alpha = atil
-    try:
-        while st.alpha >= STEP_FLOOR:
-            d = dense_direction(stream, st.x, cfg.drop_tol)
-            res = linesearch_extrapolate(
-                ev, st.x, st.alpha, d, cfg, f_x=st.fx, on_accept=on_accept
-            )
-            st.alpha = res.alpha_next
-            if res.alpha > 0:
-                st.x, st.fx = res.accepted_point, res.f_accepted
-                st.succ += 1
-            if res.truncated:
-                st.exhausted = True
-                return
-            st.iters += 1
-    except BudgetExhausted:
-        st.exhausted = True
-
-
-def run_rdse_dd(problem, cfg: SolverConfig, *, on_accept=None, on_eval=None,
-                _stream=None) -> RunTrace:
-    """Dense-direction search with the extrapolation linesearch.
-
-    Threads a single tentative stepsize through the iterations; each
-    stream direction is explored with ``linesearch_extrapolate``.
-    """
-    cfg.require_expanding("rdse-dd")
-    ev, st = _start(problem, cfg, on_eval)
-    stream = _stream or DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
-    _rdse_dd_phase(ev, st, cfg.alpha0, cfg, stream, on_accept)
-    return _trace(ev, st, final_alpha=st.alpha)
-
-
-# ---------------------------------------------------------------------------
-# switching strategies
-# ---------------------------------------------------------------------------
 
 def default_nonsmooth_phase(cfg: SolverConfig) -> SolverConfig:
     """Dense-phase parameters used by the *-plus strategies."""
     return replace(cfg, gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0)
 
 
-def run_switching(problem, cfg: SolverConfig, variant: str,
-                  cfg2: Optional[SolverConfig] = None,
-                  *, on_accept=None, on_eval=None) -> RunTrace:
-    """Smooth-phase search that hands over to a dense-direction phase.
+def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> RunTrace:
+    """Run ``loop`` over each direction source in turn, on one budget and trace.
 
-    ``variant="plain"`` runs the spanning-basis poll until the stepsize
-    falls to ``alpha_eps`` or below, then continues with dense-direction
-    search from the current point, stepsize reset to ``cfg2.alpha0``.
-    ``variant="extrapolated"`` runs the cyclic linesearch until every
-    tentative stepsize attached to the current basis falls to
-    ``alpha_eps`` or below, then continues with the dense linesearch.
-    Budget and trace span both phases.
+    With two sources (the *-plus strategies) the search starts on the
+    spanning basis and hands over to the dense stream, from the current
+    point and with ``default_nonsmooth_phase(cfg)``, once the stepsize (for
+    the linesearch: every tentative stepsize of the current basis) falls
+    to ``alpha_eps`` or below.
     """
-    if variant not in ("plain", "extrapolated"):
-        raise ValueError("variant must be 'plain' or 'extrapolated'")
-    if cfg.alpha_eps is None:
+    cfgs = [cfg] + [default_nonsmooth_phase(cfg)] * (len(sources) - 1)
+    if len(cfgs) > 1 and cfg.alpha_eps is None:
         raise ValueError("switching strategies need alpha_eps set")
-    if cfg2 is None:
-        cfg2 = default_nonsmooth_phase(cfg)
-    if variant == "extrapolated":
-        cfg.require_expanding("rdse-dd-plus phase 1")
-        cfg2.require_expanding("rdse-dd-plus phase 2")
-
+    if loop is _linesearch and not cfg.gamma2 > 1:  # the dense phase has gamma2 = 2
+        who = name if len(cfgs) == 1 else f"{name} phase 1"
+        raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
     ev, st = _start(problem, cfg, on_eval)
-    cache = _BasisCache(cfg.drop_tol)
-    switch_eval = None
-    by_slot = None
-    if variant == "plain":
-        switched = _rds_sb_phase(
-            ev, st, cfg.alpha0, cfg, cache, on_accept, stop_leq=cfg.alpha_eps
-        )
-    else:
-        atil = np.full(2 * problem.manifold.ambient_dim, float(cfg.alpha0))
-        switched = _rdse_sb_phase(
-            ev, st, atil, cfg, cache, on_accept, stop_max_leq=cfg.alpha_eps
-        )
-        by_slot = _slot_alphas(atil)
-    if switched and not st.exhausted:
-        switch_eval = ev.inst.counter
-        stream = DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
-        if variant == "plain":
-            _rds_dd_phase(ev, st, cfg2.alpha0, cfg2, stream, on_accept)
-        else:
-            _rdse_dd_phase(ev, st, cfg2.alpha0, cfg2, stream, on_accept)
-    return _trace(ev, st, switch_eval=switch_eval, final_alpha=st.alpha,
-                  final_alpha_by_slot=by_slot)
+    for i, (source, c) in enumerate(zip(sources, cfgs)):
+        if i:
+            st.fields["switch_eval"] = ev.inst.counter
+        switch_at = cfg.alpha_eps if i + 1 < len(sources) else None
+        if not loop(ev, st, source(problem, c), c, on_accept, switch_at):
+            break
+    return _trace(ev, st)
 
 
 # ---------------------------------------------------------------------------
 # zeroth-order gradient baseline
 # ---------------------------------------------------------------------------
 
-def run_zo_rgd(problem, cfg: SolverConfig, mu: float = 1e-6,
-               *, on_eval=None) -> RunTrace:
+def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
     """Two-point gradient-estimate descent baseline (smooth problems).
 
     Each iteration probes a random unit tangent direction u, forms the
@@ -537,21 +463,19 @@ def run_zo_rgd(problem, cfg: SolverConfig, mu: float = 1e-6,
 # registry
 # ---------------------------------------------------------------------------
 
-_HOOKS = ("on_accept", "on_eval")
-
-# name -> (runner, the run_solver keywords it takes, tuned defaults);
+# name -> (search loop, direction sources in phase order, tuned defaults);
+# zo-rgd runs its own loop and takes no direction source.
 # alpha0 = 1 for all direct-search methods
 _SOLVERS = {
-    "rds-sb": (run_rds_sb, _HOOKS, dict(gamma=0.77, gamma1=0.61, gamma2=1.0)),
-    "rdse-sb": (run_rdse_sb, _HOOKS, dict(gamma=0.11, gamma1=0.81, gamma2=3.12)),
-    "rds-dd": (run_rds_dd, _HOOKS, dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
-    "rdse-dd": (run_rdse_dd, _HOOKS, dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
-    "rds-dd-plus": (partial(run_switching, variant="plain"), ("cfg2", *_HOOKS),
+    "rds-sb": (_poll, (_Basis,), dict(gamma=0.77, gamma1=0.61, gamma2=1.0)),
+    "rdse-sb": (_linesearch, (_Basis,), dict(gamma=0.11, gamma1=0.81, gamma2=3.12)),
+    "rds-dd": (_poll, (_Stream,), dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
+    "rdse-dd": (_linesearch, (_Stream,), dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
+    "rds-dd-plus": (_poll, (_Basis, _Stream),
                     dict(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha_eps=1e-3)),
-    "rdse-dd-plus": (partial(run_switching, variant="extrapolated"), ("cfg2", *_HOOKS),
+    "rdse-dd-plus": (_linesearch, (_Basis, _Stream),
                      dict(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha_eps=1e-3)),
-    "zo-rgd": (run_zo_rgd, ("mu", "on_eval"),
-               dict(gamma=1.0, gamma1=0.5, gamma2=1.0)),  # gamma* unused here
+    "zo-rgd": (_zo_rgd, (), dict(gamma=1.0, gamma1=0.5, gamma2=1.0)),  # gamma* unused here
 }
 
 SOLVER_NAMES = tuple(_SOLVERS)
@@ -572,9 +496,14 @@ def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverCo
 
 
 def run_solver(name: str, problem, cfg: SolverConfig, *, mu: float = DEFAULT_MU,
-               cfg2: Optional[SolverConfig] = None,
                on_accept=None, on_eval=None) -> RunTrace:
-    """Run a solver by its stable name; keywords it does not take are ignored."""
-    run, takes, _ = _lookup(name)
-    given = dict(mu=mu, cfg2=cfg2, on_accept=on_accept, on_eval=on_eval)
-    return run(problem, cfg, **{k: given[k] for k in takes})
+    """Run a solver by its stable name.
+
+    ``mu`` is the probe length of zo-rgd, and ``on_accept`` is called on
+    every accepted step of the direct-search solvers; each solver ignores
+    the keyword it does not take.
+    """
+    loop, sources, _ = _lookup(name)
+    if not sources:
+        return loop(problem, cfg, mu, on_eval)
+    return _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval)

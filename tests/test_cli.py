@@ -173,6 +173,24 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("rds-sb.bogus = 1\n")
     with pytest.raises(CliError):
         parse_config_file(cfg)
+    cfg.write_text("rds-xb.gamma1 = 0.5\n")
+    with pytest.raises(CliError, match="rds-xb"):
+        parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--config", "typo.cfg"], "rds-xb.gamma1"),
+    (["--dims", "4,1"], "dimension must be an integer >= 2, got 1"),
+    (["--seeds", "-1"], "seed must be an integer >= 0, got -1"),
+], ids=["override-solver", "dims", "seeds"])
+def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
+                                                 flags, named):
+    monkeypatch.chdir(tmp_path)
+    Path("typo.cfg").write_text("rds-xb.gamma1 = 0.5\n")
+    assert main(["run", "--problems", "largest-eig", "--solvers", "rds-sb",
+                 "--budget-mult", "2", "--out", "o", *flags]) == 1
+    assert named in capsys.readouterr().err
+    assert not Path("o").exists()
 
 
 def test_usage_error_maps_to_exit_one():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from manisearch import solvers
 from manisearch.errors import BudgetExhausted
 from manisearch.manifolds import Sphere, TangentVector
 from manisearch.problems import build_instance
@@ -10,13 +11,7 @@ from manisearch.solvers import (
     SolverConfig,
     default_config,
     linesearch_extrapolate,
-    run_rds_dd,
-    run_rds_sb,
-    run_rdse_dd,
-    run_rdse_sb,
     run_solver,
-    run_switching,
-    run_zo_rgd,
 )
 
 from conftest import make_problem
@@ -166,9 +161,9 @@ def test_linesearch_solvers_reject_gamma2_one():
     prob = make_problem(Sphere(3), lambda v: 1.0)
     cfg = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=1.0, alpha0=1.0, budget=10)
     with pytest.raises(ValueError):
-        run_rdse_sb(prob, cfg)
+        run_solver("rdse-sb", prob, cfg)
     with pytest.raises(ValueError):
-        run_rdse_dd(prob, cfg)
+        run_solver("rdse-dd", prob, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +177,7 @@ def test_rds_sb_constant_objective_geometric_decay():
     n_dirs = 2 * man.ambient_dim
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0,
                        budget=1 + k * n_dirs)
-    trace = run_rds_sb(prob, cfg)
+    trace = run_solver("rds-sb", prob, cfg)
     expected = 1.0
     for _ in range(k):
         expected *= cfg.gamma1
@@ -197,7 +192,7 @@ def test_rds_dd_constant_objective_geometric_decay():
     prob = make_problem(Sphere(4), lambda v: -1.0)
     k = 9
     cfg = SolverConfig(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0, budget=1 + k)
-    trace = run_rds_dd(prob, cfg)
+    trace = run_solver("rds-dd", prob, cfg)
     expected = 1.0
     for _ in range(trace.iterations):
         expected *= cfg.gamma1
@@ -211,7 +206,7 @@ def test_rdse_sb_constant_objective_one_shrink_per_sweep():
     n_dirs = 2 * man.ambient_dim
     cfg = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha0=1.0,
                        budget=1 + n_dirs)
-    trace = run_rdse_sb(prob, cfg)
+    trace = run_solver("rdse-sb", prob, cfg)
     alphas = np.array([trace.final_alpha_by_slot[i] for i in range(n_dirs)])
     assert np.all(alphas == cfg.gamma1 * cfg.alpha0)
 
@@ -220,7 +215,7 @@ def test_rdse_dd_constant_objective_shrinks_tentative():
     prob = make_problem(Sphere(4), lambda v: 0.0)
     k = 7
     cfg = SolverConfig(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0, budget=1 + k)
-    trace = run_rdse_dd(prob, cfg)
+    trace = run_solver("rdse-dd", prob, cfg)
     expected = 1.0
     for _ in range(trace.iterations):
         expected *= cfg.gamma1
@@ -228,7 +223,7 @@ def test_rdse_dd_constant_objective_shrinks_tentative():
     assert trace.success_count == 0
 
 
-def test_rds_dd_zero_direction_costs_nothing():
+def test_rds_dd_zero_direction_costs_nothing(monkeypatch):
     man = Sphere(3)
     start = man.point(np.array([1.0, 0.0, 0.0]))
     prob = make_problem(man, lambda v: 3.0, start=start)
@@ -242,7 +237,8 @@ def test_rds_dd_zero_direction_costs_nothing():
             return np.array([1.0, 0.0, 0.0])  # collinear with x: projects to zero
 
     cfg = SolverConfig(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0, budget=50)
-    trace = run_rds_dd(prob, cfg, _stream=NormalStream())
+    monkeypatch.setattr(solvers, "DenseDirectionStream", lambda seed, n: NormalStream())
+    trace = run_solver("rds-dd", prob, cfg)
     assert trace.evals_used == 1  # only f(x0)
     assert trace.final_alpha < STEP_FLOOR
     assert trace.final_point is start
@@ -260,7 +256,7 @@ def test_rds_dd_zero_direction_costs_nothing():
 def test_budget_cap_exact():
     prob = make_problem(Sphere(3), lambda v: 1.0)
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0, budget=3)
-    trace = run_rds_sb(prob, cfg)
+    trace = run_solver("rds-sb", prob, cfg)
     assert trace.evals_used == 3
     assert len(trace.history) == 3
     assert trace.history[-1][0] == 3
@@ -279,7 +275,7 @@ def test_opportunistic_break_spends_one_poll():
     start = man.point(np.array([1.0, 0.0, 0.0]))
     prob = make_problem(man, lambda v: float(-v[1]), start=start)
     cfg = SolverConfig(gamma=0.1, gamma1=0.61, gamma2=1.0, alpha0=1.0, budget=2)
-    trace = run_rds_sb(prob, cfg)
+    trace = run_solver("rds-sb", prob, cfg)
     # basis order at e1 is (+e2, +e3, -e2, -e3); the first poll succeeds
     assert trace.success_count == 1
     assert trace.evals_used == 2
@@ -299,7 +295,7 @@ def test_switching_constant_objective_switches_at_first_shrink():
     extra = 10
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0,
                        budget=1 + n_dirs + extra, alpha_eps=1.0)
-    trace = run_switching(prob, cfg, "plain")
+    trace = run_solver("rds-dd-plus", prob, cfg)
     assert trace.switch_eval == 1 + n_dirs
     assert trace.evals_used == cfg.budget
     # dense phase behaves like rds-dd from here: one evaluation per
@@ -316,7 +312,7 @@ def test_switching_extrapolated_switches_when_all_slots_small():
     n_dirs = 2 * man.ambient_dim
     cfg = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha0=1.0,
                        budget=1 + n_dirs + 5, alpha_eps=0.9)
-    trace = run_switching(prob, cfg, "extrapolated")
+    trace = run_solver("rdse-dd-plus", prob, cfg)
     # every slot must shrink once (one full sweep) before max drops to 0.81
     assert trace.switch_eval == 1 + n_dirs
     assert trace.evals_used == cfg.budget
@@ -326,16 +322,14 @@ def test_switching_requires_alpha_eps():
     prob = make_problem(Sphere(3), lambda v: 1.0)
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0, budget=10)
     with pytest.raises(ValueError):
-        run_switching(prob, cfg, "plain")
-    with pytest.raises(ValueError):
-        run_switching(prob, cfg, "bogus")
+        run_solver("rds-dd-plus", prob, cfg)
 
 
 def test_switching_records_no_switch_when_budget_dies_first():
     prob = make_problem(Sphere(3), lambda v: 1.0)
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0,
                        budget=3, alpha_eps=1e-12)
-    trace = run_switching(prob, cfg, "plain")
+    trace = run_solver("rds-dd-plus", prob, cfg)
     assert trace.switch_eval is None
     assert trace.evals_used == 3
 
@@ -346,7 +340,7 @@ def test_rdse_dd_plus_without_switch_keeps_slot_stepsizes():
     cfg = default_config("rdse-dd-plus", budget=30, seed=1)
     trace = run_solver("rdse-dd-plus", inst, cfg)
     assert trace.switch_eval is None
-    reference = run_rdse_sb(inst, cfg)
+    reference = run_solver("rdse-sb", inst, cfg)
     assert trace.history == reference.history
     assert trace.final_alpha_by_slot == reference.final_alpha_by_slot
     assert len(trace.final_alpha_by_slot) == 2 * inst.ambient_dim
@@ -402,7 +396,7 @@ def test_zo_rgd_constant_objective_fixed_iterates():
     prob = make_problem(Sphere(5), lambda v: 4.0)
     cfg = SolverConfig(gamma=1.0, gamma1=0.5, gamma2=1.0, alpha0=1.0,
                        budget=21, seed=11)
-    trace = run_zo_rgd(prob, cfg, mu=1e-6)
+    trace = run_solver("zo-rgd", prob, cfg, mu=1e-6)
     assert trace.final_point is prob.start  # zero estimate, zero retraction
     assert trace.evals_used == 21
     assert trace.iterations == 10  # 1 + 2 per iteration
@@ -412,10 +406,10 @@ def test_zo_rgd_rejects_nonsmooth_and_bad_mu():
     prob = make_problem(Sphere(3), lambda v: float(abs(v[0])), smooth=False)
     cfg = SolverConfig(gamma=1.0, gamma1=0.5, gamma2=1.0, budget=10)
     with pytest.raises(ValueError):
-        run_zo_rgd(prob, cfg)
+        run_solver("zo-rgd", prob, cfg)
     smooth = make_problem(Sphere(3), lambda v: float(v[0]))
     with pytest.raises(ValueError):
-        run_zo_rgd(smooth, cfg, mu=0.0)
+        run_solver("zo-rgd", smooth, cfg, mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +425,7 @@ def _diag_eig_problem(n=5, seed=1):
 
 def test_traces_monotone_and_deterministic():
     prob = _diag_eig_problem()
-    for name in ("rds-sb", "rdse-sb", "rds-dd", "rdse-dd",
-                 "rds-dd-plus", "rdse-dd-plus", "zo-rgd"):
+    for name in SOLVER_NAMES:
         cfg = default_config(name, budget=500, seed=7)
         t1 = run_solver(name, prob, cfg)
         t2 = run_solver(name, prob, cfg)
@@ -449,7 +442,9 @@ def test_accepted_steps_replay_sufficient_decrease():
     def on_accept(x, d, alpha, f_before, f_after):
         records.append((x, d, alpha, f_before, f_after))
 
-    for name, runner in (("rds-sb", run_rds_sb), ("rdse-sb", run_rdse_sb)):
+    # the dense phase of a *-plus run tests with gamma = 1 >= cfg.gamma,
+    # so its accepts replay under cfg.gamma too
+    for name in (n for n in SOLVER_NAMES if n != "zo-rgd"):
         records.clear()
         cfg = default_config(name, budget=800, seed=3)
         run_solver(name, prob, cfg, on_accept=on_accept)
@@ -471,7 +466,7 @@ def test_accepts_stay_strict_once_decrease_is_below_rounding():
     prob = build_instance("largest-eig", 3, 0)
     cfg = default_config("rds-sb", budget=2000, seed=0)
     accepts = []
-    trace = run_rds_sb(prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
+    trace = run_solver("rds-sb", prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
                        accepts.append((f_old, f_new)))
     assert accepts
     assert all(f_new < f_old for f_old, f_new in accepts)
@@ -488,8 +483,8 @@ def test_nan_trial_is_a_failed_poll():
                         start=start)
     cfg = default_config("rdse-sb", budget=200, seed=0)
     accepts = []
-    trace = run_rdse_sb(prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
-                        accepts.append((f_old, f_new)))
+    trace = run_solver("rdse-sb", prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
+                       accepts.append((f_old, f_new)))
     assert accepts
     assert all(f_new < f_old for f_old, f_new in accepts)
     assert prob.raw_f(trace.final_point.value) == trace.best_f
@@ -503,7 +498,7 @@ def test_visited_points_stay_feasible():
         nonlocal worst
         worst = max(worst, point.residual())
 
-    for name in ("rds-sb", "rdse-sb", "rds-dd", "rdse-dd", "zo-rgd"):
+    for name in SOLVER_NAMES:
         cfg = default_config(name, budget=400, seed=5)
         run_solver(name, prob, cfg, on_eval=on_eval)
     assert worst <= 1e-8
@@ -512,7 +507,7 @@ def test_visited_points_stay_feasible():
 def test_direct_search_reaches_known_optimum():
     prob = _diag_eig_problem()
     cfg = default_config("rdse-sb", budget=3000, seed=2)
-    trace = run_rdse_sb(prob, cfg)
+    trace = run_solver("rdse-sb", prob, cfg)
     assert trace.best_f <= -5.0 + 1e-2
 
 
@@ -536,7 +531,7 @@ def test_extrapolation_matches_poller_on_eigen_toy():
     assert wins >= 7, f"only {wins}/10 seeds"
 
 
-def test_rdse_dd_single_iteration_steps_to_accepted_point():
+def test_rdse_dd_single_iteration_steps_to_accepted_point(monkeypatch):
     # with the worked circle example, the first dense iteration accepts
     # alpha = 1 and the iterate moves to R(x0, 1 * d)
     man = Sphere(2)
@@ -552,7 +547,8 @@ def test_rdse_dd_single_iteration_steps_to_accepted_point():
             return np.array([1.0, 0.0])
 
     cfg = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha0=1.0, budget=3)
-    trace = run_rdse_dd(prob, cfg, _stream=OneDirection())
+    monkeypatch.setattr(solvers, "DenseDirectionStream", lambda seed, n: OneDirection())
+    trace = run_solver("rdse-dd", prob, cfg)
     np.testing.assert_allclose(
         trace.final_point.value, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12
     )
