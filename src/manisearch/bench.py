@@ -17,6 +17,7 @@ the denominator.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from dataclasses import dataclass
@@ -190,9 +191,10 @@ def _float_points(breakpoints, achieved, n_problems):
     Two exact breakpoints that round to the same float merge into one
     point keeping the later (larger) count.
     """
+    achieved = sorted(achieved)
     pts = []
     for a in breakpoints:
-        value = sum(1 for r in achieved if r <= a) / n_problems
+        value = bisect.bisect_right(achieved, a) / n_problems
         fa = float(a)
         if pts and pts[-1][0] == fa:
             pts[-1] = (fa, max(pts[-1][1], value))

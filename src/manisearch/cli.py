@@ -25,7 +25,7 @@ from pathlib import Path
 from . import bench
 from .errors import CliError, ManisearchError
 from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, build_instance
-from .solvers import DEFAULT_MU, SOLVER_NAMES, default_config, run_solver
+from .solvers import DEFAULT_MU, SOLVER_NAMES, check_config, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
 _SOLVER_PARAM_KEYS = ("gamma", "gamma1", "gamma2", "alpha0", "alpha_eps",
@@ -69,7 +69,11 @@ def parse_config_file(path: Path) -> dict:
                 raise CliError(f"{path}:{lineno}: unknown solver '{solver}' in '{key}'")
             if param not in _SOLVER_PARAM_KEYS:
                 raise CliError(f"{path}:{lineno}: unknown solver parameter '{param}'")
-            out["solver_overrides"].setdefault(solver, {})[param] = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: '{key}' needs a number, got '{value}'") from None
+            out["solver_overrides"].setdefault(solver, {})[param] = number
         elif key in _CONFIG_KEYS:
             out[key] = value
         else:
@@ -123,6 +127,14 @@ def _resolve_run_settings(args) -> dict:
     for t in taus:
         if not 0 < t < 1:
             raise CliError(f"tau must lie in (0, 1), got {t}")
+    # every override is checked here, also for a solver this grid does not
+    # run, so a bad value stops the run before anything is written
+    for solver, params in cfg["solver_overrides"].items():
+        for param, value in params.items():
+            try:
+                _make_config(solver, 1, 0, {solver: {param: value}})
+            except ValueError as exc:
+                raise CliError(f"bad solver override {solver}.{param} = {value!r}: {exc}") from None
     return dict(
         problems=problems, dims=dims, seeds=seeds, solvers=solvers,
         budget_mult=budget_mult, taus=taus,
@@ -134,7 +146,11 @@ def _resolve_run_settings(args) -> dict:
 def _make_config(solver: str, budget: int, seed: int, overrides: dict) -> tuple:
     params = dict(overrides.get(solver, {}))
     mu = params.pop("mu", DEFAULT_MU)
-    return default_config(solver, budget, seed, **params), mu
+    if not mu > 0:
+        raise ValueError("mu must be > 0")
+    cfg = default_config(solver, budget, seed, **params)
+    check_config(solver, cfg)
+    return cfg, mu
 
 
 def cmd_run(args) -> int:

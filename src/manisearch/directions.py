@@ -6,7 +6,9 @@ the current tangent space, which yields a positive spanning set of that
 space whenever the point is non-degenerate.  Which directions survive is
 read off the closed-form diagonal of the tangent projector; a direction
 itself is projected only on first access and then cached in its basis,
-so a poll that moves the iterate early pays for the directions it tried.
+so a poll that moves the iterate early pays for the directions it tried;
+the solvers take the directions a chunk of slots at a time, and the
+chunk's coordinates are projected in one stacked call.
 For nonsmooth problems, a deterministic stream of random unit ambient
 vectors (dense in the unit sphere with probability one) is projected and
 normalised one direction per iteration.
@@ -41,7 +43,9 @@ class BasisVectors(Sequence):
 
     Entry j < k is the projection of +e_{coords[j]} and entry k + j its
     negative.  Reaching either sign projects the coordinate once and
-    caches both, so every entry is computed at most once per basis.
+    caches both, so every entry is computed at most once per basis.  A
+    slice projects the coordinates it reaches that are not cached yet in
+    one stacked ``_project_many`` call.
     """
 
     __slots__ = ("_base", "_coords", "_cache")
@@ -56,15 +60,34 @@ class BasisVectors(Sequence):
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return tuple(self[i] for i in range(*j.indices(len(self))))
-        v = self._cache[j]
-        if v is None:
-            k = len(self._coords)
-            i = j % k
-            plus = TangentVector(self._base, _project_coordinate(self._base, self._coords[i]))
+            js = range(*j.indices(len(self)))
+            self._fill(js)
+            return tuple(self._cache[i] for i in js)
+        if self._cache[j] is None:
+            self._fill((j,))
+        return self._cache[j]
+
+    def _fill(self, js):
+        """Project the coordinates behind entries ``js`` that are not cached yet."""
+        k = len(self._coords)
+        todo = []
+        for j in js:
+            if self._cache[j] is None and j % k not in todo:
+                todo.append(j % k)
+        if not todo:
+            return
+        x = self._base
+        if len(todo) == 1:
+            values = [_project_coordinate(x, self._coords[todo[0]])]
+        else:
+            e = np.zeros((len(todo), x.manifold.ambient_dim))
+            for row, i in enumerate(todo):
+                e[row, self._coords[i]] = 1.0
+            # copied rows: every value owns its buffer, as a lone projection does
+            values = [row.copy() for row in x.manifold._project_many(x.value, e)]
+        for i, value in zip(todo, values):
+            plus = TangentVector(x, value)
             self._cache[i], self._cache[i + k] = plus, plus.scaled(-1.0)
-            v = self._cache[j]
-        return v
 
     def __iter__(self):
         for j in range(len(self._cache)):

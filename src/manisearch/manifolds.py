@@ -13,6 +13,15 @@ read.  Coordinate directions and random ambient directions enter
 through ``project_tangent`` and the resulting tangent vectors are moved
 along with ``retract``.
 
+A search fixes several trial points at one iterate before it evaluates
+any of them, and numpy call overhead, not arithmetic, dominates the cost
+of one small retraction.  ``_retract_many`` and ``_project_many`` take a
+(k, len) stack of rows at one point and return the k results in one
+stacked numpy call (``np.linalg.qr``, ``svd``, ``solve`` and ``matmul``
+loop over a stack matrix by matrix); every row is bitwise the row that
+``_retract`` or ``_project`` returns alone.  The base class loops over
+the rows.
+
 Supported kinds and their stable names:
 
     sphere(n)            unit vectors in R^n
@@ -115,6 +124,10 @@ class Manifold:
     ambient_dim: int
     intrinsic_dim: int
     feasibility_tol: float = 1e-10
+    # True where one retraction factorises a matrix (QR, SVD or a linear
+    # solve): a stacked call then costs little more than one retraction,
+    # so retracting trial points that may go unused still pays
+    costly_retraction: bool = False
 
     # ---- raw geometry on flat values, per kind ------------------------
 
@@ -125,12 +138,22 @@ class Manifold:
     def _project(self, x, a_flat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _project_many(self, x, A) -> np.ndarray:
+        # row i is _project(x, A[i]) for a (k, ambient_dim) stack A; kinds
+        # override this with stacked numpy calls that give the same rows
+        # bitwise
+        return np.array([self._project(x, a) for a in A])
+
     def _coord_sqnorms(self, x) -> np.ndarray:
         # diag of the ambient-orthogonal projector at x: |P e_i|^2 = P_ii
         raise NotImplementedError
 
     def _retract(self, x, t) -> np.ndarray:
         raise NotImplementedError
+
+    def _retract_many(self, x, T) -> np.ndarray:
+        # row i is _retract(x, T[i]) for a (k, len) tangent stack T, bitwise
+        return np.array([self._retract(x, t) for t in T])
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
@@ -240,15 +263,30 @@ class Manifold:
 # ---------------------------------------------------------------------------
 
 def _qr_fixed(a: np.ndarray) -> np.ndarray:
-    """Thin QR factor with the sign convention diag(R) >= 0."""
+    """Thin QR factor with the sign convention diag(R) >= 0, of a matrix or a stack."""
     q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, 0, -2, -1))
     d[d == 0] = 1.0
-    return q * d
+    return q * d[..., None, :]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (k, 1) column of A[i] @ b, b one vector or a stack like A.  A (1, n)
+    # @ (n, 1) product rounds as the 1-D dot and np.linalg.norm do;
+    # einsum and norm(axis=1) sum in another order
+    return (A[:, None, :] @ b[..., :, None])[:, 0]
+
+
+def _hstack_rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # np.hstack([a, B[i]]) for each matrix of the stack B
+    out = np.empty((*B.shape[:-1], a.shape[1] + B.shape[-1]))
+    out[..., :a.shape[1]] = a
+    out[..., a.shape[1]:] = B
+    return out
 
 
 class Sphere(Manifold):
@@ -273,9 +311,16 @@ class Sphere(Manifold):
     def _coord_sqnorms(self, x):
         return 1.0 - x * x  # diag(I - x x^T)
 
+    def _project_many(self, x, A):
+        return A - _row_dots(A, x) * x
+
     def _retract(self, x, t):
         y = x + t
         return y / np.linalg.norm(y)
+
+    def _retract_many(self, x, T):
+        Y = x + T
+        return Y / np.sqrt(_row_dots(Y, Y))
 
     def _inner(self, x, u, v):
         return float(u @ v)
@@ -298,6 +343,7 @@ class Stiefel(Manifold):
     """Matrices with orthonormal columns, embedded metric, QR retraction."""
 
     kind = "stiefel"
+    costly_retraction = True
 
     def __init__(self, n: int, p: int, feasibility_tol: float = 1e-10):
         if not 1 <= p <= n:
@@ -323,8 +369,15 @@ class Stiefel(Manifold):
         xx = x * x
         return (1.0 - 0.5 * (xx.sum(axis=1, keepdims=True) + xx)).ravel()
 
+    def _project_many(self, x, A):
+        x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
+        return (Z - x @ _sym(x.T @ Z)).reshape(len(A), -1)
+
     def _retract(self, x, t):
         return _qr_fixed(self._unpack(x + t)).ravel()
+
+    def _retract_many(self, x, T):
+        return _qr_fixed((x + T).reshape(len(T), self.n, self.p)).reshape(len(T), -1)
 
     def _inner(self, x, u, v):
         return float(np.sum(u * v))
@@ -362,6 +415,12 @@ class SpecialOrthogonal(Stiefel):
             raise InvalidShape("so retraction left the det=+1 component")
         return q.ravel()
 
+    def _retract_many(self, x, T):
+        Q = super()._retract_many(x, T)
+        if (np.linalg.det(Q.reshape(len(T), self.d, self.d)) <= 0).any():
+            raise InvalidShape("so retraction left the det=+1 component")
+        return Q
+
     def _point_residual(self, x):
         r = super()._point_residual(x)
         if np.linalg.det(self._unpack(x)) <= 0:
@@ -391,6 +450,7 @@ class FixedRank(Manifold):
     """
 
     kind = "fixed-rank"
+    costly_retraction = True
 
     def __init__(self, m: int, h: int, r: int, feasibility_tol: float = 1e-10):
         if not (1 <= r <= min(m, h)) or min(m, h) < 2:
@@ -420,6 +480,18 @@ class FixedRank(Manifold):
         r = self.r
         return t[:i].reshape(r, r), t[i:j].reshape(self.m, r), t[j:].reshape(self.h, r)
 
+    def _unpack_tangents(self, T):
+        # _unpack_tangent of each row of a (k, len) stack, as stacked factors
+        i, j = self._tangent_cuts
+        k, r = len(T), self.r
+        return (T[:, :i].reshape(k, r, r), T[:, i:j].reshape(k, self.m, r),
+                T[:, j:].reshape(k, self.h, r))
+
+    @staticmethod
+    def _pack_rows(*factors) -> np.ndarray:
+        # pack of each row of stacked factors
+        return np.concatenate([f.reshape(len(f), -1) for f in factors], axis=1)
+
     def _project(self, x, a):
         u, s, v = self._unpack(x)
         z = a.reshape(self.m, self.h)
@@ -429,6 +501,16 @@ class FixedRank(Manifold):
         up = zv - u @ mid
         vp = ztu - v @ mid.T
         return self.pack(mid, up, vp)
+
+    def _project_many(self, x, A):
+        u, s, v = self._unpack(x)
+        z = A.reshape(len(A), self.m, self.h)
+        zv = z @ v
+        ztu = z.swapaxes(-1, -2) @ u
+        mid = u.T @ zv
+        up = zv - u @ mid
+        vp = ztu - v @ mid.swapaxes(-1, -2)
+        return self._pack_rows(mid, up, vp)
 
     def _coord_sqnorms(self, x):
         # P_(ij),(ij) = a_i + b_j - a_i b_j with a = |U_i,:|^2, b = |V_j,:|^2
@@ -463,6 +545,35 @@ class FixedRank(Manifold):
         new_u = np.hstack([u, qu]) @ w[:, :r]
         new_v = np.hstack([v, qv]) @ zt[:r, :].T
         return self.pack(new_u, sv, new_v)
+
+    @staticmethod
+    def _complement_factors(u, up):
+        # _complement_factor of each block of the stack up, bitwise; the
+        # blocks that leak (most coordinate directions do) are redone in
+        # one stack, not one by one
+        q, ru = np.linalg.qr(up)
+        leak = np.abs(u.T @ q).max(axis=(1, 2)) > 1e-12
+        if leak.any():
+            ql = q[leak]
+            ql, _ = np.linalg.qr(ql - u @ (u.T @ ql))
+            q[leak], ru[leak] = ql, ql.swapaxes(-1, -2) @ up[leak]
+        return q, ru
+
+    def _retract_many(self, x, T):
+        u, s, v = self._unpack(x)
+        mid, up, vp = self._unpack_tangents(T)
+        k, r = len(T), self.r
+        qu, ru = self._complement_factors(u, up)
+        qv, rv = self._complement_factors(v, vp)
+        core = np.zeros((k, 2 * r, 2 * r))
+        core[:, :r, :r] = np.diag(s) + mid
+        core[:, :r, r:] = rv.swapaxes(-1, -2)
+        core[:, r:, :r] = ru
+        w, sv, zt = np.linalg.svd(core)
+        sv = np.maximum(sv[:, :r], self.feasibility_tol)
+        new_u = _hstack_rows(u, qu) @ w[:, :, :r]
+        new_v = _hstack_rows(v, qv) @ zt[:, :r, :].swapaxes(-1, -2)
+        return self._pack_rows(new_u, sv, new_v)
 
     def _inner(self, x, u, v):
         u, v = self._unpack_tangent(u), self._unpack_tangent(v)
@@ -523,6 +634,7 @@ class SymmetricPositiveDefinite(Manifold):
     """
 
     kind = "spd"
+    costly_retraction = True
 
     def __init__(self, d: int, feasibility_tol: float = 1e-10):
         if d < 1:
@@ -545,10 +657,18 @@ class SymmetricPositiveDefinite(Manifold):
         # |sym(E_ij)|^2 = 1 if i == j, else 1/2
         return np.where(np.eye(self.d, dtype=bool), 1.0, 0.5).ravel()
 
+    def _project_many(self, x, A):
+        return _sym(A.reshape(len(A), self.d, self.d)).reshape(len(A), -1)
+
     def _retract(self, x, t):
         x, t = self._unpack(x), self._unpack(t)
         w = np.linalg.solve(x, t)
         return _sym(x + t + 0.5 * (t @ w)).ravel()
+
+    def _retract_many(self, x, T):
+        x, T = self._unpack(x), T.reshape(len(T), self.d, self.d)
+        W = np.linalg.solve(x, T)
+        return _sym(x + T + 0.5 * (T @ W)).reshape(len(T), -1)
 
     def _inner(self, x, u, v):
         x = self._unpack(x)
@@ -608,6 +728,16 @@ class PositiveSimplex(Manifold):
         w = np.maximum(w / w.sum(), self.feasibility_tol)
         return w / w.sum()
 
+    def _project_many(self, x, A):
+        return A - A.mean(axis=1, keepdims=True)
+
+    def _retract_many(self, x, T):
+        Z = T / x
+        Z -= Z.max(axis=1, keepdims=True)
+        W = x * np.exp(Z)
+        W = np.maximum(W / W.sum(axis=1, keepdims=True), self.feasibility_tol)
+        return W / W.sum(axis=1, keepdims=True)
+
     def _inner(self, x, u, v):
         return float(np.sum(u * v / x))
 
@@ -653,6 +783,9 @@ class Euclidean(Manifold):
     def _retract(self, x, t):
         return x + t
 
+    _project_many = _project
+    _retract_many = _retract
+
     def _inner(self, x, u, v):
         return float(np.sum(u * v))
 
@@ -685,6 +818,7 @@ class Product(Manifold):
         self.ambient_dim = sum(b.ambient_dim for b in blocks)
         self.intrinsic_dim = sum(b.intrinsic_dim for b in blocks)
         self.feasibility_tol = feasibility_tol
+        self.costly_retraction = any(b.costly_retraction for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
 
@@ -706,12 +840,28 @@ class Product(Manifold):
             [b._coord_sqnorms(x[sl]) for b, sl in zip(self.blocks, self._slices)]
         )
 
+    def _project_many(self, x, A):
+        return np.concatenate(
+            [b._project_many(x[sl], A[:, sl]) for b, sl in zip(self.blocks, self._slices)],
+            axis=1,
+        )
+
     def _retract(self, x, t):
         y = x.copy()
         for b, sl in zip(self.blocks, self._slices):
             if t[sl].any():
                 y[sl] = b._retract(x[sl], t[sl])
         return y
+
+    def _retract_many(self, x, T):
+        # a block retracts only the rows that move it; a coordinate
+        # direction touches one block
+        Y = np.tile(x, (len(T), 1))
+        for b, sl in zip(self.blocks, self._slices):
+            rows = T[:, sl].any(axis=1)
+            if rows.any():
+                Y[rows, sl] = b._retract_many(x[sl], T[rows, sl])
+        return Y
 
     def _inner(self, x, u, v):
         return float(sum(b._inner(x[sl], u[sl], v[sl])

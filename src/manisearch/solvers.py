@@ -23,6 +23,20 @@ One registry names each solver by its loop and its sources:
     rdse-dd-plus  rdse-sb until every tentative stepsize falls to alpha_eps, then rdse-dd
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
+On the spanning basis the trial points of upcoming slots at one iterate
+are fixed before any is evaluated, so they are retracted in one stacked
+call per chunk of slots.  RDS polls R(x, alpha d_j) in chunks of 1, 2,
+4, ... up to ``CHUNK_MAX`` slots, restarting at 1 every poll round.
+RDSE retracts the first trial of each upcoming slot's linesearch ahead,
+in chunks of 1 slot after every move, then 2, 4, ... up to
+``CHUNK_MAX``, but only where a retraction factorises a matrix
+(``Manifold.costly_retraction``): on the sphere, simplex and Euclidean
+kinds one stacked call costs more than the unused trials save.
+Evaluation stays lazy and in slot order, so budgets, traces and hooks
+are those of one retraction per trial.  A chunk of one goes through
+``Manifold.retract``, as do the dense stream, zo-rgd and the linesearch
+expansion trials.
+
 ``run_solver`` runs any of them: it consumes a problem instance and a
 ``SolverConfig``, spends at most ``budget`` objective evaluations, and
 returns a ``RunTrace`` with the per-evaluation best-value history.
@@ -47,10 +61,12 @@ from .directions import (
     dense_direction,
     spanning_basis,
 )
-from .errors import BudgetExhausted
-from .manifolds import ManifoldPoint, TangentVector, random_tangent
+from .errors import BaseMismatch, BudgetExhausted
+from .manifolds import ManifoldPoint, TangentVector, _same_point, random_tangent
 
 STEP_FLOOR = 1e-16
+# largest number of trial points retracted in one stacked call
+CHUNK_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,7 @@ def linesearch_extrapolate(
     cfg: SolverConfig,
     f_x: Optional[float] = None,
     on_accept: Optional[AcceptHook] = None,
+    first: Optional[ManifoldPoint] = None,
 ) -> LinesearchResult:
     """Test ``alpha_tilde`` along ``d`` and extrapolate while decrease holds.
 
@@ -160,18 +177,23 @@ def linesearch_extrapolate(
 
     ``f`` may raise ``BudgetExhausted``; the best result so far is then
     returned with ``truncated=True``.  A zero direction fails without
-    spending an evaluation.
+    spending an evaluation.  ``first``, when given, must be the first
+    trial point ``R(x, alpha_tilde d)``, retracted ahead by the caller
+    (the linesearch solvers retract several in one stacked call); ``d``
+    must still be rooted at ``x``.
     """
     if not alpha_tilde > 0:
         raise ValueError("alpha_tilde must be > 0")
     gamma, gamma1, gamma2 = cfg.gamma, cfg.gamma1, cfg.gamma2
     if d.is_zero():
         return LinesearchResult(0.0, gamma1 * alpha_tilde)
+    if first is not None and not _same_point(d.point, x):
+        raise BaseMismatch("tangent vector is rooted at a different point")
     if f_x is None:
         f_x = f(x)
     retract = x.manifold.retract
     try:
-        trial = retract(x, d.scaled(alpha_tilde))
+        trial = retract(x, d.scaled(alpha_tilde)) if first is None else first
         f_trial = f(trial)
     except BudgetExhausted:
         return LinesearchResult(0.0, alpha_tilde, truncated=True)
@@ -285,6 +307,10 @@ class _Basis:
     def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
         return self.basis.vectors[j]
 
+    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
+        # slots start..stop-1; their missing directions are projected together
+        return self.basis.vectors[start:stop]
+
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha_by_slot={int(i): float(a) for i, a in enumerate(atil)})
 
@@ -309,8 +335,59 @@ class _Stream:
     def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
         return dense_direction(self.stream, x, self.drop_tol)
 
+    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
+        return (self.direction(x, start),)
+
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha=float(atil[0]))
+
+
+# ---------------------------------------------------------------------------
+# trial points
+# ---------------------------------------------------------------------------
+
+def _trials(x: ManifoldPoint, ds, alpha) -> list:
+    """The trial points ``R(x, alpha d)`` for the directions ``ds``, in order.
+
+    ``alpha`` is one stepsize, or a (len(ds), 1) column with one per
+    direction.  Two or more points are retracted in one ``_retract_many``
+    call; a single one goes through ``Manifold.retract``.  A row whose
+    scaled tangent is zero gives ``x`` itself, as ``retract`` does.
+    """
+    m = x.manifold
+    if len(ds) == 1:
+        return [m.retract(x, ds[0].scaled(alpha))]
+    if not ds:
+        return []
+    T = np.array([d.value for d in ds]) * alpha
+    # each point owns a copy of its row, as a lone retraction's value does
+    return [ManifoldPoint(m, y.copy()) if moved else x
+            for moved, y in zip(T.any(axis=1).tolist(), m._retract_many(x.value, T))]
+
+
+def _poll_round(ev, st, source, cfg, alpha, on_accept) -> bool:
+    """One poll at the iterate: True on the first sufficient decrease.
+
+    The directions are polled in slot order; a zero direction fails
+    without an evaluation.  The slots are taken in chunks of 1, 2, 4, ...
+    up to ``CHUNK_MAX``, and a chunk's trial points are retracted
+    together when the poll reaches it, then evaluated one at a time.
+    An accepted trial point becomes the iterate.
+    """
+    n, start, c = len(source.slots(st.x)), 0, 1
+    while start < n:
+        stop = min(start + c, n)
+        ds = [d for d in source.directions(st.x, start, stop) if not d.is_zero()]
+        for d, trial in zip(ds, _trials(st.x, ds, alpha)):
+            f_trial = ev(trial)
+            if f_trial <= st.fx - cfg.gamma * alpha * alpha:
+                if on_accept is not None:
+                    on_accept(st.x, d, alpha, st.fx, f_trial)
+                st.x, st.fx = trial, f_trial
+                st.succ += 1
+                return True
+        start, c = stop, min(2 * c, CHUNK_MAX)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +406,8 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     alpha = cfg.alpha0
     try:
         while alpha >= STEP_FLOOR:
-            for j in range(len(source.slots(st.x))):
-                d = source.direction(st.x, j)
-                if d.is_zero():
-                    continue
-                trial = st.x.manifold.retract(st.x, d.scaled(alpha))
-                f_trial = ev(trial)
-                if f_trial <= st.fx - cfg.gamma * alpha * alpha:
-                    if on_accept is not None:
-                        on_accept(st.x, d, alpha, st.fx, f_trial)
-                    st.x, st.fx = trial, f_trial
-                    alpha *= cfg.gamma2
-                    st.succ += 1
-                    break
+            if _poll_round(ev, st, source, cfg, alpha, on_accept):
+                alpha *= cfg.gamma2
             else:
                 alpha *= cfg.gamma1
             st.iters += 1
@@ -362,18 +428,40 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     when every stepsize of the current directions is below the floor, or
     at the budget; returns True when it stopped because every one fell
     to ``switch_at``.
+
+    Where a retraction factorises a matrix (``costly_retraction``), the
+    first trial points of the next slots at an unchanged iterate are
+    retracted ahead, a chunk of slots at a time: 1 slot after every move,
+    then 2, 4, ... up to ``CHUNK_MAX``, never past the last slot.  Each
+    linesearch still evaluates its own trials, in order.
     """
     atil = np.full(source.n_slots, float(cfg.alpha0))
     k = 0
+    ahead_pays = source.n_slots > 1 and st.x.manifold.costly_retraction
+    # (direction, first trial) of slots j, j + 1, ... of the current chunk
+    # at iterate `base`; iterations take the slots in this order
+    base, ahead, c = None, [], 1
     try:
         while True:
             slots = source.slots(st.x)
             if atil[slots].max() < STEP_FLOOR:
                 break
             j = k % len(slots)
+            if ahead_pays:
+                if st.x is not base:
+                    base, ahead, c = st.x, [], 1
+                if not ahead:
+                    ds = source.directions(st.x, j, min(j + c, len(slots)))
+                    firsts = [None] if len(ds) == 1 else _trials(
+                        st.x, ds, atil[slots[j:j + len(ds)], None])
+                    ahead = list(zip(ds, firsts))
+                    c = min(2 * c, CHUNK_MAX)
+                d, first = ahead.pop(0)
+            else:
+                d, first = source.direction(st.x, j), None
             res = linesearch_extrapolate(
-                ev, st.x, float(atil[slots[j]]), source.direction(st.x, j), cfg,
-                f_x=st.fx, on_accept=on_accept,
+                ev, st.x, float(atil[slots[j]]), d, cfg,
+                f_x=st.fx, on_accept=on_accept, first=first,
             )
             atil[slots[j]] = res.alpha_next
             if res.alpha > 0:
@@ -407,12 +495,8 @@ def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> Run
     the linesearch: every tentative stepsize of the current basis) falls
     to ``alpha_eps`` or below.
     """
+    check_config(name, cfg)
     cfgs = [cfg] + [default_nonsmooth_phase(cfg)] * (len(sources) - 1)
-    if len(cfgs) > 1 and cfg.alpha_eps is None:
-        raise ValueError("switching strategies need alpha_eps set")
-    if loop is _linesearch and not cfg.gamma2 > 1:  # the dense phase has gamma2 = 2
-        who = name if len(cfgs) == 1 else f"{name} phase 1"
-        raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
     ev, st = _start(problem, cfg, on_eval)
     for i, (source, c) in enumerate(zip(sources, cfgs)):
         if i:
@@ -493,6 +577,21 @@ def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverCo
     """Config with the tuned defaults for ``solver``, plus overrides."""
     params = {**_lookup(solver)[2], **overrides}
     return SolverConfig(budget=budget, seed=seed, **params)
+
+
+def check_config(name: str, cfg: SolverConfig) -> None:
+    """Raise ``ValueError`` where ``cfg`` misses what solver ``name`` needs.
+
+    ``SolverConfig`` checks each parameter alone; this adds the needs of
+    the solver's row: a switching strategy needs ``alpha_eps``, and a
+    linesearch needs ``gamma2 > 1`` to terminate.
+    """
+    loop, sources, _ = _lookup(name)
+    if len(sources) > 1 and cfg.alpha_eps is None:
+        raise ValueError("switching strategies need alpha_eps set")
+    if loop is _linesearch and not cfg.gamma2 > 1:  # the dense phase has gamma2 = 2
+        who = name if len(sources) == 1 else f"{name} phase 1"
+        raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
 
 
 def run_solver(name: str, problem, cfg: SolverConfig, *, mu: float = DEFAULT_MU,

@@ -256,3 +256,27 @@ def test_svg_emitter_renders_step_curves():
     assert svg.startswith("<svg")
     assert svg.count("<path") == 2
     assert "s1" in svg and "s2" in svg
+
+
+@pytest.mark.parametrize("text, solvers, named", [
+    ("rds-sb.gamma1 = 1.5\n", "rdse-sb,rds-sb", "rds-sb.gamma1"),
+    ("rdse-sb.gamma1 = 1.5\n", "rds-sb", "rdse-sb.gamma1"),
+    ("zo-rgd.mu = 0\n", "zo-rgd", "zo-rgd.mu"),
+    ("rdse-sb.gamma2 = 1.0\n", "rds-sb,rdse-sb", "rdse-sb.gamma2"),
+], ids=["solver-run-second", "solver-not-run", "mu", "linesearch-gamma2"])
+def test_bad_override_values_fail_before_any_output(tmp_path, monkeypatch, capsys,
+                                                    text, solvers, named):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text(text)
+    assert main(["run", "--problems", "largest-eig", "--dims", "4",
+                 "--solvers", solvers, "--budget-mult", "2",
+                 "--config", "bad.cfg", "--out", "o"]) == 1
+    assert named in capsys.readouterr().err
+    assert not Path("o").exists()
+
+
+def test_config_file_names_line_of_non_numeric_override(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# header\nrds-sb.gamma1 = abc\n")
+    with pytest.raises(CliError, match=r"bad\.cfg:2: 'rds-sb\.gamma1' needs a number"):
+        parse_config_file(cfg)

@@ -15,7 +15,7 @@ from manisearch.manifolds import (
     random_tangent,
 )
 
-from conftest import sample_point
+from conftest import manifold_zoo, sample_point
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,71 @@ def test_product_retract_leaves_untouched_blocks_bitwise():
     y = prod.retract(x, t)
     assert np.array_equal(y.value[:3], x.value[:3])
     assert not np.array_equal(y.value[3:], x.value[3:])
+
+
+# ---------------------------------------------------------------------------
+# stacked geometry: one call for a (k, len) stack of rows
+# ---------------------------------------------------------------------------
+
+def _tangent_stacks(m, x, rng):
+    """Stacks of tangents at x, built one row at a time with ``_project``.
+
+    The projected coordinate directions of both signs (each touches one
+    product block, and they drive fixed-rank into its
+    re-orthogonalisation), random tangents (every block) mixed with a
+    few coordinate directions and a zero row, and a single row.
+    """
+    n = m.ambient_dim
+    coords = np.array([m._project(x, e) for e in np.eye(n)])
+    randoms = np.array([m._project(x, a) for a in rng.standard_normal((4, n))])
+    mixed = np.vstack([randoms[:2], coords[:3], np.zeros((1, coords.shape[1])), randoms[2:]])
+    for scale in (1e-6, 0.5, 4.0):
+        yield np.vstack([coords, -coords]) * scale
+        yield mixed * scale
+        yield randoms[:1] * scale
+
+
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
+def test_stacked_geometry_matches_per_row_bitwise(m):
+    rng = np.random.default_rng(61)
+    n = m.ambient_dim
+    for _ in range(3):
+        x = sample_point(m, rng).value
+        A = np.vstack([np.eye(n), rng.standard_normal((3, n))])
+        for rows in (A, A[-1:]):
+            want = np.array([m._project(x, a) for a in rows])
+            assert np.array_equal(m._project_many(x, rows), want)
+        for T in _tangent_stacks(m, x, rng):
+            want = np.array([m._retract(x, t) for t in T])
+            assert np.array_equal(m._retract_many(x, T), want)
+
+
+def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
+    prod = Product([Sphere(3), Stiefel(4, 2)])
+    x = prod.random_point(np.random.default_rng(67)).value
+    seen = []
+    for b in prod.blocks:
+        many = b._retract_many
+        monkeypatch.setattr(b, "_retract_many",
+                            lambda xb, T, many=many: seen.append(len(T)) or many(xb, T))
+    T = np.array([prod._project(x, a) for a in np.eye(11)[[0, 1, 5]]])
+    prod._retract_many(x, T)
+    assert seen == [2, 1]  # rows 0 and 1 move the sphere, row 2 the Stiefel block
+
+
+def test_fixed_rank_coordinate_steps_leak_into_span_u():
+    # what the stacked test's mixed stack relies on: QR of the rank-one Up
+    # block of a coordinate direction emits columns inside span(U), QR of
+    # a random tangent's block does not
+    fr = FixedRank(6, 5, 2)
+    rng = np.random.default_rng(71)
+    x = fr.random_point(rng).value
+    u = fr._unpack(x)[0]
+    A = np.vstack([np.eye(30), rng.standard_normal((4, 30))])
+    T = np.array([fr._project(x, a) for a in A])
+    q, _ = np.linalg.qr(fr._unpack_tangents(T)[1])
+    leaks = np.abs(u.T @ q).max(axis=(1, 2)) > 1e-12
+    assert leaks[:30].all() and not leaks[30:].any()
 
 
 # ---------------------------------------------------------------------------

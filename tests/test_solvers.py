@@ -3,9 +3,10 @@ import pytest
 
 from manisearch import solvers
 from manisearch.errors import BudgetExhausted
-from manisearch.manifolds import Sphere, TangentVector
+from manisearch.manifolds import Manifold, Product, Sphere, Stiefel, TangentVector
 from manisearch.problems import build_instance
 from manisearch.solvers import (
+    CHUNK_MAX,
     SOLVER_NAMES,
     STEP_FLOOR,
     SolverConfig,
@@ -553,3 +554,105 @@ def test_rdse_dd_single_iteration_steps_to_accepted_point(monkeypatch):
         trace.final_point.value, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12
     )
     assert trace.success_count == 1
+
+
+# ---------------------------------------------------------------------------
+# poll-batched geometry
+# ---------------------------------------------------------------------------
+
+def _manifold_classes():
+    classes, todo = [], [Manifold]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return classes
+
+
+def _recorded_run(name, prob, cfg):
+    log = []
+    trace = run_solver(
+        name, prob, cfg,
+        on_eval=lambda p, f: log.append(("eval", p.value.tobytes(), repr(f))),
+        on_accept=lambda x, d, a, f0, f1: log.append(
+            ("accept", x.value.tobytes(), d.value.tobytes(), a, repr(f0), repr(f1))),
+    )
+    return (log, trace.history, trace.final_point.value.tobytes(), trace.evals_used,
+            trace.iterations, trace.success_count, trace.final_alpha,
+            trace.final_alpha_by_slot, trace.switch_eval, trace.stop_reason)
+
+
+@pytest.mark.parametrize("problem", ["matrix-completion", "top-sv", "sync-rotations",
+                                     "gmm", "dict-learning"])
+def test_stacked_geometry_leaves_runs_unchanged(problem, monkeypatch):
+    # the same runs three ways: as shipped; with every stacked override put
+    # back to the base-class loop over rows; and with chunks of one slot,
+    # where every trial point goes through Manifold.retract on its own.
+    # Evaluations, accepts and traces must be identical
+    prob = build_instance(problem, 6, 1)
+    runs = []
+    for variant in ("shipped", "per-row overrides", "chunks of one"):
+        if variant == "per-row overrides":
+            for cls in _manifold_classes():
+                for attr in ("_retract_many", "_project_many"):
+                    if attr in vars(cls):
+                        monkeypatch.setattr(cls, attr, getattr(Manifold, attr))
+        elif variant == "chunks of one":
+            monkeypatch.undo()
+            monkeypatch.setattr(solvers, "CHUNK_MAX", 1)
+        got = []
+        for name in ("rds-sb", "rdse-sb", "rds-dd-plus", "rdse-dd-plus"):
+            # a large alpha_eps makes the *-plus runs reach their dense phase
+            extra = {"alpha_eps": 0.2} if name.endswith("plus") else {}
+            cfg = default_config(name, budget=30 * (prob.ambient_dim + 1), seed=4, **extra)
+            got.append(_recorded_run(name, prob, cfg))
+        runs.append(got)
+    assert any(r[8] is not None for r in runs[0])  # a *-plus run switched
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_stream_source_never_stacks_retractions(monkeypatch):
+    def refuse(self, x, T):
+        raise AssertionError("a stream source retracted a stack")
+
+    for cls in _manifold_classes():
+        monkeypatch.setattr(cls, "_retract_many", refuse)
+    prob = build_instance("matrix-completion", 6, 0)
+    for name in ("rds-dd", "rdse-dd"):
+        trace = run_solver(name, prob, default_config(name, budget=200, seed=1))
+        assert trace.success_count > 0
+
+
+def _stack_sizes(monkeypatch, name, budget, manifold):
+    # a constant objective fails every search, so the iterate never moves
+    # and every chunk of the sweep over the slots is reached
+    prob = make_problem(manifold, lambda v: 1.0)
+    sizes = []
+    cls = type(manifold)
+    many = cls._retract_many
+    monkeypatch.setattr(cls, "_retract_many",
+                        lambda self, x, T: sizes.append(len(T)) or many(self, x, T))
+    run_solver(name, prob, default_config(name, budget=budget, seed=0))
+    return sizes
+
+
+def test_poll_chunks_double_from_one_each_round(monkeypatch):
+    # per round over the 80 slots of Sphere(40): slot 0 alone, then 2, 4,
+    # 8 and CHUNK_MAX slots at a time; the lone last slot goes through
+    # Manifold.retract
+    assert CHUNK_MAX == 16
+    sizes = _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 80, Sphere(40))
+    assert sizes == [2, 4, 8, 16, 16, 16, 16] * 2
+
+
+def test_linesearch_retracts_ahead_only_where_retraction_is_costly(monkeypatch):
+    # Stiefel(8, 5) keeps all 80 slots.  The chunk stops at the last slot
+    # and keeps its size across the wrap; the sixth chunk of the second
+    # sweep is retracted before the budget refuses its first evaluation.
+    # On the sphere a retraction is cheap, so nothing is retracted ahead
+    assert Stiefel.costly_retraction and not Sphere.costly_retraction
+    assert Product([Sphere(3), Stiefel(4, 2)]).costly_retraction
+    assert not Product([Sphere(3), Sphere(4)]).costly_retraction
+    sizes = _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Stiefel(8, 5))
+    assert sizes == [2, 4, 8, 16, 16, 16, 16] + [16] * 6
+    assert _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Sphere(40)) == []
