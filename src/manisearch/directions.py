@@ -110,7 +110,6 @@ class SpanningBasis:
     vectors: BasisVectors
     slots: tuple
     measured_b: float
-    drop_tol: float
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -151,7 +150,6 @@ def spanning_basis(x: ManifoldPoint, drop_tol: float = DEFAULT_DROP_TOL) -> Span
         vectors=BasisVectors(x, coords),
         slots=tuple(coords) + tuple(i + n for i in coords),
         measured_b=float(norms[kept].max()),
-        drop_tol=drop_tol,
     )
 
 

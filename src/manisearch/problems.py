@@ -46,6 +46,8 @@ from .manifolds import (
     Sphere,
     Stiefel,
     SymmetricPositiveDefinite,
+    _qr_fixed,
+    _sym,
     product_spheres,
     random_point,
 )
@@ -134,17 +136,6 @@ def _tag(name: str) -> int:
 
 def _payload_rng(name: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, _tag(name)])
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
-
-
-def _qr_cols(rng, m, n):
-    q, r = np.linalg.qr(rng.standard_normal((m, n)))
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +277,8 @@ def _mc_shapes(n_p):
 def _build_completion(name, n_p, seed, absolute):
     m, h, r = _mc_shapes(n_p)
     rng = _payload_rng(name, seed)
-    u_bar = _qr_cols(rng, m, r)
-    v_bar = _qr_cols(rng, h, r)
+    u_bar = _qr_fixed(rng.standard_normal((m, r)))
+    v_bar = _qr_fixed(rng.standard_normal((h, r)))
     s_bar = np.sort(rng.uniform(0.5, 2.0, r))[::-1].copy()
     m_true = (u_bar * s_bar) @ v_bar.T
     mask = rng.random((m, h)) < 0.5
@@ -412,7 +403,7 @@ def _build_procrustes(n_p, seed):
     l = n + 5
     rng = _payload_rng("procrustes", seed)
     a = rng.standard_normal((l, n))
-    x_bar = _qr_cols(rng, n, p)
+    x_bar = _qr_fixed(rng.standard_normal((n, p)))
     b = a @ x_bar + 0.01 * rng.standard_normal((l, p))
     man = Stiefel(n, p)
 
@@ -431,7 +422,7 @@ def _build_sparsest_vector(n_p, seed):
     rng = _payload_rng("sparsest-vector", seed)
     # subspace fraction n/m = 1/4: tall enough that the l1 relaxation
     # landscape is informative rather than saturated with spurious basins
-    q = _qr_cols(rng, 4 * n, n)
+    q = _qr_fixed(rng.standard_normal((4 * n, n)))
     man = Sphere(n)
 
     def f_val(x):

@@ -23,27 +23,20 @@ One registry names each solver by its loop and its sources:
     rdse-dd-plus  rdse-sb until every tentative stepsize falls to alpha_eps, then rdse-dd
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
-On the spanning basis the trial points of upcoming slots at one iterate
-are fixed before any is evaluated, so they are retracted in one stacked
-call per chunk of slots.  RDS polls R(x, alpha d_j) in chunks of 1, 2,
-4, ... up to ``CHUNK_MAX`` slots, restarting at 1 every poll round.
-RDSE retracts the first trial of each upcoming slot's linesearch ahead,
-in chunks of 1 slot after every move, then 2, 4, ... up to
-``CHUNK_MAX``, but only where a retraction factorises a matrix
-(``Manifold.costly_retraction``): on the sphere, simplex and Euclidean
-kinds one stacked call costs more than the unused trials save.
-Evaluation stays lazy and in slot order, so budgets, traces and hooks
-are those of one retraction per trial.  A chunk of one goes through
-``Manifold.retract``, as do the dense stream, zo-rgd and the linesearch
-expansion trials.
+Both loops read their trial points ``R(x, alpha d)`` from one generator,
+``_ahead``, which retracts the trials of upcoming slots at one iterate a
+chunk at a time; its docstring states the chunk rule.  Evaluation stays
+lazy and in slot order, so budgets, traces and hooks are those of one
+retraction per trial.
 
 ``run_solver`` runs any of them: it consumes a problem instance and a
 ``SolverConfig``, spends at most ``budget`` objective evaluations, and
 returns a ``RunTrace`` with the per-evaluation best-value history.
 
 A step is accepted only under sufficient decrease
-``f(new) <= f(old) - gamma * alpha^2``; a NaN value fails that test, so
-it counts as a failed poll.  Everything is deterministic:
+``f(new) <= f(old) - gamma * alpha^2`` by a value above -inf; a NaN or
+-inf trial value fails that test, so it counts as a failed poll, and
+neither becomes the best value of the history.  Everything is deterministic:
 the problem seed fixes the instance and the config seed fixes all
 direction randomness, so identical inputs give identical traces.
 """
@@ -51,6 +44,7 @@ direction randomness, so identical inputs give identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +61,7 @@ from .manifolds import ManifoldPoint, TangentVector, _same_point, random_tangent
 STEP_FLOOR = 1e-16
 # largest number of trial points retracted in one stacked call
 CHUNK_MAX = 16
+_NEG_INF = -np.inf
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def linesearch_extrapolate(
     """Test ``alpha_tilde`` along ``d`` and extrapolate while decrease holds.
 
     One evaluation decides failure: unless ``f(R(x, alpha_tilde d))`` is
-    at most ``f(x) - gamma alpha_tilde^2`` (a NaN value is not) the result
+    at most ``f(x) - gamma alpha_tilde^2`` (a NaN or -inf value is not) the result
     is ``(0, gamma1 * alpha_tilde)``.  On success the step is expanded by
     ``gamma2`` until the decrease test first fails, and the last
     successful step is returned as both the accepted and the next
@@ -179,8 +174,8 @@ def linesearch_extrapolate(
     returned with ``truncated=True``.  A zero direction fails without
     spending an evaluation.  ``first``, when given, must be the first
     trial point ``R(x, alpha_tilde d)``, retracted ahead by the caller
-    (the linesearch solvers retract several in one stacked call); ``d``
-    must still be rooted at ``x``.
+    (the linesearch loop takes it from ``_ahead``); ``d`` must still be
+    rooted at ``x``.
     """
     if not alpha_tilde > 0:
         raise ValueError("alpha_tilde must be > 0")
@@ -197,7 +192,7 @@ def linesearch_extrapolate(
         f_trial = f(trial)
     except BudgetExhausted:
         return LinesearchResult(0.0, alpha_tilde, truncated=True)
-    if not f_trial <= f_x - gamma * alpha_tilde * alpha_tilde:
+    if not _NEG_INF < f_trial <= f_x - gamma * alpha_tilde * alpha_tilde:
         return LinesearchResult(0.0, gamma1 * alpha_tilde)
 
     alpha, f_alpha, pt = alpha_tilde, f_trial, trial
@@ -211,7 +206,7 @@ def linesearch_extrapolate(
             except BudgetExhausted:
                 truncated = True
                 break
-            if f_trial < f_x - gamma * cand * cand:
+            if _NEG_INF < f_trial < f_x - gamma * cand * cand:
                 alpha, f_alpha, pt = cand, f_trial, trial
             else:
                 break
@@ -226,7 +221,10 @@ def linesearch_extrapolate(
 # ---------------------------------------------------------------------------
 
 class _Eval:
-    """Budgeted objective wrapper that records the best-value history."""
+    """Budgeted objective wrapper that records the best-value history.
+
+    A NaN or -inf value never becomes the best value.
+    """
 
     def __init__(self, inst, on_eval=None):
         self.inst = inst
@@ -236,7 +234,7 @@ class _Eval:
 
     def __call__(self, point: ManifoldPoint) -> float:
         f = self.inst.evaluate(point.value)
-        if f < self.best:
+        if _NEG_INF < f < self.best:
             self.best = f
         self.history.append((self.inst.counter, self.best))
         if self.on_eval is not None:
@@ -335,9 +333,6 @@ class _Stream:
     def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
         return dense_direction(self.stream, x, self.drop_tol)
 
-    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
-        return (self.direction(x, start),)
-
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha=float(atil[0]))
 
@@ -346,48 +341,42 @@ class _Stream:
 # trial points
 # ---------------------------------------------------------------------------
 
-def _trials(x: ManifoldPoint, ds, alpha) -> list:
-    """The trial points ``R(x, alpha d)`` for the directions ``ds``, in order.
+def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
+    """Yield ``(d, alpha_s, R(x, alpha_s d))`` for the slots j, j + 1, ... at ``x``.
 
-    ``alpha`` is one stepsize, or a (len(ds), 1) column with one per
-    direction.  Two or more points are retracted in one ``_retract_many``
-    call; a single one goes through ``Manifold.retract``.  A row whose
-    scaled tangent is zero gives ``x`` itself, as ``retract`` does.
+    ``alpha_s`` is ``stepsizes`` at the slot's id ``s``, as a float;
+    after the last slot the slots wrap to 0.  A zero direction comes with
+    ``None`` for its trial point, so it fails without an evaluation.
+
+    The chunk rule: trials are retracted a chunk of slots at a time, when
+    the consumer reaches the chunk, in chunks of 1, 2, 4, ... up to
+    ``cap`` slots; a chunk never runs past the last slot.  A chunk of two
+    or more is one stacked ``_retract_many`` call.  A chunk of one takes
+    its direction from ``source.direction`` (a stream draws it only then)
+    and goes through ``Manifold.retract``.  The poll reads one round from
+    a fresh generator at slot 0 with ``cap = CHUNK_MAX``.  The linesearch
+    starts one at slot k mod K whenever the iterate moves, with ``cap =
+    CHUNK_MAX`` where a retraction factorises a matrix
+    (``Manifold.costly_retraction``) and 1 elsewhere, where a stacked call
+    costs more than the unused trials it computes.
     """
     m = x.manifold
-    if len(ds) == 1:
-        return [m.retract(x, ds[0].scaled(alpha))]
-    if not ds:
-        return []
-    T = np.array([d.value for d in ds]) * alpha
-    # each point owns a copy of its row, as a lone retraction's value does
-    return [ManifoldPoint(m, y.copy()) if moved else x
-            for moved, y in zip(T.any(axis=1).tolist(), m._retract_many(x.value, T))]
-
-
-def _poll_round(ev, st, source, cfg, alpha, on_accept) -> bool:
-    """One poll at the iterate: True on the first sufficient decrease.
-
-    The directions are polled in slot order; a zero direction fails
-    without an evaluation.  The slots are taken in chunks of 1, 2, 4, ...
-    up to ``CHUNK_MAX``, and a chunk's trial points are retracted
-    together when the poll reaches it, then evaluated one at a time.
-    An accepted trial point becomes the iterate.
-    """
-    n, start, c = len(source.slots(st.x)), 0, 1
-    while start < n:
-        stop = min(start + c, n)
-        ds = [d for d in source.directions(st.x, start, stop) if not d.is_zero()]
-        for d, trial in zip(ds, _trials(st.x, ds, alpha)):
-            f_trial = ev(trial)
-            if f_trial <= st.fx - cfg.gamma * alpha * alpha:
-                if on_accept is not None:
-                    on_accept(st.x, d, alpha, st.fx, f_trial)
-                st.x, st.fx = trial, f_trial
-                st.succ += 1
-                return True
-        start, c = stop, min(2 * c, CHUNK_MAX)
-    return False
+    slots = source.slots(x)
+    n, c = len(slots), 1
+    while True:
+        stop = min(j + c, n)
+        if stop - j == 1:
+            d, a = source.direction(x, j), float(stepsizes[slots[j]])
+            y = m.retract(x, d.scaled(a))
+            yield d, a, None if y is x else y  # a zero step retracts to x itself
+        else:
+            ds, a = source.directions(x, j, stop), stepsizes[slots[j:stop]]
+            T = np.array([d.value for d in ds]) * a[:, None]
+            # each point owns a copy of its row, as a lone retraction's value does
+            yield from zip(ds, a.tolist(), [
+                ManifoldPoint(m, y.copy()) if moved else None
+                for moved, y in zip(T.any(axis=1).tolist(), m._retract_many(x.value, T))])
+        j, c = stop % n, min(2 * c, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +393,23 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     because the stepsize fell to ``switch_at``.
     """
     alpha = cfg.alpha0
+    alphas = np.empty(source.n_slots)  # alpha in every slot, as _ahead reads it
     try:
         while alpha >= STEP_FLOOR:
-            if _poll_round(ev, st, source, cfg, alpha, on_accept):
-                alpha *= cfg.gamma2
+            n = len(source.slots(st.x))
+            bound = st.fx - cfg.gamma * alpha * alpha
+            alphas.fill(alpha)
+            for d, _, trial in islice(_ahead(st.x, source, 0, alphas, CHUNK_MAX), n):
+                if trial is None:
+                    continue
+                f_trial = ev(trial)
+                if _NEG_INF < f_trial <= bound:
+                    if on_accept is not None:
+                        on_accept(st.x, d, alpha, st.fx, f_trial)
+                    st.x, st.fx = trial, f_trial
+                    st.succ += 1
+                    alpha *= cfg.gamma2
+                    break
             else:
                 alpha *= cfg.gamma1
             st.iters += 1
@@ -427,46 +429,30 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     drops out of the basis keeps its stepsize until it reappears.  Stops
     when every stepsize of the current directions is below the floor, or
     at the budget; returns True when it stopped because every one fell
-    to ``switch_at``.
-
-    Where a retraction factorises a matrix (``costly_retraction``), the
-    first trial points of the next slots at an unchanged iterate are
-    retracted ahead, a chunk of slots at a time: 1 slot after every move,
-    then 2, 4, ... up to ``CHUNK_MAX``, never past the last slot.  Each
-    linesearch still evaluates its own trials, in order.
+    to ``switch_at``.  The first trial of each linesearch comes from
+    ``_ahead``, restarted whenever the iterate moves.
     """
     atil = np.full(source.n_slots, float(cfg.alpha0))
     k = 0
-    ahead_pays = source.n_slots > 1 and st.x.manifold.costly_retraction
-    # (direction, first trial) of slots j, j + 1, ... of the current chunk
-    # at iterate `base`; iterations take the slots in this order
-    base, ahead, c = None, [], 1
+    cap = CHUNK_MAX if st.x.manifold.costly_retraction else 1
+    trials = None
     try:
         while True:
             slots = source.slots(st.x)
             if atil[slots].max() < STEP_FLOOR:
                 break
             j = k % len(slots)
-            if ahead_pays:
-                if st.x is not base:
-                    base, ahead, c = st.x, [], 1
-                if not ahead:
-                    ds = source.directions(st.x, j, min(j + c, len(slots)))
-                    firsts = [None] if len(ds) == 1 else _trials(
-                        st.x, ds, atil[slots[j:j + len(ds)], None])
-                    ahead = list(zip(ds, firsts))
-                    c = min(2 * c, CHUNK_MAX)
-                d, first = ahead.pop(0)
-            else:
-                d, first = source.direction(st.x, j), None
+            if trials is None:
+                trials = _ahead(st.x, source, j, atil, cap)
+            d, a, first = next(trials)
             res = linesearch_extrapolate(
-                ev, st.x, float(atil[slots[j]]), d, cfg,
-                f_x=st.fx, on_accept=on_accept, first=first,
+                ev, st.x, a, d, cfg, f_x=st.fx, on_accept=on_accept, first=first,
             )
             atil[slots[j]] = res.alpha_next
             if res.alpha > 0:
                 st.x, st.fx = res.accepted_point, res.f_accepted
                 st.succ += 1
+                trials = None
             if res.truncated:
                 st.exhausted = True
                 break

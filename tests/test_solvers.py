@@ -475,20 +475,27 @@ def test_accepts_stay_strict_once_decrease_is_below_rounding():
     assert trace.evals_used < cfg.budget
 
 
-def test_nan_trial_is_a_failed_poll():
-    # f is NaN on the cap x_0 > 0.9 and -x_0 elsewhere: a NaN trial must
-    # fail the linesearch test, not become the incumbent value
+@pytest.mark.parametrize("name", [n for n in SOLVER_NAMES if n != "zo-rgd"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_nan_trial_is_a_failed_poll(value, name):
+    # f is NaN (or -inf) on the cap x_0 > 0.9 and -x_0 elsewhere: such a
+    # trial must fail every sufficient-decrease test, not become the
+    # incumbent value
     sph = Sphere(3)
     start = sph.point(np.array([0.8, 0.6, 0.0]))
-    prob = make_problem(sph, lambda v: np.nan if v[0] > 0.9 else float(-v[0]),
+    prob = make_problem(sph, lambda v: value if v[0] > 0.9 else float(-v[0]),
                         start=start)
-    cfg = default_config("rdse-sb", budget=200, seed=0)
+    cfg = default_config(name, budget=200, seed=0)
     accepts = []
-    trace = run_solver("rdse-sb", prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
+    trace = run_solver(name, prob, cfg, on_accept=lambda x, d, a, f_old, f_new:
                        accepts.append((f_old, f_new)))
     assert accepts
     assert all(f_new < f_old for f_old, f_new in accepts)
-    assert prob.raw_f(trace.final_point.value) == trace.best_f
+    if name == "rdse-sb" and np.isnan(value):
+        assert prob.raw_f(trace.final_point.value) == trace.best_f
+    else:
+        assert all(np.isfinite(f_new) for _, f_new in accepts)
+        assert np.isfinite(trace.best_f)
 
 
 def test_visited_points_stay_feasible():
@@ -621,6 +628,27 @@ def test_stream_source_never_stacks_retractions(monkeypatch):
     for name in ("rds-dd", "rdse-dd"):
         trace = run_solver(name, prob, default_config(name, budget=200, seed=1))
         assert trace.success_count > 0
+
+
+@pytest.mark.parametrize("problem,n", [("sparsest-vector", 6), ("nonsmooth-mc", 9),
+                                       ("largest-eig", 5)])
+@pytest.mark.parametrize("budget", [50, 300, 3000])
+@pytest.mark.parametrize("name", ["rds-dd", "rdse-dd"])
+def test_stream_source_draws_one_direction_per_search(name, problem, n, budget,
+                                                      monkeypatch):
+    # each search draws its direction when it starts, never ahead of it:
+    # one draw per iteration, plus the search the budget cut short
+    draws = []
+
+    class Counted(solvers.DenseDirectionStream):
+        def next_ambient(self):
+            draws.append(self.counter)
+            return super().next_ambient()
+
+    monkeypatch.setattr(solvers, "DenseDirectionStream", Counted)
+    prob = build_instance(problem, n, 0)
+    trace = run_solver(name, prob, default_config(name, budget=budget, seed=2))
+    assert len(draws) == trace.iterations + (trace.stop_reason == "budget")
 
 
 def _stack_sizes(monkeypatch, name, budget, manifold):
