@@ -9,9 +9,9 @@ tangent is ``c * t`` and the zero test is ``not t.any()``.  Fixed-rank
 points and tangents are stored factored, packed flat by
 ``FixedRank.pack``.  This module alone knows the layouts: ``_unpack``
 returns reshaped views of a point value in the shapes the objectives
-read.  Coordinate directions and random ambient directions enter
-through ``project_tangent`` and the resulting tangent vectors are moved
-along with ``retract``.
+read.  Random ambient directions enter through ``project_tangent``, the
+coordinate directions of a spanning basis through ``_project_many``, and
+the resulting tangent vectors are moved along with ``retract``.
 
 A search fixes several trial points at one iterate before it evaluates
 any of them, and numpy call overhead, not arithmetic, dominates the cost
@@ -74,14 +74,6 @@ class TangentVector:
     def scaled(self, c: float) -> "TangentVector":
         return TangentVector(self.point, self.value * c)
 
-    def __neg__(self) -> "TangentVector":
-        return self.scaled(-1.0)
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        if not _same_point(self.point, other.point):
-            raise BaseMismatch("cannot add tangent vectors with different base points")
-        return TangentVector(self.point, self.value + other.value)
-
     def norm(self) -> float:
         """Riemannian norm at the base point."""
         m = self.manifold
@@ -143,10 +135,6 @@ class Manifold:
         # override this with stacked numpy calls that give the same rows
         # bitwise
         return np.array([self._project(x, a) for a in A])
-
-    def _coord_sqnorms(self, x) -> np.ndarray:
-        # diag of the ambient-orthogonal projector at x: |P e_i|^2 = P_ii
-        raise NotImplementedError
 
     def _retract(self, x, t) -> np.ndarray:
         raise NotImplementedError
@@ -308,9 +296,6 @@ class Sphere(Manifold):
     def _project(self, x, a):
         return a - (a @ x) * x
 
-    def _coord_sqnorms(self, x):
-        return 1.0 - x * x  # diag(I - x x^T)
-
     def _project_many(self, x, A):
         return A - _row_dots(A, x) * x
 
@@ -362,12 +347,6 @@ class Stiefel(Manifold):
     def _project(self, x, a):
         x, z = self._unpack(x), self._unpack(a)
         return (z - x @ _sym(x.T @ z)).ravel()
-
-    def _coord_sqnorms(self, x):
-        # P_(ij),(ij) = 1 - (|X_i,:|^2 + X_ij^2) / 2
-        x = self._unpack(x)
-        xx = x * x
-        return (1.0 - 0.5 * (xx.sum(axis=1, keepdims=True) + xx)).ravel()
 
     def _project_many(self, x, A):
         x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
@@ -512,13 +491,6 @@ class FixedRank(Manifold):
         vp = ztu - v @ mid.swapaxes(-1, -2)
         return self._pack_rows(mid, up, vp)
 
-    def _coord_sqnorms(self, x):
-        # P_(ij),(ij) = a_i + b_j - a_i b_j with a = |U_i,:|^2, b = |V_j,:|^2
-        u, s, v = self._unpack(x)
-        a = np.sum(u * u, axis=1)[:, None]
-        b = np.sum(v * v, axis=1)[None, :]
-        return (a + b - a * b).ravel()
-
     @staticmethod
     def _complement_factor(u, up):
         # qr of a rank-deficient block can emit filler columns leaking
@@ -653,10 +625,6 @@ class SymmetricPositiveDefinite(Manifold):
     def _project(self, x, a):
         return _sym(self._unpack(a)).ravel()
 
-    def _coord_sqnorms(self, x):
-        # |sym(E_ij)|^2 = 1 if i == j, else 1/2
-        return np.where(np.eye(self.d, dtype=bool), 1.0, 0.5).ravel()
-
     def _project_many(self, x, A):
         return _sym(A.reshape(len(A), self.d, self.d)).reshape(len(A), -1)
 
@@ -718,9 +686,6 @@ class PositiveSimplex(Manifold):
     def _project(self, x, a):
         return a - a.mean()
 
-    def _coord_sqnorms(self, x):
-        return np.full(self.k, 1.0 - 1.0 / self.k)  # diag(I - 11^T / k)
-
     def _retract(self, x, t):
         z = t / x
         z -= z.max()  # rescaling cancels in the normalisation
@@ -777,9 +742,6 @@ class Euclidean(Manifold):
     def _project(self, x, a):
         return a.copy()
 
-    def _coord_sqnorms(self, x):
-        return np.ones(self.ambient_dim)  # identity projector
-
     def _retract(self, x, t):
         return x + t
 
@@ -832,12 +794,6 @@ class Product(Manifold):
     def _project(self, x, a):
         return np.concatenate(
             [b._project(x[sl], a[sl]) for b, sl in zip(self.blocks, self._slices)]
-        )
-
-    def _coord_sqnorms(self, x):
-        # block-diagonal projector: the blocks' diagonals in flat order
-        return np.concatenate(
-            [b._coord_sqnorms(x[sl]) for b, sl in zip(self.blocks, self._slices)]
         )
 
     def _project_many(self, x, A):

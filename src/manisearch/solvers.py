@@ -34,9 +34,9 @@ retraction per trial.
 returns a ``RunTrace`` with the per-evaluation best-value history.
 
 A step is accepted only under sufficient decrease
-``f(new) <= f(old) - gamma * alpha^2`` by a value above -inf; a NaN or
--inf trial value fails that test, so it counts as a failed poll, and
-neither becomes the best value of the history.  Everything is deterministic:
+``f(new) <= f(old) - gamma * alpha^2`` by a finite value; a NaN or
+infinite trial value fails that test, so it counts as a failed poll, and
+never becomes the best value of the history.  Everything is deterministic:
 the problem seed fixes the instance and the config seed fixes all
 direction randomness, so identical inputs give identical traces.
 """
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,7 +164,7 @@ def linesearch_extrapolate(
     """Test ``alpha_tilde`` along ``d`` and extrapolate while decrease holds.
 
     One evaluation decides failure: unless ``f(R(x, alpha_tilde d))`` is
-    at most ``f(x) - gamma alpha_tilde^2`` (a NaN or -inf value is not) the result
+    finite and at most ``f(x) - gamma alpha_tilde^2`` the result
     is ``(0, gamma1 * alpha_tilde)``.  On success the step is expanded by
     ``gamma2`` until the decrease test first fails, and the last
     successful step is returned as both the accepted and the next
@@ -192,7 +193,7 @@ def linesearch_extrapolate(
         f_trial = f(trial)
     except BudgetExhausted:
         return LinesearchResult(0.0, alpha_tilde, truncated=True)
-    if not _NEG_INF < f_trial <= f_x - gamma * alpha_tilde * alpha_tilde:
+    if not (isfinite(f_trial) and f_trial <= f_x - gamma * alpha_tilde * alpha_tilde):
         return LinesearchResult(0.0, gamma1 * alpha_tilde)
 
     alpha, f_alpha, pt = alpha_tilde, f_trial, trial
@@ -206,7 +207,7 @@ def linesearch_extrapolate(
             except BudgetExhausted:
                 truncated = True
                 break
-            if _NEG_INF < f_trial < f_x - gamma * cand * cand:
+            if isfinite(f_trial) and f_trial < f_x - gamma * cand * cand:
                 alpha, f_alpha, pt = cand, f_trial, trial
             else:
                 break
@@ -288,7 +289,8 @@ class _Basis:
     """The projected spanning basis at the iterate, one slot per signed coordinate.
 
     The basis is rebuilt only when the iterate has moved, so a failed
-    poll or linesearch reuses the directions already projected.
+    poll or linesearch reuses the directions already projected.  A
+    direction is a row of the basis' ``values`` wrapped as a tangent vector.
     """
 
     def __init__(self, problem, cfg):
@@ -303,11 +305,12 @@ class _Basis:
         return self._slots
 
     def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
-        return self.basis.vectors[j]
+        return TangentVector(x, self.basis.values[j])
 
     def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
-        # slots start..stop-1; their missing directions are projected together
-        return self.basis.vectors[start:stop]
+        # the rows of slots start..stop-1 as one stack, and as tangent vectors
+        rows = self.basis.values[start:stop]
+        return rows, [TangentVector(x, v) for v in rows]
 
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha_by_slot={int(i): float(a) for i, a in enumerate(atil)})
@@ -370,8 +373,8 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
             y = m.retract(x, d.scaled(a))
             yield d, a, None if y is x else y  # a zero step retracts to x itself
         else:
-            ds, a = source.directions(x, j, stop), stepsizes[slots[j:stop]]
-            T = np.array([d.value for d in ds]) * a[:, None]
+            (rows, ds), a = source.directions(x, j, stop), stepsizes[slots[j:stop]]
+            T = rows * a[:, None]
             # each point owns a copy of its row, as a lone retraction's value does
             yield from zip(ds, a.tolist(), [
                 ManifoldPoint(m, y.copy()) if moved else None
@@ -403,7 +406,7 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
                 if trial is None:
                     continue
                 f_trial = ev(trial)
-                if _NEG_INF < f_trial <= bound:
+                if isfinite(f_trial) and f_trial <= bound:
                     if on_accept is not None:
                         on_accept(st.x, d, alpha, st.fx, f_trial)
                     st.x, st.fx = trial, f_trial

@@ -86,7 +86,7 @@ def test_basis_vectors_tangent_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# lazy basis against an eager oracle
+# the basis against an eager oracle
 # ---------------------------------------------------------------------------
 
 def _coordinate(n, i):
@@ -167,43 +167,17 @@ def test_lazy_basis_matches_eager_oracle_at_degenerate_points():
         _assert_matches_eager(x)
 
 
-def test_lazy_basis_any_access_order_gives_same_vectors():
-    x = sample_point(Stiefel(7, 3), np.random.default_rng(89))
-    _, values, _ = _eager_basis(x)
-    basis = spanning_basis(x)
-    for j in reversed(range(len(basis))):
-        assert np.array_equal(basis.vectors[j].value, values[j])
-    assert np.array_equal(basis.vectors[-1].value, values[-1])
-    assert basis.vectors[:2] == tuple(basis.vectors)[:2]  # the cached objects
-
-
-@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
-def test_coord_sqnorms_is_projector_diagonal(m):
-    rng = np.random.default_rng(97)
-    n = m.ambient_dim
-    for _ in range(5):
-        x = sample_point(m, rng)
-        q = m._coord_sqnorms(x.value)
-        assert q.shape == (n,)
-        for i in range(n):
-            t = m._project(x.value, _coordinate(n, i))
-            assert abs(q[i] - m.tangent_ambient_norm(x.value, t) ** 2) <= 1e-12
-
-
-def test_polling_first_vector_projects_once(monkeypatch):
+def test_basis_build_projects_in_one_stacked_call(monkeypatch):
     m = Stiefel(7, 3)
     x = sample_point(m, np.random.default_rng(101))
     calls = []
-    project = m._project
-    monkeypatch.setattr(m, "_project", lambda xv, a: calls.append(1) or project(xv, a))
+    project, project_many = m._project, m._project_many
+    monkeypatch.setattr(m, "_project", lambda xv, a: calls.append("one") or project(xv, a))
+    monkeypatch.setattr(m, "_project_many",
+                        lambda xv, A: calls.append("many") or project_many(xv, A))
     basis = spanning_basis(x)
-    assert calls == []
-    first = basis.vectors[0]
-    assert len(calls) == 1
-    # the minus sign was cached with the plus sign
-    assert np.array_equal(basis.vectors[len(basis) // 2].value, first.value * -1.0)
-    assert basis.vectors[0] is first
-    assert len(calls) == 1
+    assert len(basis.vectors) == len(basis) > 0  # wrapping the rows projects nothing
+    assert calls == ["many"]
 
 
 # ---------------------------------------------------------------------------

@@ -476,14 +476,16 @@ def test_accepts_stay_strict_once_decrease_is_below_rounding():
 
 
 @pytest.mark.parametrize("name", [n for n in SOLVER_NAMES if n != "zo-rgd"])
-@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf], ids=["nan", "-inf", "+inf"])
 def test_nan_trial_is_a_failed_poll(value, name):
     # f is NaN (or -inf) on the cap x_0 > 0.9 and -x_0 elsewhere: such a
     # trial must fail every sufficient-decrease test, not become the
-    # incumbent value
+    # incumbent value.  f is +inf off the cap x_0 >= 0.95, the start
+    # included, where inf <= inf - gamma alpha^2 would accept a +inf trial
     sph = Sphere(3)
     start = sph.point(np.array([0.8, 0.6, 0.0]))
-    prob = make_problem(sph, lambda v: value if v[0] > 0.9 else float(-v[0]),
+    where = (lambda v: v[0] < 0.95) if value == np.inf else (lambda v: v[0] > 0.9)
+    prob = make_problem(sph, lambda v: value if where(v) else float(-v[0]),
                         start=start)
     cfg = default_config(name, budget=200, seed=0)
     accepts = []
