@@ -24,6 +24,7 @@ from .manifolds import (
     Sphere,
     Stiefel,
     SymmetricPositiveDefinite,
+    TangentVector,
     product_spheres,
     random_tangent,
 )
@@ -90,9 +91,11 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
     results = []
     for m in manifolds:
         rng = np.random.default_rng([seed, 11])
-        idem = adj = feas = bound = 0.0
+        idem = adj = feas = bound = stack_feas = 0.0
         ratio_lo, ratio_hi = np.inf, 0.0
         block_gap = 0.0
+        stack_gap = False
+        coords = np.eye(m.ambient_dim)[[0, -1]]
         for _ in range(cases):
             x = sample_point(m, rng)
             u_amb = rng.standard_normal(m.ambient_dim)
@@ -127,9 +130,18 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
                         ratio_lo = min(ratio_lo, e1 / e2)
                         ratio_hi = max(ratio_hi, e1 / e2)
 
+                # a poll chunk's stacked retraction, less its zero steps
+                T = np.vstack([pu.value, pw.value, big.value, small.value,
+                               m._project_many(x.value, coords)])
+                T = T[T.any(axis=1)]
+                for row, y in zip(T, m._retract_many(x.value, T)):
+                    stack_feas = max(stack_feas, m.point(y, validate=False).residual())
+                    single = m.retract(x, TangentVector(x, row)).value
+                    stack_gap |= not np.array_equal(y, single)
+
             if isinstance(m, Product):
                 manual = np.concatenate([
-                    b._project(x.value[sl], u_amb[sl])
+                    b._project_many(x.value[sl], u_amb[None, sl])[0]
                     for b, sl in zip(m.blocks, m._slices)
                 ])
                 if not np.array_equal(m.project_tangent(x, u_amb).value, manual):
@@ -152,6 +164,10 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
         else:
             results.append(CheckResult(
                 f"geometry/retraction-order {name}", True, "exact (skipped)"))
+        results.append(CheckResult(
+            f"geometry/stacked-retraction {name}", stack_feas <= 1e-8 and not stack_gap,
+            f"max residual {stack_feas:.2e}, rows {'differ from' if stack_gap else 'equal'}"
+            " single retractions"))
         if isinstance(m, Product):
             results.append(CheckResult(
                 f"geometry/blockwise {name}", block_gap == 0.0, "exact equality"))

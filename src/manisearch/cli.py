@@ -116,6 +116,14 @@ def _resolve_run_settings(args) -> dict:
         budget_mult = int(cfg.get("budget_mult", 100))
     except ValueError as exc:
         raise CliError(f"bad numeric value in configuration: {exc}") from None
+    for key, values in (("problems", problems), ("dims", dims), ("seeds", seeds),
+                        ("solvers", solvers), ("taus", taus)):
+        if not values:
+            raise CliError(f"{key} needs at least one value")
+        # a repeated solver or tau would run or count the same thing twice
+        twice = [v for i, v in enumerate(values) if v in values[:i]]
+        if key in ("solvers", "taus") and twice:
+            raise CliError(f"{key} lists {twice[0]!r} twice")
     for d in dims:
         if d < 2:
             raise CliError(f"dimension must be an integer >= 2, got {d}")
@@ -219,6 +227,8 @@ def cmd_profile(args) -> int:
             else table.taus())
     kinds = ("performance", "data") if args.kind == "both" else (args.kind,)
     budget_mult = args.budget_mult if args.budget_mult is not None else 100
+    if budget_mult < 1:
+        raise CliError("budget_mult must be >= 1")
     prof_dir = out / "profiles"
     prof_dir.mkdir(parents=True, exist_ok=True)
     written = 0

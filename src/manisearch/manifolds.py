@@ -18,9 +18,10 @@ any of them, and numpy call overhead, not arithmetic, dominates the cost
 of one small retraction.  ``_retract_many`` and ``_project_many`` take a
 (k, len) stack of rows at one point and return the k results in one
 stacked numpy call (``np.linalg.qr``, ``svd``, ``solve`` and ``matmul``
-loop over a stack matrix by matrix); every row is bitwise the row that
-``_retract`` or ``_project`` returns alone.  The base class loops over
-the rows.
+loop over a stack matrix by matrix).  A kind's one projection is
+``_project_many``, and ``project_tangent`` projects a stack of one.  The
+retraction keeps a lone ``_retract`` too, cheaper than a stack of one on
+the hot path; every row of ``_retract_many`` is bitwise its ``_retract``.
 
 Supported kinds and their stable names:
 
@@ -127,14 +128,10 @@ class Manifold:
         """Views of the point value ``x`` in the shapes its objective reads."""
         return x
 
-    def _project(self, x, a_flat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _project_many(self, x, A) -> np.ndarray:
-        # row i is _project(x, A[i]) for a (k, ambient_dim) stack A; kinds
-        # override this with stacked numpy calls that give the same rows
-        # bitwise
-        return np.array([self._project(x, a) for a in A])
+        # the projections of the rows of a (k, ambient_dim) stack A; row i
+        # is bitwise the same in any stack holding A[i], one of one included
+        raise NotImplementedError
 
     def _retract(self, x, t) -> np.ndarray:
         raise NotImplementedError
@@ -204,7 +201,7 @@ class Manifold:
             raise InvalidShape(
                 f"expected ambient dimension {self.ambient_dim}, got {a_flat.size}"
             )
-        return TangentVector(x, self._project(x.value, a_flat))
+        return TangentVector(x, self._project_many(x.value, a_flat[None])[0])
 
     def retract(self, x: ManifoldPoint, d: TangentVector) -> ManifoldPoint:
         """Move from ``x`` along tangent ``d`` and land back on the manifold.
@@ -293,9 +290,6 @@ class Sphere(Manifold):
     def spec_string(self) -> str:
         return f"sphere({self.n})"
 
-    def _project(self, x, a):
-        return a - (a @ x) * x
-
     def _project_many(self, x, A):
         return A - _row_dots(A, x) * x
 
@@ -343,10 +337,6 @@ class Stiefel(Manifold):
 
     def _unpack(self, x):
         return x.reshape(self.n, self.p)
-
-    def _project(self, x, a):
-        x, z = self._unpack(x), self._unpack(a)
-        return (z - x @ _sym(x.T @ z)).ravel()
 
     def _project_many(self, x, A):
         x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
@@ -470,16 +460,6 @@ class FixedRank(Manifold):
     def _pack_rows(*factors) -> np.ndarray:
         # pack of each row of stacked factors
         return np.concatenate([f.reshape(len(f), -1) for f in factors], axis=1)
-
-    def _project(self, x, a):
-        u, s, v = self._unpack(x)
-        z = a.reshape(self.m, self.h)
-        zv = z @ v
-        ztu = z.T @ u
-        mid = u.T @ zv
-        up = zv - u @ mid
-        vp = ztu - v @ mid.T
-        return self.pack(mid, up, vp)
 
     def _project_many(self, x, A):
         u, s, v = self._unpack(x)
@@ -622,9 +602,6 @@ class SymmetricPositiveDefinite(Manifold):
     def _unpack(self, x):
         return x.reshape(self.d, self.d)
 
-    def _project(self, x, a):
-        return _sym(self._unpack(a)).ravel()
-
     def _project_many(self, x, A):
         return _sym(A.reshape(len(A), self.d, self.d)).reshape(len(A), -1)
 
@@ -683,9 +660,6 @@ class PositiveSimplex(Manifold):
     def spec_string(self) -> str:
         return f"simplex({self.k})"
 
-    def _project(self, x, a):
-        return a - a.mean()
-
     def _retract(self, x, t):
         z = t / x
         z -= z.max()  # rescaling cancels in the normalisation
@@ -739,13 +713,12 @@ class Euclidean(Manifold):
     def _unpack(self, x):
         return x.reshape(self.shape)
 
-    def _project(self, x, a):
-        return a.copy()
+    def _project_many(self, x, A):
+        return A.copy()
 
     def _retract(self, x, t):
         return x + t
 
-    _project_many = _project
     _retract_many = _retract
 
     def _inner(self, x, u, v):
@@ -790,11 +763,6 @@ class Product(Manifold):
 
     def _unpack(self, x):
         return tuple(b._unpack(x[sl]) for b, sl in zip(self.blocks, self._slices))
-
-    def _project(self, x, a):
-        return np.concatenate(
-            [b._project(x[sl], a[sl]) for b, sl in zip(self.blocks, self._slices)]
-        )
 
     def _project_many(self, x, A):
         return np.concatenate(

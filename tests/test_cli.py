@@ -141,6 +141,14 @@ def test_profile_bucket_filter_can_empty(tmp_path, capsys):
     assert "bucket" in capsys.readouterr().err
 
 
+def test_profile_rejects_budget_mult_below_one(tmp_path, capsys):
+    out = tmp_path / "res"
+    main(RUN_ARGS + ["--out", str(out)])
+    assert main(["profile", "--out", str(out), "--budget-mult", "-5"]) == 1
+    assert "budget_mult must be >= 1" in capsys.readouterr().err
+    assert not (out / "profiles").exists()
+
+
 def test_profile_missing_table(tmp_path):
     assert main(["profile", "--out", str(tmp_path / "nothing")]) == 1
 
@@ -182,7 +190,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     (["--config", "typo.cfg"], "rds-xb.gamma1"),
     (["--dims", "4,1"], "dimension must be an integer >= 2, got 1"),
     (["--seeds", "-1"], "seed must be an integer >= 0, got -1"),
-], ids=["override-solver", "dims", "seeds"])
+    (["--problems", ""], "problems needs at least one value"),
+    (["--dims", ","], "dims needs at least one value"),
+    (["--seeds", ""], "seeds needs at least one value"),
+    (["--solvers", ","], "solvers needs at least one value"),
+    (["--tau", ","], "taus needs at least one value"),
+    (["--solvers", "rds-sb,rdse-sb,rds-sb"], "solvers lists 'rds-sb' twice"),
+    (["--tau", "0.1,1e-1"], "taus lists 0.1 twice"),
+], ids=["override-solver", "dims", "seeds", "no-problems", "no-dims", "no-seeds",
+        "no-solvers", "no-taus", "repeated-solver", "repeated-tau"])
 def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
                                                  flags, named):
     monkeypatch.chdir(tmp_path)
@@ -215,14 +231,26 @@ def test_check_detects_broken_retraction():
     assert any("feasibility" in r.name for r in failed)
 
 
+def test_check_detects_broken_stacked_retraction():
+    # a poll chunk of two or more slots goes through _retract_many, which
+    # the single-call checks never reach
+    class BrokenStackSphere(Sphere):
+        def _retract_many(self, x, T):
+            return x + T  # skips the normalisation
+
+    results = geometry_checks([BrokenStackSphere(6)], seed=0, cases=20)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["geometry/stacked-retraction sphere(6)"]
+
+
 def test_check_detects_corrupted_nested_block():
     # the corruption sits in one column of the Stiefel block's slice of
     # the flat tangent; the sphere block is left intact
     class CorruptProduct(Product):
-        def _project(self, x, a):
-            t = super()._project(x, a)
-            t[4::2] *= 2.0
-            return t
+        def _project_many(self, x, A):
+            T = super()._project_many(x, A)
+            T[:, 4::2] *= 2.0
+            return T
 
     man = CorruptProduct([Sphere(3), Stiefel(4, 2)])
     results = geometry_checks([man], seed=0, cases=5)

@@ -226,8 +226,8 @@ def test_product_operations_match_blockwise():
         xs, xst = x.value[:3], x.value[3:]
         a_s, a_st = a[:3], a[3:]
         sph, st = prod.blocks
-        man_s = sph._project(xs, a_s)
-        man_st = st._project(xst, a_st)
+        man_s = sph._project_many(xs, a_s[None])[0]
+        man_st = st._project_many(xst, a_st[None])[0]
         assert np.array_equal(got.value[:3], man_s)
         assert np.array_equal(got.value[3:], man_st)
 
@@ -256,7 +256,7 @@ def test_product_retract_leaves_untouched_blocks_bitwise():
 # ---------------------------------------------------------------------------
 
 def _tangent_stacks(m, x, rng):
-    """Stacks of tangents at x, built one row at a time with ``_project``.
+    """Stacks of tangents at x, projected with ``_project_many``.
 
     The projected coordinate directions of both signs (each touches one
     product block, and they drive fixed-rank into its
@@ -264,8 +264,8 @@ def _tangent_stacks(m, x, rng):
     few coordinate directions and a zero row, and a single row.
     """
     n = m.ambient_dim
-    coords = np.array([m._project(x, e) for e in np.eye(n)])
-    randoms = np.array([m._project(x, a) for a in rng.standard_normal((4, n))])
+    coords = m._project_many(x, np.eye(n))
+    randoms = m._project_many(x, rng.standard_normal((4, n)))
     mixed = np.vstack([randoms[:2], coords[:3], np.zeros((1, coords.shape[1])), randoms[2:]])
     for scale in (1e-6, 0.5, 4.0):
         yield np.vstack([coords, -coords]) * scale
@@ -274,15 +274,25 @@ def _tangent_stacks(m, x, rng):
 
 
 @pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
-def test_stacked_geometry_matches_per_row_bitwise(m):
+def test_projection_rows_are_independent_of_their_stack(m):
+    # a basis projects its n coordinates as one stack and a dense direction
+    # is a stack of one, so a row may not depend on its neighbours
     rng = np.random.default_rng(61)
     n = m.ambient_dim
     for _ in range(3):
-        x = sample_point(m, rng).value
+        x = sample_point(m, rng)
         A = np.vstack([np.eye(n), rng.standard_normal((3, n))])
-        for rows in (A, A[-1:]):
-            want = np.array([m._project(x, a) for a in rows])
-            assert np.array_equal(m._project_many(x, rows), want)
+        P = m._project_many(x.value, A)
+        for i, a in enumerate(A):
+            assert np.array_equal(P[i], m._project_many(x.value, A[i:i + 1])[0])
+            assert np.array_equal(P[i], m.project_tangent(x, a).value)
+
+
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
+def test_stacked_geometry_matches_per_row_bitwise(m):
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        x = sample_point(m, rng).value
         for T in _tangent_stacks(m, x, rng):
             want = np.array([m._retract(x, t) for t in T])
             assert np.array_equal(m._retract_many(x, T), want)
@@ -296,7 +306,7 @@ def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
         many = b._retract_many
         monkeypatch.setattr(b, "_retract_many",
                             lambda xb, T, many=many: seen.append(len(T)) or many(xb, T))
-    T = np.array([prod._project(x, a) for a in np.eye(11)[[0, 1, 5]]])
+    T = prod._project_many(x, np.eye(11)[[0, 1, 5]])
     prod._retract_many(x, T)
     assert seen == [2, 1]  # rows 0 and 1 move the sphere, row 2 the Stiefel block
 
@@ -310,7 +320,7 @@ def test_fixed_rank_coordinate_steps_leak_into_span_u():
     x = fr.random_point(rng).value
     u = fr._unpack(x)[0]
     A = np.vstack([np.eye(30), rng.standard_normal((4, 30))])
-    T = np.array([fr._project(x, a) for a in A])
+    T = fr._project_many(x, A)
     q, _ = np.linalg.qr(fr._unpack_tangents(T)[1])
     leaks = np.abs(u.T @ q).max(axis=(1, 2)) > 1e-12
     assert leaks[:30].all() and not leaks[30:].any()
