@@ -190,6 +190,10 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
                 tangency = max(tangency, m.tangency_residual(x, v))
                 max_norm = max(max_norm, v.ambient_norm())
             tau_min = min(tau_min, measure_tau(basis, trials, [seed, 29, i]))
+        x = sample_point(m, np.random.default_rng([seed, 31]))
+        stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
+        dense_tangency = max(m.tangency_residual(x, dense_direction(stream, x))
+                             for _ in range(20))
         name = m.spec_string()
         results.append(CheckResult(
             f"directions/tangency {name}", tangency <= 1e-10, f"max {tangency:.2e}"))
@@ -199,6 +203,9 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         results.append(CheckResult(
             f"directions/cosine-measure {name}", tau_min > 0,
             f"min tau estimate {tau_min:.4f}"))
+        results.append(CheckResult(
+            f"directions/dense-tangency {name}", dense_tangency <= 1e-10,
+            f"max {dense_tangency:.2e} over 20 dense directions"))
 
     s1 = DenseDirectionStream(seed=3, ambient_dim=7)
     s2 = DenseDirectionStream(seed=3, ambient_dim=7)

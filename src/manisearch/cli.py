@@ -85,6 +85,28 @@ def _split_list(value: str) -> list:
     return [s.strip() for s in str(value).split(",") if s.strip()]
 
 
+def _reject_repeats(key: str, values: list) -> None:
+    # a repeated solver or tau would run or count the same thing twice
+    twice = [v for i, v in enumerate(values) if v in values[:i]]
+    if twice:
+        raise CliError(f"{key} lists {twice[0]!r} twice")
+
+
+def _parse_taus(text) -> list:
+    """Accuracies from a comma list: at least one, each in (0, 1), none twice."""
+    try:
+        taus = [float(t) for t in _split_list(text)]
+    except ValueError as exc:
+        raise CliError(f"bad numeric value in taus: {exc}") from None
+    if not taus:
+        raise CliError("taus needs at least one value")
+    _reject_repeats("taus", taus)
+    for t in taus:
+        if not 0 < t < 1:
+            raise CliError(f"tau must lie in (0, 1), got {t}")
+    return taus
+
+
 def _resolve_run_settings(args) -> dict:
     cfg = {"solver_overrides": {}}
     if args.config:
@@ -112,18 +134,15 @@ def _resolve_run_settings(args) -> dict:
     try:
         dims = [int(d) for d in _split_list(cfg.get("dims", "2,10"))]
         seeds = [int(s) for s in _split_list(cfg.get("seeds", "0"))]
-        taus = [float(t) for t in _split_list(cfg.get("taus", "0.1,0.001"))]
         budget_mult = int(cfg.get("budget_mult", 100))
     except ValueError as exc:
         raise CliError(f"bad numeric value in configuration: {exc}") from None
     for key, values in (("problems", problems), ("dims", dims), ("seeds", seeds),
-                        ("solvers", solvers), ("taus", taus)):
+                        ("solvers", solvers)):
         if not values:
             raise CliError(f"{key} needs at least one value")
-        # a repeated solver or tau would run or count the same thing twice
-        twice = [v for i, v in enumerate(values) if v in values[:i]]
-        if key in ("solvers", "taus") and twice:
-            raise CliError(f"{key} lists {twice[0]!r} twice")
+    _reject_repeats("solvers", solvers)
+    taus = _parse_taus(cfg.get("taus", "0.1,0.001"))
     for d in dims:
         if d < 2:
             raise CliError(f"dimension must be an integer >= 2, got {d}")
@@ -132,9 +151,6 @@ def _resolve_run_settings(args) -> dict:
             raise CliError(f"seed must be an integer >= 0, got {s}")
     if budget_mult < 1:
         raise CliError("budget_mult must be >= 1")
-    for t in taus:
-        if not 0 < t < 1:
-            raise CliError(f"tau must lie in (0, 1), got {t}")
     # every override is checked here, also for a solver this grid does not
     # run, so a bad value stops the run before anything is written
     for solver, params in cfg["solver_overrides"].items():
@@ -223,8 +239,7 @@ def cmd_profile(args) -> int:
     table = table.filter(bucket=bucket)
     if not table.rows:
         raise CliError(f"no rows left after bucket filter '{bucket}'")
-    taus = ([float(t) for t in _split_list(args.tau)] if args.tau
-            else table.taus())
+    taus = _parse_taus(args.tau) if args.tau is not None else table.taus()
     kinds = ("performance", "data") if args.kind == "both" else (args.kind,)
     budget_mult = args.budget_mult if args.budget_mult is not None else 100
     if budget_mult < 1:
@@ -357,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--out", help="directory holding results.csv")
     prof_p.add_argument("--kind", choices=("performance", "data", "both"),
                         default="both")
-    prof_p.add_argument("--tau", help="comma list of accuracies (default: all in table)")
+    prof_p.add_argument("--tau",
+                        help="comma list of accuracies in (0,1) (default: all in table)")
     prof_p.add_argument("--bucket", help="size filter: small, medium, large, all")
     prof_p.add_argument("--budget-mult", dest="budget_mult", type=int,
                         help="right edge of data profiles (default 100)")

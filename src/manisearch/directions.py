@@ -6,9 +6,10 @@ the current tangent space and those that vanish are dropped, which
 yields a positive spanning set of that space whenever the point is
 non-degenerate.  One stacked ``_project_many`` call projects every
 coordinate, and the basis keeps the survivors as the rows of one array.
-For nonsmooth problems, a deterministic stream of random unit ambient
-vectors (dense in the unit sphere with probability one) is projected and
-normalised one direction per iteration.
+For nonsmooth problems, one seeded generator per run draws a sequence of
+independent standard normal ambient vectors; normalised, they are
+i.i.d. uniform on the unit sphere and so dense in it with probability
+one.  Each is projected and normalised, one direction per iteration.
 """
 
 from __future__ import annotations
@@ -113,25 +114,27 @@ def measure_tau(basis: SpanningBasis, trials: int, seed) -> float:
 class DenseDirectionStream:
     """Deterministic stream of unit ambient directions.
 
-    The k-th emitted direction depends only on ``(seed, k, ambient_dim)``:
-    a standard normal vector keyed on the pair, normalised to unit
-    ambient norm.  Streams are owned by a single solver run.
+    The k-th emitted direction is the k-th usable draw of one generator
+    keyed on ``(seed, ambient_dim)``: a standard normal vector,
+    normalised to unit ambient norm.  A draw whose norm does not exceed
+    1e-12 is skipped.  ``counter`` counts the emitted directions.
+    Streams are owned by a single solver run.
     """
 
     seed: int
     ambient_dim: int
-    counter: int = field(default=0)
+    counter: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        self._rng = np.random.default_rng([self.seed, self.ambient_dim])
 
     def next_ambient(self) -> np.ndarray:
-        attempt = 0
         while True:
-            rng = np.random.default_rng([self.seed, self.counter, attempt])
-            d = rng.standard_normal(self.ambient_dim)
+            d = self._rng.standard_normal(self.ambient_dim)
             nrm = np.linalg.norm(d)
             if nrm > 1e-12:
                 self.counter += 1
                 return d / nrm
-            attempt += 1
 
 
 def dense_direction(
@@ -151,7 +154,8 @@ def dense_direction(
             f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
         )
     d_bar = stream.next_ambient()
-    t = m.project_tangent(x, d_bar)
+    # bitwise project_tangent, without its conversion and size checks
+    t = TangentVector(x, m._project_many(x.value, d_bar[None])[0])
     if t.ambient_norm() <= drop_tol:
         return m.zero_tangent(x)
     return t.scaled(1.0 / t.norm())

@@ -528,8 +528,11 @@ class FixedRank(Manifold):
         return self._pack_rows(new_u, sv, new_v)
 
     def _inner(self, x, u, v):
-        u, v = self._unpack_tangent(u), self._unpack_tangent(v)
-        return float(np.sum(u[0] * v[0]) + np.sum(u[1] * v[1]) + np.sum(u[2] * v[2]))
+        # one sum per factor block, added in factor order: bitwise np.sum
+        # over each unpacked factor
+        w = u * v
+        i, j = self._tangent_cuts
+        return float(w[:i].sum() + w[i:j].sum() + w[j:].sum())
 
     def _embed(self, x, t):
         u, s, v = self._unpack(x)
@@ -539,8 +542,7 @@ class FixedRank(Manifold):
     def tangent_ambient_norm(self, x_value, t_value):
         # the three blocks embed orthogonally, so the Frobenius norm
         # of the embedding equals the factored norm
-        mid, up, vp = self._unpack_tangent(t_value)
-        return float(np.sqrt(np.sum(mid * mid) + np.sum(up * up) + np.sum(vp * vp)))
+        return float(np.sqrt(self._inner(x_value, t_value, t_value)))
 
     def _point_ambient(self, x):
         u, s, v = self._unpack(x)

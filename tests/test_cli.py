@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from manisearch.bench import CSV_HEADER, ResultTable
-from manisearch.checks import CheckResult, geometry_checks
+from manisearch.checks import CheckResult, direction_checks, geometry_checks
 from manisearch.cli import main, parse_config_file, render_profile_svg, stable_seed
 from manisearch.errors import CliError
 from manisearch.manifolds import Product, Sphere, Stiefel
@@ -134,6 +134,20 @@ def test_profile_command(tmp_path):
     assert curve_text.splitlines()[0] == "solver,kind,tau,abscissa,value"
 
 
+@pytest.mark.parametrize("tau, named", [
+    (",", "taus needs at least one value"),
+    ("5", "tau must lie in (0, 1), got 5.0"),
+    ("0.1,1e-1", "taus lists 0.1 twice"),
+], ids=["no-taus", "out-of-range", "repeated-tau"])
+def test_bad_profile_tau_fails_before_any_output(tmp_path, capsys, tau, named):
+    out = tmp_path / "res"
+    main(RUN_ARGS + ["--out", str(out)])
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out), "--tau", tau]) == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "profiles").exists()
+
+
 def test_profile_bucket_filter_can_empty(tmp_path, capsys):
     out = tmp_path / "res"
     main(RUN_ARGS + ["--out", str(out)])
@@ -241,6 +255,18 @@ def test_check_detects_broken_stacked_retraction():
     results = geometry_checks([BrokenStackSphere(6)], seed=0, cases=20)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["geometry/stacked-retraction sphere(6)"]
+
+
+def test_check_detects_broken_dense_projection():
+    # a dense direction projects a one-row stack, which no spanning basis
+    # of sphere(6) does
+    class OneRowSphere(Sphere):
+        def _project_many(self, x, A):
+            return A.copy() if len(A) == 1 else super()._project_many(x, A)
+
+    results = direction_checks([OneRowSphere(6)], seed=0, points=5, trials=20)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["directions/dense-tangency sphere(6)"]
 
 
 def test_check_detects_corrupted_nested_block():

@@ -272,6 +272,42 @@ def test_stream_differs_across_seeds():
     assert not np.array_equal(a.next_ambient(), b.next_ambient())
 
 
+@pytest.mark.parametrize("seed, n", [(0, 3), (5, 49), (123, 100)])
+def test_stream_is_one_sequential_generator(seed, n):
+    # oracle: successive draws of one generator keyed on (seed, n),
+    # each divided by its norm
+    stream = DenseDirectionStream(seed, n)
+    rng = np.random.default_rng([seed, n])
+    for _ in range(50):
+        d = rng.standard_normal(n)
+        assert np.array_equal(stream.next_ambient(), d / np.linalg.norm(d))
+
+
+def test_stream_emissions_differ_in_sequence():
+    stream = DenseDirectionStream(seed=3, ambient_dim=4)
+    draws = [stream.next_ambient() for _ in range(50)]
+    assert all(not np.array_equal(a, b) for a, b in zip(draws, draws[1:]))
+
+
+def test_stream_differs_across_ambient_dims():
+    # the shorter stream is not a prefix of the longer one
+    a = DenseDirectionStream(seed=8, ambient_dim=6)
+    b = DenseDirectionStream(seed=8, ambient_dim=7)
+    for _ in range(10):
+        da, db = a.next_ambient(), b.next_ambient()
+        assert not np.allclose(da, db[:6] / np.linalg.norm(db[:6]))
+
+
+def test_stream_counter_counts_emissions_and_is_not_an_argument():
+    stream = DenseDirectionStream(seed=2, ambient_dim=5)
+    assert stream.counter == 0
+    for k in range(1, 8):
+        stream.next_ambient()
+        assert stream.counter == k
+    with pytest.raises(TypeError):
+        DenseDirectionStream(2, 5, counter=5)
+
+
 def test_dense_direction_norms_across_kinds():
     for m in manifold_zoo():
         rng = np.random.default_rng(71)

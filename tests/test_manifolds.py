@@ -339,6 +339,23 @@ def test_fixed_rank_embedding_norm_matches_factored():
     assert t.norm() == pytest.approx(t.ambient_norm(), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(7, 7, 2), (10, 10, 2), (50, 60, 3), (3, 40, 1)])
+def test_fixed_rank_norms_equal_three_block_sums_bitwise(shape):
+    # oracle: np.sum over each unpacked factor, added in factor order
+    fr = FixedRank(*shape)
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        x = fr.random_point(rng)
+        u = fr.project_tangent(x, rng.standard_normal(fr.ambient_dim))
+        v = fr.project_tangent(x, rng.standard_normal(fr.ambient_dim))
+        (um, uu, uv), (vm, vu, vv) = fr._unpack_tangent(u.value), fr._unpack_tangent(v.value)
+        inner = float(np.sum(um * vm) + np.sum(uu * vu) + np.sum(uv * vv))
+        sq = np.sum(um * um) + np.sum(uu * uu) + np.sum(uv * uv)
+        assert fr._inner(x.value, u.value, v.value) == inner
+        assert u.ambient_norm() == float(np.sqrt(sq))
+        assert u.norm() == u.ambient_norm()
+
+
 def test_fixed_rank_degenerate_tangent_blocks_stay_feasible():
     # rank-deficient or zero Up/Vp blocks must not leak filler directions
     # from the QR factor into the new orthonormal factors
