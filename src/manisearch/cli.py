@@ -21,10 +21,11 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bench
 from .errors import CliError, ManisearchError
-from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, build_instance
+from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, ProblemInstance, build_instance
 from .solvers import DEFAULT_MU, SOLVER_NAMES, check_config, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
@@ -177,41 +178,62 @@ def _make_config(solver: str, budget: int, seed: int, overrides: dict) -> tuple:
     return cfg, mu
 
 
-def cmd_run(args) -> int:
-    settings = _resolve_run_settings(args)
-    out = settings["out"]
-    traces_dir = out / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+class Cell(NamedTuple):
+    """One run of a grid: a solver on a built instance."""
+    inst: ProblemInstance
+    solver: str
+    budget: int
+    run_seed: int
+
+
+def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
+    """The runs of a problems x dims x seeds x solvers grid, in grid order.
+
+    Every instance is built before anything runs.  A dim resolving to an
+    instance already listed is skipped, as rerunning it would only double it.
+    """
+    cells = []
     seen = set()
-    for problem in settings["problems"]:
-        for dim in settings["dims"]:
-            for seed in settings["seeds"]:
+    for problem in problems:
+        for dim in dims:
+            for seed in seeds:
                 inst = build_instance(problem, dim, seed)
                 n_p = inst.ambient_dim
                 if (problem, n_p, seed) in seen:
-                    # distinct requested dims can resolve to the same shapes,
-                    # and rerunning an identical instance would only double it
                     print(f"note: {problem} dim {dim} resolves to n_p={n_p}, "
                           "already run; skipping duplicate")
                     continue
                 seen.add((problem, n_p, seed))
-                budget = settings["budget_mult"] * (n_p + 1)
-                for solver in settings["solvers"]:
-                    run_seed = stable_seed(problem, n_p, seed, solver)
-                    cfg, mu = _make_config(
-                        solver, budget, run_seed, settings["solver_overrides"]
-                    )
-                    trace = run_solver(solver, inst, cfg, mu=mu)
-                    records.append(dict(
-                        problem=problem, n_p=n_p, seed=seed, solver=solver,
-                        history=trace.history, f0=inst.f0,
-                        evals_used=trace.evals_used,
-                    ))
-                    lines = ["eval_index,best_f"]
-                    lines += [f"{i},{v!r}" for i, v in trace.history]
-                    trace_path = traces_dir / f"{problem}__{n_p}__{seed}__{solver}.csv"
-                    _write_atomic(trace_path, "\n".join(lines) + "\n")
+                budget = budget_mult * (n_p + 1)
+                cells += [Cell(inst, solver, budget, stable_seed(problem, n_p, seed, solver))
+                          for solver in solvers]
+    return cells
+
+
+def run_cell(cell: Cell, overrides: dict, on_accept=None) -> dict:
+    """Run one cell; return the record ``bench.assemble_results`` reads."""
+    inst = cell.inst
+    cfg, mu = _make_config(cell.solver, cell.budget, cell.run_seed, overrides)
+    trace = run_solver(cell.solver, inst, cfg, mu=mu, on_accept=on_accept)
+    return dict(problem=inst.name, n_p=inst.ambient_dim, seed=inst.seed,
+                solver=cell.solver, history=trace.history, f0=inst.f0,
+                evals_used=trace.evals_used)
+
+
+def cmd_run(args) -> int:
+    settings = _resolve_run_settings(args)
+    cells = grid_cells(settings["problems"], settings["dims"], settings["seeds"],
+                       settings["solvers"], settings["budget_mult"])
+    out = settings["out"]
+    traces_dir = out / "traces"
+    traces_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for cell in cells:
+        rec = run_cell(cell, settings["solver_overrides"])
+        records.append(rec)
+        lines = ["eval_index,best_f"] + [f"{i},{v!r}" for i, v in rec["history"]]
+        name = f"{rec['problem']}__{rec['n_p']}__{rec['seed']}__{rec['solver']}.csv"
+        _write_atomic(traces_dir / name, "\n".join(lines) + "\n")
     table = bench.assemble_results(records, settings["taus"])
     _write_atomic(out / "results.csv", table.to_csv())
     n_keys = len({(r["problem"], r["n_p"], r["seed"]) for r in records})

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
-The heavyweight shared piece is the smooth-grid fixture (8 smooth
-problems x 3 dimensions x 3 seeds x 3 solvers at the standard budget),
+The heavyweight shared piece is the smooth-grid fixture (the cells of
+``manisearch run`` for 8 smooth problems x 3 dimensions x 3 seeds x 3 solvers),
 reused by the qualitative-comparison and linesearch-replay criteria.
 """
 
@@ -12,10 +12,10 @@ import pytest
 
 from manisearch.bench import assemble_results, data_profile
 from manisearch.checks import direction_checks, geometry_checks, solver_checks
-from manisearch.cli import stable_seed
+from manisearch.cli import grid_cells, run_cell, stable_seed
 from manisearch.manifolds import Sphere
 from manisearch.problems import SMOOTH_PROBLEMS, build_instance
-from manisearch.solvers import default_config, run_solver
+from manisearch.solvers import DEFAULT_PARAMS, default_config, run_solver
 
 from conftest import make_problem
 from test_bench import (
@@ -129,36 +129,24 @@ def test_criterion_5_sparsest_vector_oracle():
 
 @pytest.fixture(scope="module")
 def smooth_grid():
-    solvers = ("rds-sb", "rdse-sb", "zo-rgd")
+    cells = grid_cells(SMOOTH_PROBLEMS, GRID_DIMS, GRID_SEEDS,
+                       ("rds-sb", "rdse-sb", "zo-rgd"), 100)
     records = []
-    accepted = []  # rdse-sb linesearch accepts: (inst, x, d, alpha, f0, f1, gamma)
+    accepted = []  # rdse-sb linesearch accepts: (inst, x, d, alpha, f0, f1)
     t0 = time.perf_counter()
-    for problem in SMOOTH_PROBLEMS:
-        for dim in GRID_DIMS:
-            for seed in GRID_SEEDS:
-                inst = build_instance(problem, dim, seed)
-                budget = 100 * (inst.ambient_dim + 1)
-                for solver in solvers:
-                    cfg = default_config(solver, budget=budget,
-                                         seed=stable_seed(problem, dim, seed, solver))
-                    hook = None
-                    if solver == "rdse-sb":
-                        def hook(x, d, alpha, fb, fa, _inst=inst, _g=cfg.gamma):
-                            if alpha > 0:
-                                accepted.append((_inst, x, d, alpha, fb, fa, _g))
-                    trace = run_solver(solver, inst, cfg, on_accept=hook)
-                    records.append(dict(
-                        problem=problem, n_p=inst.ambient_dim, seed=seed,
-                        solver=solver, history=trace.history, f0=inst.f0,
-                        evals_used=trace.evals_used, budget=budget,
-                    ))
+    for cell in cells:
+        def hook(x, d, alpha, fb, fa, cell=cell):
+            if alpha > 0 and cell.solver == "rdse-sb":
+                accepted.append((cell.inst, x, d, alpha, fb, fa))
+        records.append(run_cell(cell, {}, on_accept=hook))
     elapsed = time.perf_counter() - t0
-    return dict(records=records, accepted=accepted, elapsed=elapsed)
+    return dict(cells=cells, records=records, accepted=accepted, elapsed=elapsed)
 
 
 def test_criterion_6_smooth_grid_ordering(smooth_grid):
     records = smooth_grid["records"]
-    assert all(r["evals_used"] <= r["budget"] for r in records)
+    assert all(r["evals_used"] <= cell.budget
+               for cell, r in zip(smooth_grid["cells"], records))
     table = assemble_results(records, taus=[0.1])
     curves = {c.solver: c for c in data_profile(table, 0.1, kappa_max=100)}
     at_budget = {s: curves[s].value_at(100.0) for s in curves}
@@ -173,8 +161,9 @@ def test_criterion_6_smooth_grid_ordering(smooth_grid):
 def test_criterion_9_linesearch_replay(smooth_grid):
     accepted = smooth_grid["accepted"]
     assert accepted, "no accepted linesearch steps recorded"
+    gamma = DEFAULT_PARAMS["rdse-sb"]["gamma"]
     violations = 0
-    for inst, x, d, alpha, f_before, f_after, gamma in accepted:
+    for inst, x, d, alpha, f_before, f_after in accepted:
         y = inst.manifold.retract(x, d.scaled(alpha))
         replayed = inst.raw_f(y.value)
         if not (replayed == f_after
@@ -190,21 +179,9 @@ def test_criterion_9_linesearch_replay(smooth_grid):
 
 def test_criterion_7_nonsmooth_grid_ordering():
     solvers = ("rds-dd-plus", "rdse-dd-plus")
-    records = []
-    for problem in ("sparsest-vector", "nonsmooth-mc"):
-        for dim in GRID_DIMS:
-            for seed in GRID_SEEDS:
-                inst = build_instance(problem, dim, seed)
-                budget = 100 * (inst.ambient_dim + 1)
-                for solver in solvers:
-                    cfg = default_config(solver, budget=budget,
-                                         seed=stable_seed(problem, dim, seed, solver))
-                    trace = run_solver(solver, inst, cfg)
-                    records.append(dict(
-                        problem=problem, n_p=inst.ambient_dim, seed=seed,
-                        solver=solver, history=trace.history, f0=inst.f0,
-                        evals_used=trace.evals_used,
-                    ))
+    cells = grid_cells(("sparsest-vector", "nonsmooth-mc"), GRID_DIMS, GRID_SEEDS,
+                       solvers, 100)
+    records = [run_cell(cell, {}) for cell in cells]
     table = assemble_results(records, taus=[0.1])
     solved = {
         s: sum(1 for r in table.rows if r.solver == s and r.t_ps is not None)
