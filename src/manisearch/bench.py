@@ -182,6 +182,15 @@ def _collect(table: ResultTable, tau: float):
     keys = sorted({r.key() for r in rows})
     solvers = sorted({r.solver for r in rows})
     t = {(r.key(), r.solver): r.t_ps for r in rows}
+    if len(t) != len(rows):
+        # a repeated run would otherwise silently replace the earlier row
+        seen = set()
+        for r in rows:
+            if (r.key(), r.solver) in seen:
+                raise ValueError(
+                    f"run problem={r.problem} n_p={r.n_p} seed={r.seed} "
+                    f"solver={r.solver} appears twice at tau={tau}")
+            seen.add((r.key(), r.solver))
     return rows, keys, solvers, t
 
 

@@ -142,6 +142,14 @@ def test_profile_empty_input():
         data_profile(ResultTable([_row(tau=0.5)]), 0.1)
 
 
+@pytest.mark.parametrize("profile", [performance_profile, data_profile])
+def test_profile_rejects_repeated_run(profile):
+    rows = _two_solver_table().rows
+    table = ResultTable(rows + [rows[2]])
+    with pytest.raises(ValueError, match=r"problem=p1 n_p=4 seed=0 solver=s2 .*tau=0.1"):
+        profile(table, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # profiles: brute-force equivalence and properties
 # ---------------------------------------------------------------------------
