@@ -266,9 +266,9 @@ def cmd_profile(args) -> int:
     budget_mult = args.budget_mult if args.budget_mult is not None else 100
     if budget_mult < 1:
         raise CliError("budget_mult must be >= 1")
-    prof_dir = out / "profiles"
-    prof_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
+    # every curve and plot is computed before profiles/ is created, so a
+    # tau without rows or a repeated run leaves no partial output
+    files = {}
     for tau in taus:
         for kind in kinds:
             if kind == "performance":
@@ -276,12 +276,15 @@ def cmd_profile(args) -> int:
             else:
                 curves = bench.data_profile(table, tau, kappa_max=budget_mult)
             for curve in curves:
-                name = f"{curve.solver}__{kind}__tau{tau:g}.csv"
-                _write_atomic(prof_dir / name, bench.profile_curve_csv(curve))
-                written += 1
+                files[f"{curve.solver}__{kind}__tau{tau:g}.csv"] = bench.profile_curve_csv(curve)
             if args.svg:
                 svg = render_profile_svg(curves, f"{kind} profile, tau={tau:g}")
-                _write_atomic(prof_dir / f"{kind}__tau{tau:g}.svg", svg)
+                files[f"{kind}__tau{tau:g}.svg"] = svg
+    prof_dir = out / "profiles"
+    prof_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(prof_dir / name, text)
+    written = sum(1 for name in files if name.endswith(".csv"))
     print(f"wrote {written} profile curve files to {prof_dir}")
     return 0
 

@@ -148,6 +148,31 @@ def test_bad_profile_tau_fails_before_any_output(tmp_path, capsys, tau, named):
     assert not (out / "profiles").exists()
 
 
+def _table_with_one_tau(out):
+    main(RUN_ARGS + ["--tau", "0.1", "--out", str(out)])
+
+
+def _table_with_a_repeated_row(out):
+    main(RUN_ARGS + ["--out", str(out)])
+    table = out / "results.csv"
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines + lines[1:2]))
+
+
+@pytest.mark.parametrize("make_table, tau, named", [
+    (_table_with_one_tau, "0.1,0.5", "no rows at tau=0.5"),
+    (_table_with_a_repeated_row, "0.1", "appears twice at tau=0.1"),
+], ids=["tau-not-in-table", "repeated-run"])
+def test_profile_writes_nothing_unless_every_curve_computes(tmp_path, capsys,
+                                                            make_table, tau, named):
+    out = tmp_path / "res"
+    make_table(out)
+    capsys.readouterr()
+    assert main(["profile", "--out", str(out), "--tau", tau, "--svg"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "profiles").exists()
+
+
 def test_profile_bucket_filter_can_empty(tmp_path, capsys):
     out = tmp_path / "res"
     main(RUN_ARGS + ["--out", str(out)])
