@@ -58,6 +58,20 @@ def test_run_budget_respected_in_trace_files(tmp_path):
         assert all(b >= a for a, b in zip(best[1:], best[:-1]))
 
 
+def test_run_lists_an_instance_once_when_dims_resolve_to_it(tmp_path, capsys):
+    out = tmp_path / "res"
+    assert main(["run", "--problems", "dict-learning,sync-rotations", "--dims", "2,10",
+                 "--seeds", "0", "--solvers", "rds-sb", "--budget-mult", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("skipping duplicate") == 2
+    traces = sorted(p.name for p in (out / "traces").iterdir())
+    assert traces == ["dict-learning__12__0__rds-sb.csv", "sync-rotations__8__0__rds-sb.csv"]
+    table = ResultTable.from_csv((out / "results.csv").read_text())
+    runs = sorted({(r.problem, r.n_p, r.seed, r.solver) for r in table.rows})
+    assert runs == [("dict-learning", 12, 0, "rds-sb"), ("sync-rotations", 8, 0, "rds-sb")]
+    assert len(table.rows) == 2 * len(table.taus())
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(RUN_ARGS + ["--out", str(out1)])
