@@ -144,9 +144,12 @@ def dense_direction(
 ) -> TangentVector:
     """Next stream direction projected onto T_x, unit Riemannian norm.
 
-    Returns the zero tangent vector when the projection's ambient norm
-    does not exceed ``drop_tol`` (the stream direction was normal to
-    the tangent space).
+    Returns the zero tangent vector when the projection's Riemannian
+    norm does not exceed ``drop_tol`` (the stream direction was normal
+    to the tangent space).  On the kinds with the embedded metric
+    (sphere, product-spheres, stiefel, so, fixed-rank, euclidean) that
+    norm equals the ambient norm; on spd, simplex and products holding
+    them it is the kind's own metric.
     """
     m = x.manifold
     if stream.ambient_dim != m.ambient_dim:
@@ -156,6 +159,7 @@ def dense_direction(
     d_bar = stream.next_ambient()
     # bitwise project_tangent, without its conversion and size checks
     t = TangentVector(x, m._project_many(x.value, d_bar[None])[0])
-    if t.ambient_norm() <= drop_tol:
+    nrm = t.norm()
+    if nrm <= drop_tol:
         return m.zero_tangent(x)
-    return t.scaled(1.0 / t.norm())
+    return t.scaled(1.0 / nrm)
