@@ -220,9 +220,7 @@ def _build_dict_learning(n_p, seed):
         cols, c = v
         dm = np.column_stack(cols)
         resid = float(np.linalg.norm(y - dm @ c))
-        return resid + DICT_LAMBDA * kernels.smooth_l1_sum(
-            np.ascontiguousarray(c), DICT_EPS
-        )
+        return resid + DICT_LAMBDA * kernels.smooth_l1_sum(c, DICT_EPS)
 
     def grad(v):
         cols, c = v
@@ -291,8 +289,7 @@ def _build_completion(name, n_p, seed, absolute):
 
     def f_val(v):
         u, s, vt = v
-        return float(kernel(np.ascontiguousarray(u), np.ascontiguousarray(s),
-                            np.ascontiguousarray(vt), rows, cols, vals))
+        return float(kernel(u, s, vt, rows, cols, vals))
 
     def f_amb(flat):
         z = flat.reshape(m, h)
