@@ -3,9 +3,12 @@
 Subcommands
 -----------
 run      execute a problems x dims x seeds x solvers grid, write the
-         result table CSV plus one trace CSV per run
+         result table CSV plus one trace CSV per run.  The grid is one
+         list of cells (``grid_cells``), each run by ``run_cell``; a dim
+         resolving to an instance already listed runs once
 profile  turn a result table into data/performance profile curves
-         (CSV per solver, optional SVG plot)
+         (CSV per solver, optional SVG plot); nothing is written unless
+         every curve can be computed
 check    run the invariant suites and exit nonzero on any failure
 
 Configuration is a flat ``key = value`` text file (comma-separated
@@ -201,7 +204,7 @@ def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
                 n_p = inst.ambient_dim
                 if (problem, n_p, seed) in seen:
                     print(f"note: {problem} dim {dim} resolves to n_p={n_p}, "
-                          "already run; skipping duplicate")
+                          "already listed; skipping duplicate")
                     continue
                 seen.add((problem, n_p, seed))
                 budget = budget_mult * (n_p + 1)
