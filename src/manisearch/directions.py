@@ -9,7 +9,10 @@ coordinate, and the basis keeps the survivors as the rows of one array.
 For nonsmooth problems, one seeded generator per run draws a sequence of
 independent standard normal ambient vectors; normalised, they are
 i.i.d. uniform on the unit sphere and so dense in it with probability
-one.  Each is projected and normalised, one direction per iteration.
+one.  Each is projected and normalised, one direction per search.
+``dense_directions`` projects the next k draws in one stacked
+``_project_many`` call, peeked and not emitted, so a solver can fix the
+trial points of several searches at one iterate before it reaches them.
 """
 
 from __future__ import annotations
@@ -117,8 +120,10 @@ class DenseDirectionStream:
     The k-th emitted direction is the k-th usable draw of one generator
     keyed on ``(seed, ambient_dim)``: a standard normal vector,
     normalised to unit ambient norm.  A draw whose norm does not exceed
-    1e-12 is skipped.  ``counter`` counts the emitted directions.
-    Streams are owned by a single solver run.
+    1e-12 is skipped.  ``peek(k)`` returns the next k emissions without
+    emitting them; ``next_ambient`` emits the peeked draws first, so
+    peeking never changes what is emitted.  ``counter`` counts the
+    emitted directions only.  Streams are owned by a single solver run.
     """
 
     seed: int
@@ -127,14 +132,32 @@ class DenseDirectionStream:
 
     def __post_init__(self):
         self._rng = np.random.default_rng([self.seed, self.ambient_dim])
+        self._peeked = []
 
-    def next_ambient(self) -> np.ndarray:
+    def _draw(self) -> np.ndarray:
         while True:
             d = self._rng.standard_normal(self.ambient_dim)
             nrm = np.linalg.norm(d)
             if nrm > 1e-12:
-                self.counter += 1
                 return d / nrm
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` emissions as a (k, ambient_dim) stack, not emitted."""
+        while len(self._peeked) < k:
+            self._peeked.append(self._draw())
+        return np.array(self._peeked[:k])
+
+    def next_ambient(self) -> np.ndarray:
+        d = self._peeked.pop(0) if self._peeked else self._draw()
+        self.counter += 1
+        return d
+
+
+def _check_dim(stream, m) -> None:
+    if stream.ambient_dim != m.ambient_dim:
+        raise InvalidShape(
+            f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
+        )
 
 
 def dense_direction(
@@ -152,10 +175,7 @@ def dense_direction(
     them it is the kind's own metric.
     """
     m = x.manifold
-    if stream.ambient_dim != m.ambient_dim:
-        raise InvalidShape(
-            f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
-        )
+    _check_dim(stream, m)
     d_bar = stream.next_ambient()
     # bitwise project_tangent, without its conversion and size checks
     t = TangentVector(x, m._project_many(x.value, d_bar[None])[0])
@@ -163,3 +183,32 @@ def dense_direction(
     if nrm <= drop_tol:
         return m.zero_tangent(x)
     return t.scaled(1.0 / nrm)
+
+
+def dense_directions(
+    stream: DenseDirectionStream,
+    x: ManifoldPoint,
+    k: int,
+    drop_tol: float = DEFAULT_DROP_TOL,
+) -> tuple:
+    """The next ``k`` stream directions at ``x``, peeked and not emitted.
+
+    Returns ``(rows, ds)``: a (k, len) stack of tangent values and the k
+    tangent vectors wrapping its rows.  Row i is bitwise what the i-th
+    next ``dense_direction(stream, x, drop_tol)`` returns, a zero row
+    where that is the zero tangent; one stacked ``_project_many`` call
+    projects the k peeked draws, and each row keeps its own ``norm``.
+    """
+    m = x.manifold
+    _check_dim(stream, m)
+    rows = m._project_many(x.value, stream.peek(k))
+    ds = []
+    for row in rows:
+        t = TangentVector(x, row)  # scaled in place below, with its row
+        nrm = t.norm()
+        if nrm <= drop_tol:
+            row[:] = 0.0
+        else:
+            row *= 1.0 / nrm
+        ds.append(t)
+    return rows, ds

@@ -10,7 +10,7 @@ by a direction source:
 
     spanning basis  the projected signed coordinate set at the iterate
                     (smooth problems)
-    dense stream    one fresh projected stream direction per iteration
+    dense stream    one fresh projected stream direction per search
                     (nonsmooth problems)
 
 One registry names each solver by its loop and its sources:
@@ -24,10 +24,10 @@ One registry names each solver by its loop and its sources:
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
 Both loops read their trial points ``R(x, alpha d)`` from one generator,
-``_ahead``, which retracts the trials of upcoming slots at one iterate a
-chunk at a time; its docstring states the chunk rule.  Evaluation stays
-lazy and in slot order, so budgets, traces and hooks are those of one
-retraction per trial.
+``_ahead``, which projects and retracts the trials of upcoming searches
+at one iterate a chunk at a time; its docstring states the chunk rule.
+Evaluation stays lazy and in search order, so budgets, traces, hooks and
+stream emissions are those of one search at a time.
 
 ``run_solver`` runs any of them: it consumes a problem instance and a
 ``SolverConfig``, spends at most ``budget`` objective evaluations, and
@@ -54,13 +54,14 @@ from .directions import (
     DEFAULT_DROP_TOL,
     DenseDirectionStream,
     dense_direction,
+    dense_directions,
     spanning_basis,
 )
 from .errors import BaseMismatch, BudgetExhausted
 from .manifolds import ManifoldPoint, TangentVector, _same_point, random_tangent
 
 STEP_FLOOR = 1e-16
-# largest number of trial points retracted in one stacked call
+# largest number of trial points projected and retracted in one stacked call
 CHUNK_MAX = 16
 _NEG_INF = -np.inf
 
@@ -317,10 +318,14 @@ class _Basis:
 
 
 class _Stream:
-    """One fresh dense stream direction per iteration, always in slot 0.
+    """One fresh dense stream direction per search, always in slot 0.
 
-    The direction is drawn only when the loop asks for it, after its
-    stepsize test, so every draw is spent on a search.
+    A search emits its direction when the loop reaches it, after its
+    stepsize test, so every emission is spent on a search.  A stacked
+    chunk projects the stream's next draws ahead, peeked and not yet
+    emitted; draws a moved iterate leaves unused are projected again at
+    the new iterate.  ``gamma1`` is the shrink that each failed search
+    applies to the stepsize of the next.
     """
 
     n_slots = 1
@@ -329,12 +334,17 @@ class _Stream:
     def __init__(self, problem, cfg):
         self.stream = DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
         self.drop_tol = cfg.drop_tol
+        self.gamma1 = cfg.gamma1
 
     def slots(self, x: ManifoldPoint) -> np.ndarray:
         return self._SLOTS
 
     def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
         return dense_direction(self.stream, x, self.drop_tol)
+
+    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
+        # the next stop - start directions as one stack, and as tangent vectors
+        return dense_directions(self.stream, x, stop - start, self.drop_tol)
 
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha=float(atil[0]))
@@ -345,41 +355,62 @@ class _Stream:
 # ---------------------------------------------------------------------------
 
 def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
-    """Yield ``(d, alpha_s, R(x, alpha_s d))`` for the slots j, j + 1, ... at ``x``.
+    """Yield ``(d, alpha, R(x, alpha d))`` for the searches ahead at ``x``.
 
-    ``alpha_s`` is ``stepsizes`` at the slot's id ``s``, as a float;
-    after the last slot the slots wrap to 0.  A zero direction comes with
-    ``None`` for its trial point, so it fails without an evaluation.
+    On the spanning basis the searches run through the slots j, j + 1,
+    ..., wrapping to 0 after the last, and ``alpha`` is ``stepsizes`` at
+    the slot's id, as a float.  On a dense stream every search draws the
+    next stream direction; the first search of a chunk takes
+    ``stepsizes[0]``, and search i of the chunk that times gamma1 once
+    per earlier search, by repeated multiplication: the stepsize that i
+    failed searches leave behind, bitwise.  ``stepsizes`` is read as
+    each chunk starts.  A zero direction comes with ``None`` for its
+    trial point, so it fails without an evaluation.
 
-    The chunk rule: trials are retracted a chunk of slots at a time, when
-    the consumer reaches the chunk, in chunks of 1, 2, 4, ... up to
-    ``cap`` slots; a chunk never runs past the last slot.  A chunk of two
-    or more is one stacked ``_retract_many`` call.  A chunk of one takes
-    its direction from ``source.direction`` (a stream draws it only then)
-    and goes through ``Manifold.retract``.  The poll reads one round from
-    a fresh generator at slot 0 with ``cap = CHUNK_MAX``.  The linesearch
-    starts one at slot k mod K whenever the iterate moves, with ``cap =
-    CHUNK_MAX`` where a retraction factorises a matrix
-    (``Manifold.costly_retraction``) and 1 elsewhere, where a stacked call
-    costs more than the unused trials it computes.
+    The chunk rule: trials are computed a chunk of searches at a time,
+    when the consumer reaches the chunk.  On the basis the chunks hold 1,
+    2, 4, ... up to ``cap`` slots and never run past the last slot; on a
+    stream every chunk holds ``cap`` searches.  A chunk of two or more is
+    one stacked ``_retract_many`` call; on a stream it is also one
+    stacked ``_project_many`` call of the peeked draws, each emitted when
+    its search is yielded.  A chunk of one takes its direction from
+    ``source.direction`` (a stream draws it only then) and goes through
+    ``Manifold.retract``.  The poll reads one round of the basis from a
+    fresh generator at slot 0, and a stream from one generator per
+    iterate, with ``cap = CHUNK_MAX``.  The linesearch starts one at slot
+    k mod K whenever the iterate moves, with ``cap = CHUNK_MAX`` on a
+    stream or where a retraction factorises a matrix
+    (``Manifold.costly_retraction``), and 1 elsewhere, where a stacked
+    basis chunk costs more than the unused trials it computes.
     """
     m = x.manifold
     slots = source.slots(x)
-    n, c = len(slots), 1
+    stream = isinstance(source, _Stream)
+    n, c = len(slots), cap if stream else 1
     while True:
-        stop = min(j + c, n)
-        if stop - j == 1:
-            d, a = source.direction(x, j), float(stepsizes[slots[j]])
-            y = m.retract(x, d.scaled(a))
-            yield d, a, None if y is x else y  # a zero step retracts to x itself
+        if stream:
+            stop, a, alphas = j + c, float(stepsizes[0]), []
+            for _ in range(c):
+                alphas.append(a)
+                a *= source.gamma1
+            alphas = np.array(alphas)
         else:
-            (rows, ds), a = source.directions(x, j, stop), stepsizes[slots[j:stop]]
-            T = rows * a[:, None]
-            # each point owns a copy of its row, as a lone retraction's value does
-            yield from zip(ds, a.tolist(), [
-                ManifoldPoint(m, y.copy()) if moved else None
-                for moved, y in zip(T.any(axis=1).tolist(), m._retract_many(x.value, T))])
-        j, c = stop % n, min(2 * c, cap)
+            stop = min(j + c, n)
+            alphas = stepsizes[slots[j:stop]]
+        if stop - j == 1:
+            d, a1 = source.direction(x, j), float(alphas[0])
+            y = m.retract(x, d.scaled(a1))
+            yield d, a1, None if y is x else y  # a zero step retracts to x itself
+        else:
+            rows, ds = source.directions(x, j, stop)
+            T = rows * alphas[:, None]
+            Y = m._retract_many(x.value, T)
+            for d, a1, moved, y in zip(ds, alphas.tolist(), T.any(axis=1).tolist(), Y):
+                if stream:
+                    source.stream.next_ambient()  # the search emits its draw
+                # each point owns a copy of its row, as a lone retraction's value does
+                yield d, a1, ManifoldPoint(m, y.copy()) if moved else None
+        j, c = (stop, c) if stream else (stop % n, min(2 * c, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +428,17 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     """
     alpha = cfg.alpha0
     alphas = np.empty(source.n_slots)  # alpha in every slot, as _ahead reads it
+    # a basis round starts a fresh generator; a stream keeps one per iterate
+    per_round = not isinstance(source, _Stream)
+    trials = None
     try:
         while alpha >= STEP_FLOOR:
             n = len(source.slots(st.x))
             bound = st.fx - cfg.gamma * alpha * alpha
             alphas.fill(alpha)
-            for d, _, trial in islice(_ahead(st.x, source, 0, alphas, CHUNK_MAX), n):
+            if trials is None or per_round:
+                trials = _ahead(st.x, source, 0, alphas, CHUNK_MAX)
+            for d, _, trial in islice(trials, n):
                 if trial is None:
                     continue
                 f_trial = ev(trial)
@@ -412,6 +448,7 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
                     st.x, st.fx = trial, f_trial
                     st.succ += 1
                     alpha *= cfg.gamma2
+                    trials = None
                     break
             else:
                 alpha *= cfg.gamma1
@@ -437,7 +474,8 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     """
     atil = np.full(source.n_slots, float(cfg.alpha0))
     k = 0
-    cap = CHUNK_MAX if st.x.manifold.costly_retraction else 1
+    stacks = isinstance(source, _Stream) or st.x.manifold.costly_retraction
+    cap = CHUNK_MAX if stacks else 1
     trials = None
     try:
         while True:

@@ -5,6 +5,7 @@ from manisearch.directions import (
     DEFAULT_DROP_TOL,
     DenseDirectionStream,
     dense_direction,
+    dense_directions,
     measure_tau,
     spanning_basis,
 )
@@ -234,6 +235,9 @@ class _FixedStream:
         self.counter += 1
         return self.d
 
+    def peek(self, k):
+        return np.tile(self.d, (k, 1))
+
 
 def test_dense_direction_keeps_unit_tangent_fixed():
     x = Sphere(2).point(np.array([0.0, 1.0]))
@@ -306,6 +310,43 @@ def test_stream_counter_counts_emissions_and_is_not_an_argument():
         assert stream.counter == k
     with pytest.raises(TypeError):
         DenseDirectionStream(2, 5, counter=5)
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_stream_peek_emits_nothing_and_changes_no_emission(k):
+    fresh = DenseDirectionStream(seed=5, ambient_dim=9)
+    peeking = DenseDirectionStream(seed=5, ambient_dim=9)
+    peeking.next_ambient()
+    fresh.next_ambient()
+    ahead = peeking.peek(k)
+    assert ahead.shape == (k, 9)
+    assert np.array_equal(peeking.peek(k), ahead)  # peeking twice draws nothing new
+    assert peeking.counter == 1
+    emitted = [peeking.next_ambient() for _ in range(k + 2)]
+    assert peeking.counter == k + 3
+    for i, d in enumerate(emitted):
+        assert np.array_equal(d, fresh.next_ambient())
+        if i < k:
+            assert np.array_equal(d, ahead[i])
+
+
+def test_dense_directions_rows_equal_lone_directions_bitwise():
+    for m in manifold_zoo():
+        x = sample_point(m, np.random.default_rng(72))
+        ahead = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
+        lone = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
+        rows, ds = dense_directions(ahead, x, 12)
+        assert ahead.counter == 0
+        for row, d in zip(rows, ds):
+            want = dense_direction(lone, x).value
+            assert np.array_equal(row, want) and np.array_equal(d.value, want)
+            assert d.point is x
+
+
+def test_dense_directions_zero_row_for_a_normal_draw():
+    x = Sphere(2).point(np.array([0.0, 1.0]))
+    rows, ds = dense_directions(_FixedStream([0.0, 1.0]), x, 3)
+    assert not rows.any() and all(d.is_zero() for d in ds)
 
 
 def test_dense_direction_norms_across_kinds():
