@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import DenseDirectionStream, dense_direction, measure_tau, spanning_basis
+from .directions import (
+    DenseDirectionStream,
+    dense_direction,
+    dense_directions,
+    measure_tau,
+    spanning_basis,
+)
 from .manifolds import (
     Euclidean,
     FixedRank,
@@ -194,6 +200,12 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
         dense_tangency = max(m.tangency_residual(x, dense_direction(stream, x))
                              for _ in range(20))
+        # a solver's stream chunk: the next 20 draws projected in one stack
+        ahead = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
+        rows, _ = dense_directions(ahead, x, 20)
+        stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
+        lookahead_same = all(np.array_equal(row, dense_direction(stream, x).value)
+                             for row in rows)
         name = m.spec_string()
         results.append(CheckResult(
             f"directions/tangency {name}", tangency <= 1e-10, f"max {tangency:.2e}"))
@@ -206,6 +218,10 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         results.append(CheckResult(
             f"directions/dense-tangency {name}", dense_tangency <= 1e-10,
             f"max {dense_tangency:.2e} over 20 dense directions"))
+        results.append(CheckResult(
+            f"directions/stream-lookahead {name}", lookahead_same,
+            f"20 stacked rows {'equal' if lookahead_same else 'differ from'}"
+            " lone dense directions"))
 
     s1 = DenseDirectionStream(seed=3, ambient_dim=7)
     s2 = DenseDirectionStream(seed=3, ambient_dim=7)

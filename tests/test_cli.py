@@ -297,15 +297,29 @@ def test_check_detects_broken_stacked_retraction():
 
 
 def test_check_detects_broken_dense_projection():
-    # a dense direction projects a one-row stack, which no spanning basis
-    # of sphere(6) does
+    # a lone dense direction projects a one-row stack, which no spanning
+    # basis of sphere(6) and no stacked stream chunk does
     class OneRowSphere(Sphere):
         def _project_many(self, x, A):
             return A.copy() if len(A) == 1 else super()._project_many(x, A)
 
     results = direction_checks([OneRowSphere(6)], seed=0, points=5, trials=20)
     failed = [r.name for r in results if not r.passed]
-    assert failed == ["directions/dense-tangency sphere(6)"]
+    assert failed == ["directions/dense-tangency sphere(6)",
+                      "directions/stream-lookahead sphere(6)"]
+
+
+def test_check_detects_broken_stacked_dense_projection():
+    # a solver's stream chunk projects a stack of draws, which a lone
+    # dense direction never does
+    class StackOnlySphere(Sphere):
+        def _project_many(self, x, A):
+            P = super()._project_many(x, A)
+            return P * 1.5 if len(A) not in (1, self.n) else P
+
+    results = direction_checks([StackOnlySphere(6)], seed=0, points=5, trials=20)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["directions/stream-lookahead sphere(6)"]
 
 
 def test_check_detects_corrupted_nested_block():
@@ -373,3 +387,4 @@ def test_config_file_names_line_of_non_numeric_override(tmp_path):
     cfg.write_text("# header\nrds-sb.gamma1 = abc\n")
     with pytest.raises(CliError, match=r"bad\.cfg:2: 'rds-sb\.gamma1' needs a number"):
         parse_config_file(cfg)
+
