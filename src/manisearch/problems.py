@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .errors import BudgetExhausted, InvalidDimension, UnknownProblem, Unsupported
@@ -241,6 +240,8 @@ def _build_dict_learning(n_p, seed):
 
 
 def _build_sync_rotations(n_p, seed):
+    import scipy.linalg  # only this builder needs it; other runs skip its import
+
     d = max(2, _round(math.sqrt(n_p / 2)))
     rng = _payload_rng("sync-rotations", seed)
     man = Product([SpecialOrthogonal(d), SpecialOrthogonal(d)])

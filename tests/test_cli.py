@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -388,3 +390,15 @@ def test_config_file_names_line_of_non_numeric_override(tmp_path):
     with pytest.raises(CliError, match=r"bad\.cfg:2: 'rds-sb\.gamma1' needs a number"):
         parse_config_file(cfg)
 
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # only the sync-rotations builder uses scipy.linalg, and importing it
+    # takes longer than the rest of the package together
+    import manisearch
+
+    src = str(Path(manisearch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, manisearch.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
