@@ -134,23 +134,25 @@ class DenseDirectionStream:
         self._rng = np.random.default_rng([self.seed, self.ambient_dim])
         self._peeked = []
 
-    def _draw(self) -> np.ndarray:
-        while True:
-            d = self._rng.standard_normal(self.ambient_dim)
-            nrm = np.linalg.norm(d)
-            if nrm > 1e-12:
-                return d / nrm
+    def _fill(self, k: int) -> None:
+        # draw until k usable draws wait unemitted; a stack of draws takes
+        # the generator's values in the order single draws would, and its
+        # row dots round as np.linalg.norm does
+        while len(self._peeked) < k:
+            D = self._rng.standard_normal((k - len(self._peeked), self.ambient_dim))
+            nrm = np.sqrt(_row_dots(D, D))
+            kept = nrm[:, 0] > 1e-12
+            self._peeked.extend(D[kept] / nrm[kept])
 
     def peek(self, k: int) -> np.ndarray:
         """The next ``k`` emissions as a (k, ambient_dim) stack, not emitted."""
-        while len(self._peeked) < k:
-            self._peeked.append(self._draw())
+        self._fill(k)
         return np.array(self._peeked[:k])
 
     def next_ambient(self) -> np.ndarray:
-        d = self._peeked.pop(0) if self._peeked else self._draw()
+        self._fill(1)
         self.counter += 1
-        return d
+        return self._peeked.pop(0)
 
 
 def _check_dim(stream, m) -> None:
@@ -202,13 +204,9 @@ def dense_directions(
     m = x.manifold
     _check_dim(stream, m)
     rows = m._project_many(x.value, stream.peek(k))
-    ds = []
-    for row in rows:
-        t = TangentVector(x, row)  # scaled in place below, with its row
-        nrm = t.norm()
-        if nrm <= drop_tol:
-            row[:] = 0.0
-        else:
-            row *= 1.0 / nrm
-        ds.append(t)
-    return rows, ds
+    # TangentVector.norm of each row: fmax(0, nan) is 0 as max(0.0, nan) is
+    nrm = np.sqrt(np.fmax(0.0, m._sqnorms(x.value, rows)))
+    kept = nrm > drop_tol
+    rows[kept] *= (1.0 / nrm[kept])[:, None]
+    rows[~kept] = 0.0
+    return rows, [TangentVector(x, row) for row in rows]

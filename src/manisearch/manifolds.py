@@ -22,6 +22,9 @@ loop over a stack matrix by matrix).  A kind's one projection is
 ``_project_many``, and ``project_tangent`` projects a stack of one.  The
 retraction keeps a lone ``_retract`` too, cheaper than a stack of one on
 the hot path; every row of ``_retract_many`` is bitwise its ``_retract``.
+``_sqnorms`` gives the squared Riemannian norms of a tangent stack, each
+bitwise its ``_inner``; sphere and fixed-rank, the kinds of the
+nonsmooth problems, compute it in one stacked call, the others row by row.
 
 Supported kinds and their stable names:
 
@@ -142,6 +145,10 @@ class Manifold:
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
+
+    def _sqnorms(self, x, T) -> np.ndarray:
+        # row i is _inner(x, T[i], T[i]) for a (k, len) tangent stack T, bitwise
+        return np.array([self._inner(x, t, t) for t in T], dtype=float)
 
     def _embed(self, x, t) -> np.ndarray:
         return t
@@ -303,6 +310,9 @@ class Sphere(Manifold):
 
     def _inner(self, x, u, v):
         return float(u @ v)
+
+    def _sqnorms(self, x, T):
+        return _row_dots(T, T)[:, 0]
 
     def _point_residual(self, x):
         return abs(np.linalg.norm(x) - 1.0)
@@ -533,6 +543,12 @@ class FixedRank(Manifold):
         w = u * v
         i, j = self._tangent_cuts
         return float(w[:i].sum() + w[i:j].sum() + w[j:].sum())
+
+    def _sqnorms(self, x, T):
+        # a row's block sums round as the 1-D sums of _inner do
+        W = T * T
+        i, j = self._tangent_cuts
+        return W[:, :i].sum(axis=1) + W[:, i:j].sum(axis=1) + W[:, j:].sum(axis=1)
 
     def _embed(self, x, t):
         u, s, v = self._unpack(x)

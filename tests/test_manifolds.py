@@ -296,6 +296,8 @@ def test_stacked_geometry_matches_per_row_bitwise(m):
         for T in _tangent_stacks(m, x, rng):
             want = np.array([m._retract(x, t) for t in T])
             assert np.array_equal(m._retract_many(x, T), want)
+            want = np.array([m._inner(x, t, t) for t in T])
+            assert np.array_equal(m._sqnorms(x, T), want)
 
 
 def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
