@@ -198,8 +198,8 @@ def dense_directions(
     Returns ``(rows, ds)``: a (k, len) stack of tangent values and the k
     tangent vectors wrapping its rows.  Row i is bitwise what the i-th
     next ``dense_direction(stream, x, drop_tol)`` returns, a zero row
-    where that is the zero tangent; one stacked ``_project_many`` call
-    projects the k peeked draws, and each row keeps its own ``norm``.
+    where that is the zero tangent.  One stacked ``_project_many`` call
+    projects the k peeked draws and one ``_sqnorms`` call measures them.
     """
     m = x.manifold
     _check_dim(stream, m)
