@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -82,6 +83,41 @@ def test_rerun_is_byte_identical(tmp_path):
     for p1 in sorted((out1 / "traces").iterdir()):
         p2 = out2 / "traces" / p1.name
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 prefixes of a small four-solver grid's outputs; a change to how a
+# history is stored, aggregated or written must leave every byte in place
+PINNED_OUTPUTS = {
+    "results.csv": "d8edf89450f2c974",
+    "largest-eig__4__0__rds-dd.csv": "4d324f45625429ef",
+    "largest-eig__4__0__rds-sb.csv": "e9f6341e17cb2170",
+    "largest-eig__4__0__rdse-dd.csv": "f4c3b321584b17eb",
+    "largest-eig__4__0__rdse-sb.csv": "1a20bbbd4f020942",
+    "largest-eig__4__1__rds-dd.csv": "1e4fb36e87a4c6d9",
+    "largest-eig__4__1__rds-sb.csv": "1303388d7f1e376e",
+    "largest-eig__4__1__rdse-dd.csv": "b372bc5c511165a8",
+    "largest-eig__4__1__rdse-sb.csv": "e1ab586b7a2d1b6b",
+    "sparsest-vector__4__0__rds-dd.csv": "230f309199809ade",
+    "sparsest-vector__4__0__rds-sb.csv": "4adf78a176b7d0d0",
+    "sparsest-vector__4__0__rdse-dd.csv": "e32b45404d7e11ea",
+    "sparsest-vector__4__0__rdse-sb.csv": "4adf78a176b7d0d0",
+    "sparsest-vector__4__1__rds-dd.csv": "e111036600853c4b",
+    "sparsest-vector__4__1__rds-sb.csv": "e6f75033a0945081",
+    "sparsest-vector__4__1__rdse-dd.csv": "39ac7a5d3d4c23b1",
+    "sparsest-vector__4__1__rdse-sb.csv": "480129551d81461d",
+}
+
+
+def test_run_outputs_are_pinned_bytes(tmp_path):
+    out = tmp_path / "res"
+    args = RUN_ARGS[:]
+    args[args.index("--solvers") + 1] = "rds-sb,rdse-sb,rds-dd,rdse-dd"
+    assert main(args + ["--out", str(out)]) == 0
+    files = [out / "results.csv", *sorted((out / "traces").iterdir())]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in files}
+    assert got == PINNED_OUTPUTS
+    for p in files:
+        assert "np.float64(" not in p.read_text(), p.name
 
 
 def test_failed_table_write_keeps_previous_table(tmp_path, monkeypatch):
