@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import EmptyInput, InvalidBaseline
 
 CSV_HEADER = ("problem", "n_p", "seed", "solver", "tau",
@@ -32,27 +34,34 @@ CSV_HEADER = ("problem", "n_p", "seed", "solver", "tau",
 SIZE_BUCKETS = {"small": (2, 15), "medium": (16, 50), "large": (51, 200)}
 
 
-def converged(f_k: float, f0: float, f_l: float, tau: float) -> bool:
-    """Relative-accuracy stopping test ``f_k <= f_L + tau (f0 - f_L)``."""
+def _threshold(f0: float, f_l: float, tau: float) -> float:
+    """The bound ``f_L + tau (f0 - f_L)`` after checking tau and the baseline."""
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
     if f_l > f0:
         raise InvalidBaseline(f"f_L ({f_l}) exceeds f0 ({f0})")
-    return f_k <= f_l + tau * (f0 - f_l)
+    return f_l + tau * (f0 - f_l)
+
+
+def converged(f_k: float, f0: float, f_l: float, tau: float) -> bool:
+    """Relative-accuracy stopping test ``f_k <= f_L + tau (f0 - f_L)``."""
+    return f_k <= _threshold(f0, f_l, tau)
 
 
 def evals_to_converge(trace, f0: float, f_l: float, tau: float) -> Optional[int]:
-    """Smallest evaluation index whose best value passes the test, else None.
+    """Smallest evaluation count whose best value passes the test, else None.
 
-    ``trace`` is a RunTrace or a raw list of (eval_index, best_f) pairs.
+    ``trace`` is a RunTrace or its best-value history: a 1-D float array
+    whose entry i is the best value after evaluation i + 1, so the
+    result is the index of the first passing entry plus one.
     """
-    history = getattr(trace, "history", trace)
-    if not history:
+    history = np.asarray(getattr(trace, "history", trace), dtype=np.float64)
+    if history.ndim != 1:
+        raise ValueError("a history is one best value per evaluation")
+    if not len(history):
         raise EmptyInput("empty trace")
-    for idx, best in history:
-        if converged(best, f0, f_l, tau):
-            return int(idx)
-    return None
+    hits = np.flatnonzero(history <= _threshold(f0, f_l, tau))
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,10 @@ def assemble_results(records, taus) -> ResultTable:
     """Build a table from raw run records, sharing f_L across solvers.
 
     ``records`` is an iterable of dicts with keys problem, n_p, seed,
-    solver, history, f0, evals_used.  For each (problem, n_p, seed) the
-    baseline f_L is the smallest best value any solver reached.
+    solver, history, f0, evals_used, where history is a run's best-value
+    array (``RunTrace.history``); its last entry is the run's best value.
+    For each (problem, n_p, seed) the baseline f_L is the smallest best
+    value any solver reached.
     """
     records = list(records)
     if not records:
@@ -135,7 +146,7 @@ def assemble_results(records, taus) -> ResultTable:
     f_l = {}
     for rec in records:
         key = (rec["problem"], rec["n_p"], rec["seed"])
-        best = rec["history"][-1][1]
+        best = float(rec["history"][-1])
         f_l[key] = min(f_l.get(key, best), best)
     rows = []
     for rec in records:
@@ -145,7 +156,7 @@ def assemble_results(records, taus) -> ResultTable:
                 problem=rec["problem"], n_p=rec["n_p"], seed=rec["seed"],
                 solver=rec["solver"], tau=tau,
                 t_ps=evals_to_converge(rec["history"], rec["f0"], f_l[key], tau),
-                f0=rec["f0"], f_best=rec["history"][-1][1],
+                f0=rec["f0"], f_best=float(rec["history"][-1]),
                 evals_used=rec["evals_used"],
             ))
     return ResultTable(rows)

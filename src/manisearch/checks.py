@@ -283,18 +283,15 @@ def solver_checks(seed=0):
         bool(np.all(slot_alphas == one_shrink)),
         f"all {len(slot_alphas)} slots at gamma1*alpha0 after one sweep"))
 
-    mono_ok = all(
-        t.history[i][1] >= t.history[i + 1][1]
-        for t in (trace, trace_dd, trace_e)
-        for i in range(len(t.history) - 1)
-    )
+    mono_ok = all(bool(np.all(t.history[:-1] >= t.history[1:]))
+                  for t in (trace, trace_dd, trace_e))
     results.append(CheckResult(
         "solvers/monotone-history", mono_ok, "best_f non-increasing"))
 
     t1 = run_solver("rds-sb", prob, cfg)
     t2 = run_solver("rds-sb", prob, cfg)
     results.append(CheckResult(
-        "solvers/determinism", t1.history == t2.history,
+        "solvers/determinism", t1.history.tobytes() == t2.history.tobytes(),
         f"{len(t1.history)} evaluations identical"))
     return results
 

@@ -234,7 +234,9 @@ def cmd_run(args) -> int:
     for cell in cells:
         rec = run_cell(cell, settings["solver_overrides"])
         records.append(rec)
-        lines = ["eval_index,best_f"] + [f"{i},{v!r}" for i, v in rec["history"]]
+        # tolist() yields Python floats, whose repr is the shortest round trip
+        lines = ["eval_index,best_f"] + [
+            f"{i},{v!r}" for i, v in enumerate(rec["history"].tolist(), 1)]
         name = f"{rec['problem']}__{rec['n_p']}__{rec['seed']}__{rec['solver']}.csv"
         _write_atomic(traces_dir / name, "\n".join(lines) + "\n")
     table = bench.assemble_results(records, settings["taus"])

@@ -31,7 +31,8 @@ stream emissions are those of one search at a time.
 
 ``run_solver`` runs any of them: it consumes a problem instance and a
 ``SolverConfig``, spends at most ``budget`` objective evaluations, and
-returns a ``RunTrace`` with the per-evaluation best-value history.
+returns a ``RunTrace`` with the per-evaluation best-value history, one
+float64 entry per evaluation.
 
 A step is accepted only under sufficient decrease
 ``f(new) <= f(old) - gamma * alpha^2`` by a finite value; a NaN or
@@ -110,14 +111,15 @@ class SolverConfig:
 class RunTrace:
     """Per-evaluation record of one solver run.
 
-    ``history`` holds one ``(eval_index, best_f)`` pair per objective
-    evaluation (1-based, best_f non-increasing).  ``switch_eval`` is the
+    ``history`` is a 1-D float64 array with one entry per objective
+    evaluation: entry i is the best value after evaluation i + 1, so it is
+    non-increasing and its length is ``evals_used``.  ``switch_eval`` is the
     evaluation count at which a *-plus strategy changed phase, when it did.
     ``stop_reason`` says why the run ended: ``"budget"`` when an evaluation
     was refused, ``"step-floor"`` when the stepsize fell below ``STEP_FLOOR``.
     """
 
-    history: list
+    history: np.ndarray
     final_point: ManifoldPoint
     evals_used: int
     iterations: int
@@ -129,7 +131,7 @@ class RunTrace:
 
     @property
     def best_f(self) -> float:
-        return self.history[-1][1] if self.history else np.inf
+        return float(self.history[-1]) if len(self.history) else np.inf
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,9 @@ def linesearch_extrapolate(
 class _Eval:
     """Budgeted objective wrapper that records the best-value history.
 
-    A NaN or -inf value never becomes the best value.
+    A NaN or -inf value never becomes the best value.  ``history`` lists
+    the best value after each evaluation; entries share one float object
+    until it improves, so an entry costs one list slot.
     """
 
     def __init__(self, inst, on_eval=None):
@@ -238,7 +242,7 @@ class _Eval:
         f = self.inst.evaluate(point.value)
         if _NEG_INF < f < self.best:
             self.best = f
-        self.history.append((self.inst.counter, self.best))
+        self.history.append(self.best)
         if self.on_eval is not None:
             self.on_eval(point, f)
         return f
@@ -264,7 +268,7 @@ class _State:
 
 def _trace(ev: _Eval, st: _State) -> RunTrace:
     return RunTrace(
-        history=ev.history,
+        history=np.array(ev.history, dtype=np.float64),
         final_point=st.x,
         evals_used=ev.inst.counter,
         iterations=st.iters,

@@ -60,14 +60,62 @@ def test_converged_threshold_algebra(f0, gap, tau, frac):
 
 
 def test_evals_to_converge_examples():
-    assert evals_to_converge([(1, 1.0), (2, 0.2)], 1.0, 0.0, 0.25) == 2
-    assert evals_to_converge([(1, 1.0), (2, 1.0)], 1.0, 0.0, 0.25) is None
+    assert evals_to_converge(np.array([1.0, 0.2]), 1.0, 0.0, 0.25) == 2
+    assert evals_to_converge(np.array([1.0, 1.0]), 1.0, 0.0, 0.25) is None
     # a trace that reaches f_L converges for every tau, at the same index
-    hist = [(1, 1.0), (17, 0.0)]
+    hist = np.r_[np.ones(16), 0.0]
     for tau in (0.9, 0.5, 0.01):
         assert evals_to_converge(hist, 1.0, 0.0, tau) <= 17
     with pytest.raises(EmptyInput):
-        evals_to_converge([], 1.0, 0.0, 0.5)
+        evals_to_converge(np.array([]), 1.0, 0.0, 0.5)
+
+
+def _pair_loop_evals_to_converge(history, f0, f_l, tau):
+    """The loop over (eval_index, best_f) pairs that histories once were."""
+    pairs = list(enumerate(history.tolist(), 1))
+    if not pairs:
+        raise EmptyInput("empty trace")
+    for idx, best in pairs:
+        if converged(best, f0, f_l, tau):
+            return int(idx)
+    return None
+
+
+def test_evals_to_converge_matches_pair_loop():
+    inf = np.inf
+    cases = [
+        (np.array([1.0, 0.5, 0.25, 0.1]), 1.0, 0.0, 0.25),  # 0.25 lies on the threshold
+        (np.array([inf, inf, 0.3, 0.2]), 1.0, 0.0, 0.25),  # NaN first evaluations
+        (np.array([inf, 0.3]), np.nan, 0.3, 0.5),  # f0 itself was NaN
+        (np.array([1.0, 0.9, 0.9]), 1.0, 0.0, 0.1),  # never converges
+        (np.array([0.0]), 1.0, 0.0, 0.5),
+        (np.array([1.0]), 1.0, 0.0, 0.5),
+    ]
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        raw = rng.uniform(-1.0, 1.0, int(rng.integers(1, 80)))
+        if trial % 3 == 0:
+            raw[:int(rng.integers(1, 4))] = inf
+        hist = np.minimum.accumulate(raw)
+        f_l = min(float(hist[-1]), 1.0) - float(rng.choice([0.0, 0.3]))
+        cases.append((hist, 1.0, f_l, float(rng.choice([0.5, 0.1, 1e-3]))))
+    results = set()
+    for hist, f0, f_l, tau in cases:
+        got = evals_to_converge(hist, f0, f_l, tau)
+        assert got == _pair_loop_evals_to_converge(hist, f0, f_l, tau)
+        assert got is None or type(got) is int
+        results.add(got is None)
+    assert results == {True, False}
+    assert evals_to_converge(cases[0][0], 1.0, 0.0, 0.25) == 3
+    assert evals_to_converge(cases[1][0], 1.0, 0.0, 0.25) == 4
+    for bad in (np.array([]), []):
+        with pytest.raises(EmptyInput):
+            evals_to_converge(bad, 1.0, 0.0, 0.5)
+    for tau in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError):
+            evals_to_converge(np.array([0.5]), 1.0, 0.0, tau)
+    with pytest.raises(InvalidBaseline):
+        evals_to_converge(np.array([0.5]), 1.0, 2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +333,9 @@ def test_profile_right_edge_equals_solved_fraction(seed):
 def test_assemble_results_shares_baseline():
     records = [
         dict(problem="p", n_p=4, seed=0, solver="a",
-             history=[(1, 1.0), (2, 0.5)], f0=1.0, evals_used=2),
+             history=np.array([1.0, 0.5]), f0=1.0, evals_used=2),
         dict(problem="p", n_p=4, seed=0, solver="b",
-             history=[(1, 1.0), (3, 0.0)], f0=1.0, evals_used=3),
+             history=np.array([1.0, 1.0, 0.0]), f0=1.0, evals_used=3),
     ]
     table = assemble_results(records, taus=[0.1, 0.6])
     rows = {(r.solver, r.tau): r for r in table.rows}
@@ -311,9 +359,9 @@ def test_assembled_baseline_consistent():
             hist, best = [], 1.0
             for i in range(1, 20):
                 best = min(best, float(rng.uniform(-1, 1)))
-                hist.append((i, best))
+                hist.append(best)
             records.append(dict(problem=f"p{p}", n_p=5, seed=0, solver=f"s{s}",
-                                history=hist, f0=1.0, evals_used=19))
+                                history=np.array(hist), f0=1.0, evals_used=19))
     table = assemble_results(records, taus=[0.5])
     by_key = {}
     for r in table.rows:

@@ -185,7 +185,7 @@ def test_rds_sb_constant_objective_geometric_decay():
     assert trace.final_alpha == expected
     assert trace.success_count == 0
     assert trace.evals_used == cfg.budget
-    assert all(b == 2.5 for _, b in trace.history)
+    assert np.all(trace.history == 2.5)
     assert trace.final_point is prob.start
 
 
@@ -262,8 +262,18 @@ def test_budget_cap_exact():
     cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0, budget=3)
     trace = run_solver("rds-sb", prob, cfg)
     assert trace.evals_used == 3
-    assert len(trace.history) == 3
-    assert trace.history[-1][0] == 3
+    assert trace.history.shape == (3,)
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_history_is_one_float64_per_evaluation(name):
+    inst = build_instance("largest-eig", 5, 1)
+    trace = run_solver(name, inst, default_config(name, budget=60, seed=2))
+    assert trace.history.dtype == np.float64
+    assert trace.history.shape == (trace.evals_used,)
+    assert trace.history.nbytes == 8 * trace.evals_used
+    assert type(trace.best_f) is float
+    assert trace.best_f == trace.history[-1]
 
 
 def test_budget_refuses_extra_call():
@@ -345,7 +355,7 @@ def test_rdse_dd_plus_without_switch_keeps_slot_stepsizes():
     trace = run_solver("rdse-dd-plus", inst, cfg)
     assert trace.switch_eval is None
     reference = run_solver("rdse-sb", inst, cfg)
-    assert trace.history == reference.history
+    assert trace.history.tobytes() == reference.history.tobytes()
     assert trace.final_alpha_by_slot == reference.final_alpha_by_slot
     assert len(trace.final_alpha_by_slot) == 2 * inst.ambient_dim
 
@@ -433,10 +443,9 @@ def test_traces_monotone_and_deterministic():
         cfg = default_config(name, budget=500, seed=7)
         t1 = run_solver(name, prob, cfg)
         t2 = run_solver(name, prob, cfg)
-        assert t1.history == t2.history, name
+        assert t1.history.tobytes() == t2.history.tobytes(), name
         assert t1.evals_used <= cfg.budget
-        best = np.array([b for _, b in t1.history])
-        assert np.all(np.diff(best) <= 0), name
+        assert np.all(np.diff(t1.history) <= 0), name
 
 
 def test_accepted_steps_replay_sufficient_decrease():
@@ -592,7 +601,7 @@ def _recorded_run(name, prob, cfg):
         on_accept=lambda x, d, a, f0, f1: log.append(
             ("accept", x.value.tobytes(), d.value.tobytes(), a, repr(f0), repr(f1))),
     )
-    return (log, trace.history, trace.final_point.value.tobytes(), trace.evals_used,
+    return (log, trace.history.tobytes(), trace.final_point.value.tobytes(), trace.evals_used,
             trace.iterations, trace.success_count, trace.final_alpha,
             trace.final_alpha_by_slot, trace.switch_eval, trace.stop_reason)
 
