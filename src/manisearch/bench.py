@@ -17,7 +17,6 @@ the denominator.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 from dataclasses import dataclass
@@ -208,13 +207,18 @@ def _collect(table: ResultTable, tau: float):
 def _float_points(breakpoints, achieved, n_problems):
     """Exact rational counts rendered as float points.
 
-    Two exact breakpoints that round to the same float merge into one
-    point keeping the later (larger) count.
+    ``breakpoints`` must be ascending: one merge walk over the sorted
+    ``achieved`` counts the values at most each breakpoint.  Two exact
+    breakpoints that round to the same float merge into one point keeping
+    the later (larger) count.
     """
     achieved = sorted(achieved)
     pts = []
+    count = 0
     for a in breakpoints:
-        value = bisect.bisect_right(achieved, a) / n_problems
+        while count < len(achieved) and achieved[count] <= a:
+            count += 1
+        value = count / n_problems
         fa = float(a)
         if pts and pts[-1][0] == fa:
             pts[-1] = (fa, max(pts[-1][1], value))
