@@ -68,6 +68,8 @@ def test_evals_to_converge_examples():
         assert evals_to_converge(hist, 1.0, 0.0, tau) <= 17
     with pytest.raises(EmptyInput):
         evals_to_converge(np.array([]), 1.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="one best value per evaluation"):
+        evals_to_converge([(1, 1.0), (2, 0.2)], 1.0, 0.0, 0.25)  # pairs, not a history
 
 
 def _pair_loop_evals_to_converge(history, f0, f_l, tau):
