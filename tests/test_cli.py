@@ -186,6 +186,76 @@ def test_profile_command(tmp_path):
     assert curve_text.splitlines()[0] == "solver,kind,tau,abscissa,value"
 
 
+# a fixed table with tied counts (p1/0), an instance no solver solves
+# (p2/1), equal ratios from different counts (10/5 and 40/20), equal data
+# multipliers (10/5 and 20/10), and a multiplier beyond the right edge
+PROFILE_TABLE = """\
+problem,n_p,seed,solver,tau,t_ps,f0,f_best,evals_used
+p1,4,0,a,0.1,10,1.0,0.0,30
+p1,4,0,b,0.1,10,1.0,0.0,30
+p1,4,0,c,0.1,,1.0,0.5,30
+p1,4,1,a,0.1,5,1.0,0.0,30
+p1,4,1,b,0.1,10,1.0,0.0,30
+p1,4,1,c,0.1,50,1.0,0.0,60
+p2,9,0,a,0.1,20,2.0,0.0,60
+p2,9,0,b,0.1,40,2.0,0.0,60
+p2,9,0,c,0.1,30,2.0,0.0,60
+p2,9,1,a,0.1,,2.0,1.5,60
+p2,9,1,b,0.1,,2.0,1.5,60
+p2,9,1,c,0.1,,2.0,1.5,60
+p3,2,0,a,0.1,3,1.0,0.0,18
+p3,2,0,b,0.1,,1.0,0.5,18
+p3,2,0,c,0.1,9,1.0,0.0,18
+p1,4,0,a,0.5,4,1.0,0.0,30
+p1,4,0,b,0.5,4,1.0,0.0,30
+p1,4,0,c,0.5,7,1.0,0.0,30
+p1,4,1,a,0.5,2,1.0,0.0,30
+p1,4,1,b,0.5,6,1.0,0.0,30
+p1,4,1,c,0.5,6,1.0,0.0,60
+p2,9,0,a,0.5,7,2.0,0.0,60
+p2,9,0,b,0.5,21,2.0,0.0,60
+p2,9,0,c,0.5,,2.0,0.8,60
+p2,9,1,a,0.5,,2.0,1.5,60
+p2,9,1,b,0.5,,2.0,1.5,60
+p2,9,1,c,0.5,,2.0,1.5,60
+p3,2,0,a,0.5,1,1.0,0.0,18
+p3,2,0,b,0.5,3,1.0,0.0,18
+p3,2,0,c,0.5,3,1.0,0.0,18
+"""
+
+# sha256 prefixes of every curve CSV and plot written from PROFILE_TABLE;
+# a change to how profiles are counted or written must leave every byte
+PINNED_PROFILES = {
+    "a__data__tau0.1.csv": "6fbd45696b78f153",
+    "a__data__tau0.5.csv": "341143ebbea94580",
+    "a__performance__tau0.1.csv": "f467cdd91c3a662c",
+    "a__performance__tau0.5.csv": "abc1dd0bf08b8de0",
+    "b__data__tau0.1.csv": "3985bd35cf1cb3fe",
+    "b__data__tau0.5.csv": "e451dc87d456b918",
+    "b__performance__tau0.1.csv": "58991f7622bec4f8",
+    "b__performance__tau0.5.csv": "aca7dfd3e8b25a63",
+    "c__data__tau0.1.csv": "85d8803f2f3151ac",
+    "c__data__tau0.5.csv": "7cc374d6ccb337cc",
+    "c__performance__tau0.1.csv": "c0988bc6e075073e",
+    "c__performance__tau0.5.csv": "280ba3c20708abce",
+    "data__tau0.1.svg": "a00fbc77b9a52fdd",
+    "data__tau0.5.svg": "49954b5c8eef485f",
+    "performance__tau0.1.svg": "8c25dbed5076b951",
+    "performance__tau0.5.svg": "bf309618f88a798d",
+}
+
+
+def test_profile_outputs_are_pinned_bytes(tmp_path):
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "results.csv").write_text(PROFILE_TABLE)
+    assert main(["profile", "--out", str(out), "--kind", "both", "--svg",
+                 "--budget-mult", "6"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+           for p in sorted((out / "profiles").iterdir())}
+    assert got == PINNED_PROFILES
+
+
 @pytest.mark.parametrize("tau, named", [
     (",", "taus needs at least one value"),
     ("5", "tau must lie in (0, 1), got 5.0"),
