@@ -1,3 +1,6 @@
+import csv
+import io
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from manisearch.bench import (
     data_profile,
     evals_to_converge,
     performance_profile,
+    profile_curve_csv,
 )
 from manisearch.errors import EmptyInput, InvalidBaseline
 
@@ -292,6 +296,98 @@ def test_profiles_match_brute_force_on_random_tables():
         expected = _brute_force_data_curves(table, 0.1, kappa_max=100)
         for curve in data_profile(table, 0.1, kappa_max=100):
             assert curve.points == expected[curve.solver]
+
+
+def _assert_profiles_match_brute_force(table, kappa_max=100):
+    expected = _brute_force_performance_curves(table, 0.1)
+    for curve in performance_profile(table, 0.1):
+        assert curve.points == expected[curve.solver]
+    expected = _brute_force_data_curves(table, 0.1, kappa_max)
+    for curve in data_profile(table, 0.1, kappa_max=kappa_max):
+        assert curve.points == expected[curve.solver]
+
+
+def test_ratio_that_rounds_onto_one_counts_at_one():
+    # (2**53 + 1) / 2**53 is not 1 but rounds to 1.0, so both solvers
+    # have solved p1 at the plotted abscissa 1.0
+    rows = [
+        _row(problem="p1", solver="s1", t_ps=2**53),
+        _row(problem="p1", solver="s2", t_ps=2**53 + 1),
+        _row(problem="p2", solver="s1", t_ps=None),
+        _row(problem="p2", solver="s2", t_ps=3),
+    ]
+    table = ResultTable(rows)
+    _assert_profiles_match_brute_force(table)
+    curves = {c.solver: c.points for c in performance_profile(table, 0.1)}
+    assert curves == {"s1": ((1.0, 0.5),), "s2": ((1.0, 1.0),)}
+
+
+def test_multiplier_that_rounds_onto_the_right_edge_counts_there():
+    # t / (n_p + 1) = 100 + 2**-53 lies past kappa_max = 100 but rounds to it
+    n_p = 2**53 - 1
+    rows = [
+        _row(problem="p1", n_p=n_p, solver="s1", t_ps=100 * 2**53 + 1),
+        _row(problem="p2", n_p=4, solver="s1", t_ps=5),
+    ]
+    table = ResultTable(rows)
+    _assert_profiles_match_brute_force(table)
+    (curve,) = data_profile(table, 0.1, kappa_max=100)
+    assert curve.points == ((0.0, 0.0), (1.0, 0.5), (100.0, 1.0))
+
+
+def test_data_profile_with_n_p_beyond_float_precision():
+    # n_p + 1 > 2**53 is not a float; the multiplier must still be exact
+    n_p = 2**60
+    rows = [
+        _row(problem="p1", n_p=n_p, solver="s1", t_ps=3 * (n_p + 1)),
+        _row(problem="p1", n_p=n_p, solver="s2", t_ps=3 * (n_p + 1) - 1),
+        _row(problem="p2", n_p=n_p + 2, solver="s1", t_ps=n_p + 3),
+        _row(problem="p2", n_p=n_p + 2, solver="s2", t_ps=None),
+    ]
+    table = ResultTable(rows)
+    _assert_profiles_match_brute_force(table)
+    curves = {c.solver: c.points for c in data_profile(table, 0.1, kappa_max=100)}
+    assert curves["s1"] == ((0.0, 0.0), (1.0, 0.5), (3.0, 1.0), (100.0, 1.0))
+    assert curves["s2"] == ((0.0, 0.0), (1.0, 0.0), (3.0, 0.5), (100.0, 0.5))
+
+
+def _huge_table(rng, n_solvers=3, n_problems=5):
+    """Counts and dims around 2**53 and far past it, many of them within a
+    few units of each other or of a multiple of n_p + 1, so exact ratios
+    often collide after rounding."""
+    rows = []
+    for p in range(n_problems):
+        n_p = rng.choice([rng.randint(2, 30), 2**53 - 1 + rng.randint(-3, 3),
+                          rng.randint(2**53, 2**70)])
+        base = rng.choice([1, rng.randint(1, 2**60), rng.randint(2**53 - 8, 2**53 + 8)])
+        for s in range(n_solvers):
+            if rng.random() < 0.15:
+                t_ps = None
+            elif rng.random() < 0.5:
+                t_ps = max(1, rng.choice([1, 2, 3, 100]) * (n_p + 1) + rng.randint(-2, 2))
+            else:
+                t_ps = max(1, base * rng.randint(1, 3) + rng.randint(-2, 2))
+            rows.append(_row(problem=f"p{p}", n_p=n_p, solver=f"s{s}", t_ps=t_ps))
+    return ResultTable(rows)
+
+
+def test_profiles_match_brute_force_on_huge_counts():
+    rng = random.Random(53)
+    for _ in range(150):
+        _assert_profiles_match_brute_force(_huge_table(rng),
+                                           kappa_max=rng.choice([1, 2, 3, 100]))
+
+
+def test_profile_curve_csv_quotes_like_csv_writer():
+    points = ((0.0, 0.0), (1.0 / 3.0, 0.25), (2.5, 0.5), (1e300, 1.0))
+    for solver in ("plain", "", "a,b", 'say "hi"', "two\nlines", 'x,"y"\r\nz'):
+        curve = ProfileCurve(solver, "data", 0.1, points)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(("solver", "kind", "tau", "abscissa", "value"))
+        for a, v in points:
+            w.writerow((solver, "data", repr(0.1), repr(a), repr(v)))
+        assert profile_curve_csv(curve) == buf.getvalue()
 
 
 def test_profiles_monotone_bounded_and_order_free():
