@@ -12,7 +12,8 @@ table of such results:
                          kappa * (n_p + 1) evaluations
 
 Problems unsolved by a solver never enter its counts but always count in
-the denominator.
+the denominator.  Profile abscissae are exact ratios of integers rounded
+once to floats; the counts at them are exact (see ``_float_points``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -205,26 +205,37 @@ def _collect(table: ResultTable, tau: float):
 
 
 def _float_points(breakpoints, achieved, n_problems):
-    """Exact rational counts rendered as float points.
+    """Each breakpoint paired with the fraction of problems achieved by it.
 
-    ``breakpoints`` must be ascending: one merge walk over the sorted
-    ``achieved`` counts the values at most each breakpoint.  Two exact
-    breakpoints that round to the same float merge into one point keeping
-    the later (larger) count.
+    Both lists are ascending floats, each the correctly rounded image of
+    an exact rational; one merge walk counts the achieved values at most
+    each breakpoint.  The counts are exact: rounding is monotone and every
+    achieved value is also a breakpoint, so the achieved values that round
+    to at most a breakpoint ``fa`` are exactly those at most the largest
+    exact breakpoint that rounds to ``fa``.
     """
-    achieved = sorted(achieved)
     pts = []
     count = 0
     for a in breakpoints:
         while count < len(achieved) and achieved[count] <= a:
             count += 1
-        value = count / n_problems
-        fa = float(a)
-        if pts and pts[-1][0] == fa:
-            pts[-1] = (fa, max(pts[-1][1], value))
-        else:
-            pts.append((fa, value))
+        pts.append((a, count / n_problems))
     return tuple(pts)
+
+
+def _profile(kind, tau, keys, solvers, t, bases, extra):
+    """Per-solver curves of ``t / bases[key]`` broken at every achieved value
+    and at ``extra``.  Python's int / int true division rounds correctly at
+    any size, so each abscissa is its exact ratio rounded once."""
+    achieved = {s: sorted(t[(key, s)] / base for key, base in bases.items()
+                          if t.get((key, s)) is not None)
+                for s in solvers}
+    breakpoints = sorted(set(extra).union(*achieved.values()))
+    return [
+        ProfileCurve(solver=s, kind=kind, tau=tau,
+                     points=_float_points(breakpoints, achieved[s], len(keys)))
+        for s in solvers
+    ]
 
 
 def performance_profile(table: ResultTable, tau: float) -> list:
@@ -232,62 +243,43 @@ def performance_profile(table: ResultTable, tau: float) -> list:
 
     The ratio base for a problem is the smallest t over solvers that
     solved it; problems no solver solved still count in the denominator.
-    Curves are evaluated on the sorted set of achieved ratios plus 1,
-    with the ratio comparisons done in exact rational arithmetic.
+    Curves are evaluated at 1 and every achieved ratio ``t / best``, each
+    rounded once to a float; the counts equal those of exact rational
+    comparisons (see ``_float_points``).
     """
-    rows, keys, solvers, t = _collect(table, tau)
-    n_problems = len(keys)
-    ratios = {s: [] for s in solvers}
+    _, keys, solvers, t = _collect(table, tau)
+    bases = {}
     for key in keys:
-        solved = [t[(key, s)] for s in solvers
-                  if (key, s) in t and t[(key, s)] is not None]
-        if not solved:
-            continue
-        best = min(solved)
-        for s in solvers:
-            tps = t.get((key, s))
-            if tps is not None:
-                ratios[s].append(Fraction(tps, best))
-    breakpoints = sorted({Fraction(1)} | {r for rs in ratios.values() for r in rs})
-    return [
-        ProfileCurve(solver=s, kind="performance", tau=tau,
-                     points=_float_points(breakpoints, ratios[s], n_problems))
-        for s in solvers
-    ]
+        solved = [t[(key, s)] for s in solvers if t.get((key, s)) is not None]
+        if solved:
+            bases[key] = min(solved)
+    return _profile("performance", tau, keys, solvers, t, bases, (1.0,))
 
 
 def data_profile(table: ResultTable, tau: float,
                  kappa_max: Optional[float] = None) -> list:
     """Per-solver fractions solved within kappa * (n_p + 1) evaluations.
 
-    Curves are evaluated at 0, every achieved kappa, and ``kappa_max``
-    when given (with the standard budget, the value at multiplier 100 is
-    the fraction solved at all); comparisons are exact.
+    Curves are evaluated at 0, every achieved kappa ``t / (n_p + 1)``
+    rounded once to a float, and ``kappa_max`` when given (with the
+    standard budget, the value at multiplier 100 is the fraction solved at
+    all); the counts equal those of exact rational comparisons (see
+    ``_float_points``).
     """
-    rows, keys, solvers, t = _collect(table, tau)
-    n_problems = len(keys)
-    dims = {r.key(): r.n_p for r in rows}
-    kappas = {s: [] for s in solvers}
-    for key in keys:
-        for s in solvers:
-            tps = t.get((key, s))
-            if tps is not None:
-                kappas[s].append(Fraction(tps, dims[key] + 1))
-    breakpoints = {Fraction(0)} | {k for ks in kappas.values() for k in ks}
+    extra = [0.0]
     if kappa_max is not None:
-        breakpoints.add(Fraction(kappa_max))
-    breakpoints = sorted(breakpoints)
-    return [
-        ProfileCurve(solver=s, kind="data", tau=tau,
-                     points=_float_points(breakpoints, kappas[s], n_problems))
-        for s in solvers
-    ]
+        extra.append(float(kappa_max))
+    rows, keys, solvers, t = _collect(table, tau)
+    bases = {r.key(): r.n_p + 1 for r in rows}
+    return _profile("data", tau, keys, solvers, t, bases, extra)
 
 
 def profile_curve_csv(curve: ProfileCurve) -> str:
+    """The curve as CSV rows, with the solver, kind and tau fields quoted
+    by ``csv`` once and shared by every point."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("solver", "kind", "tau", "abscissa", "value"))
-    for a, v in curve.points:
-        w.writerow((curve.solver, curve.kind, repr(curve.tau), repr(a), repr(v)))
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(
+        (curve.solver, curve.kind, repr(curve.tau)))
+    prefix = buf.getvalue()[:-1]
+    return "solver,kind,tau,abscissa,value\n" + "".join(
+        [f"{prefix},{a!r},{v!r}\n" for a, v in curve.points])
