@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,13 +262,15 @@ def data_profile(table: ResultTable, tau: float,
     """Per-solver fractions solved within kappa * (n_p + 1) evaluations.
 
     Curves are evaluated at 0, every achieved kappa ``t / (n_p + 1)``
-    rounded once to a float, and ``kappa_max`` when given (with the
-    standard budget, the value at multiplier 100 is the fraction solved at
-    all); the counts equal those of exact rational comparisons (see
-    ``_float_points``).
+    rounded once to a float, and ``kappa_max`` when given, which must be
+    finite and positive (with the standard budget, the value at multiplier
+    100 is the fraction solved at all); the counts equal those of exact
+    rational comparisons (see ``_float_points``).
     """
     extra = [0.0]
     if kappa_max is not None:
+        if not 0 < kappa_max <= sys.float_info.max:
+            raise ValueError(f"kappa_max must be finite and > 0, got {kappa_max}")
         extra.append(float(kappa_max))
     rows, keys, solvers, t = _collect(table, tau)
     bases = {r.key(): r.n_p + 1 for r in rows}

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -376,6 +377,13 @@ def test_profiles_match_brute_force_on_huge_counts():
     for _ in range(150):
         _assert_profiles_match_brute_force(_huge_table(rng),
                                            kappa_max=rng.choice([1, 2, 3, 100]))
+
+
+@pytest.mark.parametrize("kappa_max", [math.inf, -math.inf, math.nan, 0, -5, 10**400],
+                         ids=["inf", "-inf", "nan", "0", "-5", "10**400"])
+def test_data_profile_rejects_a_right_edge_not_finite_and_positive(kappa_max):
+    with pytest.raises(ValueError, match="kappa_max must be finite and > 0"):
+        data_profile(_two_solver_table(), 0.1, kappa_max=kappa_max)
 
 
 def test_profile_curve_csv_quotes_like_csv_writer():

@@ -310,6 +310,15 @@ def test_profile_rejects_budget_mult_below_one(tmp_path, capsys):
     assert not (out / "profiles").exists()
 
 
+def test_profile_rejects_budget_mult_beyond_float_range(tmp_path, capsys):
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "results.csv").write_text(PROFILE_TABLE)
+    assert main(["profile", "--out", str(out), "--budget-mult", "1" + "0" * 400]) == 1
+    assert "kappa_max must be finite and > 0" in capsys.readouterr().err
+    assert not (out / "profiles").exists()
+
+
 def test_profile_missing_table(tmp_path):
     assert main(["profile", "--out", str(tmp_path / "nothing")]) == 1
 
