@@ -225,9 +225,12 @@ def _float_points(breakpoints, achieved, n_problems):
 
 
 def _profile(kind, tau, keys, solvers, t, bases, extra):
-    """Per-solver curves of ``t / bases[key]`` broken at every achieved value
-    and at ``extra``.  Python's int / int true division rounds correctly at
-    any size, so each abscissa is its exact ratio rounded once."""
+    """Per-solver curves of ``t / bases[key]`` over the keys in ``bases``.
+
+    The breakpoints are every achieved value plus ``extra``.  Python's
+    int / int true division rounds correctly at any size, so each
+    abscissa is its exact ratio rounded once.
+    """
     achieved = {s: sorted(t[(key, s)] / base for key, base in bases.items()
                           if t.get((key, s)) is not None)
                 for s in solvers}
@@ -278,8 +281,7 @@ def data_profile(table: ResultTable, tau: float,
 
 
 def profile_curve_csv(curve: ProfileCurve) -> str:
-    """The curve as CSV rows, with the solver, kind and tau fields quoted
-    by ``csv`` once and shared by every point."""
+    """The curve as CSV; solver, kind and tau are quoted once, by ``csv``."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(
         (curve.solver, curve.kind, repr(curve.tau)))
