@@ -507,13 +507,23 @@ def test_config_file_names_line_of_non_numeric_override(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # only the sync-rotations builder uses scipy.linalg, and importing it
-    # takes longer than the rest of the package together
+    # the package runs on numpy alone: importing the CLI, building every
+    # problem and running a sync-rotations cell must load no scipy module
     import manisearch
 
     src = str(Path(manisearch.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, manisearch.cli; print('scipy.linalg' in sys.modules)"
+    code = (
+        "import sys\n"
+        "import manisearch.cli as cli\n"
+        "for name in cli.PROBLEM_NAMES:\n"
+        "    for dim in (2, 10, 50):\n"
+        "        cli.build_instance(name, dim, 0)\n"
+        "inst = cli.build_instance('sync-rotations', 10, 0)\n"
+        "rec = cli.run_cell(cli.Cell(inst, 'rds-sb', 20 * (inst.ambient_dim + 1), 0), {})\n"
+        "assert rec['evals_used'] > 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

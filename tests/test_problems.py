@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from manisearch import problems
 from manisearch.errors import BudgetExhausted, InvalidDimension, UnknownProblem, Unsupported
 from manisearch.manifolds import FixedRank, random_point, random_tangent
 from manisearch.problems import (
@@ -250,6 +251,46 @@ def test_identity_subspace_l1_floor():
         x /= np.linalg.norm(x)
         assert np.abs(x).sum() >= 1.0 - 1e-12
     assert np.abs(np.eye(6)[0]).sum() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# sync-rotations noise rotation
+# ---------------------------------------------------------------------------
+
+def _sync_noise_generators():
+    """The skew matrices the sync-rotations builder exponentiates, d = 2..8
+    and seeds 0..49, captured from the builder's own draws."""
+    seen = []
+
+    def spy(a):
+        seen.append(a.copy())
+        return np.eye(len(a))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_expm", spy)
+        for d in range(2, 9):
+            for seed in range(50):
+                build_instance("sync-rotations", 2 * d * d, seed)
+                assert seen[-1].shape == (d, d)
+    return seen
+
+
+def test_noise_rotation_matches_scipy_expm():
+    import scipy.linalg  # a test-only dependency (the dev extra)
+
+    gens = _sync_noise_generators()
+    assert len(gens) == 7 * 50
+    for a in gens:
+        assert np.array_equal(a, -a.T)
+        q = problems._expm(a)
+        assert np.max(np.abs(q - scipy.linalg.expm(a))) <= 1e-15
+        assert np.linalg.norm(q.T @ q - np.eye(len(a))) <= 1e-14
+        assert np.linalg.det(q) > 0
+
+
+def test_exponential_of_zero_is_identity():
+    for d in range(2, 9):
+        assert np.array_equal(problems._expm(np.zeros((d, d))), np.eye(d))
 
 
 # ---------------------------------------------------------------------------
