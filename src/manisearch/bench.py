@@ -187,22 +187,25 @@ class ProfileCurve:
 
 
 def _collect(table: ResultTable, tau: float):
-    rows = [r for r in table.rows if r.tau == tau]
-    if not rows:
-        raise EmptyInput(f"no rows at tau={tau}")
-    keys = sorted({r.key() for r in rows})
-    solvers = sorted({r.solver for r in rows})
-    t = {(r.key(), r.solver): r.t_ps for r in rows}
-    if len(t) != len(rows):
-        # a repeated run would otherwise silently replace the earlier row
-        seen = set()
-        for r in rows:
-            if (r.key(), r.solver) in seen:
+    """The sorted instance keys, solvers and ``t_ps`` by (key, solver) at tau.
+
+    Each row is keyed once.
+    """
+    t = {}
+    for r in table.rows:
+        if r.tau == tau:
+            run = (r.key(), r.solver)
+            if run in t:
+                # a repeated run would otherwise silently replace the earlier row
                 raise ValueError(
                     f"run problem={r.problem} n_p={r.n_p} seed={r.seed} "
                     f"solver={r.solver} appears twice at tau={tau}")
-            seen.add((r.key(), r.solver))
-    return rows, keys, solvers, t
+            t[run] = r.t_ps
+    if not t:
+        raise EmptyInput(f"no rows at tau={tau}")
+    keys = sorted({key for key, _ in t})
+    solvers = sorted({s for _, s in t})
+    return keys, solvers, t
 
 
 def _float_points(breakpoints, achieved, n_problems):
@@ -251,7 +254,7 @@ def performance_profile(table: ResultTable, tau: float) -> list:
     rounded once to a float; the counts equal those of exact rational
     comparisons (see ``_float_points``).
     """
-    _, keys, solvers, t = _collect(table, tau)
+    keys, solvers, t = _collect(table, tau)
     bases = {}
     for key in keys:
         solved = [t[(key, s)] for s in solvers if t.get((key, s)) is not None]
@@ -275,8 +278,8 @@ def data_profile(table: ResultTable, tau: float,
         if not 0 < kappa_max <= sys.float_info.max:
             raise ValueError(f"kappa_max must be finite and > 0, got {kappa_max}")
         extra.append(float(kappa_max))
-    rows, keys, solvers, t = _collect(table, tau)
-    bases = {r.key(): r.n_p + 1 for r in rows}
+    keys, solvers, t = _collect(table, tau)
+    bases = {key: key[1] + 1 for key in keys}  # key = (problem, n_p, seed)
     return _profile("data", tau, keys, solvers, t, bases, extra)
 
 
