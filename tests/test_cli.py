@@ -11,6 +11,7 @@ from manisearch.checks import CheckResult, direction_checks, geometry_checks
 from manisearch.cli import main, parse_config_file, render_profile_svg, stable_seed
 from manisearch.errors import CliError
 from manisearch.manifolds import Product, Sphere, Stiefel
+from manisearch.problems import NONSMOOTH_PROBLEMS, SMOOTH_PROBLEMS
 
 
 RUN_ARGS = [
@@ -118,6 +119,51 @@ def test_run_outputs_are_pinned_bytes(tmp_path):
     assert got == PINNED_OUTPUTS
     for p in files:
         assert "np.float64(" not in p.read_text(), p.name
+
+
+# sha256 prefixes of the outputs of two small grids that reach every
+# manifold kind through lone and stacked retractions: the smooth problems
+# with rdse-sb and zo-rgd, and the nonsmooth ones with rdse-dd (zo-rgd
+# refuses nonsmooth problems).  A change to the geometry's code, not its
+# arithmetic, must leave every byte in place
+PINNED_EVERY_KIND = {
+    "smooth/results.csv": "87c019bba03d2cb0",
+    "dict-learning__12__0__rdse-sb.csv": "1554b528e438a4da",
+    "dict-learning__12__0__zo-rgd.csv": "b23550c6e4c24eb3",
+    "gmm__10__0__rdse-sb.csv": "c7c5f39fd93e3c7f",
+    "gmm__10__0__zo-rgd.csv": "f745ad2811563337",
+    "largest-eig__10__0__rdse-sb.csv": "d9943aa2aac1beb2",
+    "largest-eig__10__0__zo-rgd.csv": "9bf6abf4d2800344",
+    "largest-sv__10__0__rdse-sb.csv": "49dd34966bdfa7e1",
+    "largest-sv__10__0__zo-rgd.csv": "fca5f731c9ec8cab",
+    "matrix-completion__9__0__rdse-sb.csv": "2f7944015165a3e9",
+    "matrix-completion__9__0__zo-rgd.csv": "d27f4af17ffe9458",
+    "procrustes__10__0__rdse-sb.csv": "4d5f9855764d3067",
+    "procrustes__10__0__zo-rgd.csv": "15f33f7f737eb485",
+    "sync-rotations__8__0__rdse-sb.csv": "215243b8f546d319",
+    "sync-rotations__8__0__zo-rgd.csv": "ee44a3d04c0a92f1",
+    "top-sv__12__0__rdse-sb.csv": "4ee42e3edb2a4829",
+    "top-sv__12__0__zo-rgd.csv": "3960eacab9f1f743",
+    "nonsmooth/results.csv": "ca993a2bf26476de",
+    "nonsmooth-mc__25__0__rdse-dd.csv": "d7f2e3f4aaf67fec",
+    "sparsest-vector__25__0__rdse-dd.csv": "1fa9349e0e8f4cb1",
+}
+
+
+def test_every_kind_outputs_are_pinned_bytes(tmp_path):
+    got = {}
+    for key, problems, dim, solvers in (
+            ("smooth", SMOOTH_PROBLEMS, "10", "rdse-sb,zo-rgd"),
+            ("nonsmooth", NONSMOOTH_PROBLEMS, "25", "rdse-dd")):
+        out = tmp_path / key
+        assert main(["run", "--problems", ",".join(problems), "--dims", dim,
+                     "--seeds", "0", "--solvers", solvers, "--budget-mult", "10",
+                     "--out", str(out)]) == 0
+        got[f"{key}/results.csv"] = hashlib.sha256(
+            (out / "results.csv").read_bytes()).hexdigest()[:16]
+        for p in sorted((out / "traces").iterdir()):
+            got[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+    assert got == PINNED_EVERY_KIND
 
 
 def test_failed_table_write_keeps_previous_table(tmp_path, monkeypatch):
