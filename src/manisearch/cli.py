@@ -228,6 +228,8 @@ def cmd_run(args) -> int:
     cells = grid_cells(settings["problems"], settings["dims"], settings["seeds"],
                        settings["solvers"], settings["budget_mult"])
     out = settings["out"]
+    # a run cut short must not leave a previous table beside its new traces
+    (out / "results.csv").unlink(missing_ok=True)
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     records = []

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from manisearch import cli
 from manisearch.bench import CSV_HEADER, ResultTable
 from manisearch.checks import CheckResult, direction_checks, geometry_checks
 from manisearch.cli import main, parse_config_file, render_profile_svg, stable_seed
@@ -166,7 +167,27 @@ def test_every_kind_outputs_are_pinned_bytes(tmp_path):
     assert got == PINNED_EVERY_KIND
 
 
-def test_failed_table_write_keeps_previous_table(tmp_path, monkeypatch):
+def test_interrupted_rerun_leaves_no_stale_table(tmp_path, monkeypatch):
+    # the table is written after the last cell, so a rerun cut short must
+    # not leave the previous table beside its new traces for profile to read
+    out = tmp_path / "res"
+    assert main(RUN_ARGS + ["--out", str(out)]) == 0
+    run_cell, calls = cli.run_cell, []
+
+    def interrupt_second_cell(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run_cell(*args)
+
+    monkeypatch.setattr(cli, "run_cell", interrupt_second_cell)
+    with pytest.raises(KeyboardInterrupt):
+        main(RUN_ARGS + ["--out", str(out)])
+    assert not (out / "results.csv").exists()
+    assert main(["profile", "--out", str(out)]) == 1
+
+
+def test_failed_table_write_leaves_no_table(tmp_path, monkeypatch):
     out = tmp_path / "res"
     out.mkdir()
     (out / "results.csv").write_text("previous table\n")
@@ -180,7 +201,9 @@ def test_failed_table_write_keeps_previous_table(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", refuse_table)
     with pytest.raises(OSError, match="simulated"):
         main(RUN_ARGS + ["--out", str(out)])
-    assert (out / "results.csv").read_text() == "previous table\n"
+    # the previous table went before the first trace; the failed write
+    # leaves neither a half-written table nor its temporary file
+    assert not (out / "results.csv").exists()
     assert len(list((out / "traces").iterdir())) == 8
     assert not list(out.rglob("*.tmp"))
 
