@@ -16,13 +16,15 @@ the resulting tangent vectors are moved along with ``retract``.
 A search fixes several trial points at one iterate before it evaluates
 any of them, and numpy call overhead, not arithmetic, dominates the cost
 of one small retraction.  ``_retract_many`` and ``_project_many`` take a
-(k, len) stack of rows at one point and return the k results in one
-stacked numpy call (``np.linalg.qr``, ``svd``, ``solve`` and ``matmul``
-loop over a stack matrix by matrix).  A kind's one projection is
-``_project_many``, and ``project_tangent`` projects a stack of one.  The
-retraction keeps a lone ``_retract`` too, cheaper than a stack of one on
-the hot path; every row of ``_retract_many`` is bitwise its ``_retract``.
-``_sqnorms`` gives the squared Riemannian norms of a tangent stack, each
+(k, len) stack of rows and return the k results in one stacked numpy
+call (``np.linalg.qr``, ``svd``, ``solve`` and ``matmul`` loop over a
+stack matrix by matrix).  They are a kind's one retraction and one
+projection: ``retract`` and ``project_tangent`` pass a stack of one, and
+row i of a stack is bitwise the same in any stack holding it.  The
+retraction's base point is one flat value or a (k, len) stack of them,
+one per row; numpy broadcasting covers both.  A product retracts each
+run of adjacent equal blocks in one call, on the stack of the block
+values that move.  ``_sqnorms`` gives the squared Riemannian norms of a tangent stack, each
 bitwise its ``_inner``; sphere and fixed-rank, the kinds of the
 nonsmooth problems, compute it in one stacked call, the others row by row.
 
@@ -136,12 +138,11 @@ class Manifold:
         # is bitwise the same in any stack holding A[i], one of one included
         raise NotImplementedError
 
-    def _retract(self, x, t) -> np.ndarray:
-        raise NotImplementedError
-
     def _retract_many(self, x, T) -> np.ndarray:
-        # row i is _retract(x, T[i]) for a (k, len) tangent stack T, bitwise
-        return np.array([self._retract(x, t) for t in T])
+        # the retractions of the rows of a (k, len) tangent stack T at x,
+        # one flat base point or a (k, len) stack of them; row i is
+        # bitwise the same in any stack holding it, one of one included
+        raise NotImplementedError
 
     def _inner(self, x, u, v) -> float:
         raise NotImplementedError
@@ -220,7 +221,7 @@ class Manifold:
             raise BaseMismatch("tangent vector is rooted at a different point")
         if not d.value.any():
             return x
-        return ManifoldPoint(self, self._retract(x.value, d.value))
+        return ManifoldPoint(self, self._retract_many(x.value, d.value[None])[0])
 
     def inner(self, x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
         """Riemannian scalar product of two tangent vectors at ``x``."""
@@ -300,10 +301,6 @@ class Sphere(Manifold):
     def _project_many(self, x, A):
         return A - _row_dots(A, x) * x
 
-    def _retract(self, x, t):
-        y = x + t
-        return y / np.linalg.norm(y)
-
     def _retract_many(self, x, T):
         Y = x + T
         return Y / np.sqrt(_row_dots(Y, Y))
@@ -352,9 +349,6 @@ class Stiefel(Manifold):
         x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
         return (Z - x @ _sym(x.T @ Z)).reshape(len(A), -1)
 
-    def _retract(self, x, t):
-        return _qr_fixed(self._unpack(x + t)).ravel()
-
     def _retract_many(self, x, T):
         return _qr_fixed((x + T).reshape(len(T), self.n, self.p)).reshape(len(T), -1)
 
@@ -387,16 +381,10 @@ class SpecialOrthogonal(Stiefel):
     def spec_string(self) -> str:
         return f"so({self.d})"
 
-    def _retract(self, x, t):
-        q = _qr_fixed(self._unpack(x + t))
-        if np.linalg.det(q) <= 0:
-            # cannot happen for genuinely tangent steps x @ skew
-            raise InvalidShape("so retraction left the det=+1 component")
-        return q.ravel()
-
     def _retract_many(self, x, T):
         Q = super()._retract_many(x, T)
         if (np.linalg.det(Q.reshape(len(T), self.d, self.d)) <= 0).any():
+            # cannot happen for genuinely tangent steps x @ skew
             raise InvalidShape("so retraction left the det=+1 component")
         return Q
 
@@ -425,7 +413,9 @@ class FixedRank(Manifold):
     ``pack(U, s, V)`` and a tangent value ``pack(M, Up, Vp)``.  The
     retraction is the rank-r truncated SVD of ``X + t``, computed on a
     (2r x 2r) core; singular values that fall below ``feasibility_tol``
-    are clamped up to it so iterates never leave the rank-r set.
+    are clamped up to it so iterates never leave the rank-r set.  The
+    retraction takes one base point, not a stack: a product cannot hold
+    a fixed-rank block, so no caller has more than one.
     """
 
     kind = "fixed-rank"
@@ -482,37 +472,11 @@ class FixedRank(Manifold):
         return self._pack_rows(mid, up, vp)
 
     @staticmethod
-    def _complement_factor(u, up):
-        # qr of a rank-deficient block can emit filler columns leaking
-        # into span(u); re-orthogonalise so [u, q] stays orthonormal
-        q, ru = np.linalg.qr(up)
-        if np.abs(u.T @ q).max() > 1e-12:
-            q = q - u @ (u.T @ q)
-            q, _ = np.linalg.qr(q)
-            ru = q.T @ up
-        return q, ru
-
-    def _retract(self, x, t):
-        u, s, v = self._unpack(x)
-        mid, up, vp = self._unpack_tangent(t)
-        r = self.r
-        qu, ru = self._complement_factor(u, up)
-        qv, rv = self._complement_factor(v, vp)
-        core = np.zeros((2 * r, 2 * r))
-        core[:r, :r] = np.diag(s) + mid
-        core[:r, r:] = rv.T
-        core[r:, :r] = ru
-        w, sv, zt = np.linalg.svd(core)
-        sv = np.maximum(sv[:r], self.feasibility_tol)
-        new_u = np.hstack([u, qu]) @ w[:, :r]
-        new_v = np.hstack([v, qv]) @ zt[:r, :].T
-        return self.pack(new_u, sv, new_v)
-
-    @staticmethod
     def _complement_factors(u, up):
-        # _complement_factor of each block of the stack up, bitwise; the
-        # blocks that leak (most coordinate directions do) are redone in
-        # one stack, not one by one
+        # qr of each block of the stack up; qr of a rank-deficient block
+        # can emit filler columns leaking into span(u), so the blocks that
+        # leak (most coordinate directions do) are re-orthogonalised, in
+        # one stack, to keep [u, q] orthonormal
         q, ru = np.linalg.qr(up)
         leak = np.abs(u.T @ q).max(axis=(1, 2)) > 1e-12
         if leak.any():
@@ -623,13 +587,8 @@ class SymmetricPositiveDefinite(Manifold):
     def _project_many(self, x, A):
         return _sym(A.reshape(len(A), self.d, self.d)).reshape(len(A), -1)
 
-    def _retract(self, x, t):
-        x, t = self._unpack(x), self._unpack(t)
-        w = np.linalg.solve(x, t)
-        return _sym(x + t + 0.5 * (t @ w)).ravel()
-
     def _retract_many(self, x, T):
-        x, T = self._unpack(x), T.reshape(len(T), self.d, self.d)
+        x, T = x.reshape(-1, self.d, self.d), T.reshape(len(T), self.d, self.d)
         W = np.linalg.solve(x, T)
         return _sym(x + T + 0.5 * (T @ W)).reshape(len(T), -1)
 
@@ -678,19 +637,12 @@ class PositiveSimplex(Manifold):
     def spec_string(self) -> str:
         return f"simplex({self.k})"
 
-    def _retract(self, x, t):
-        z = t / x
-        z -= z.max()  # rescaling cancels in the normalisation
-        w = x * np.exp(z)
-        w = np.maximum(w / w.sum(), self.feasibility_tol)
-        return w / w.sum()
-
     def _project_many(self, x, A):
         return A - A.mean(axis=1, keepdims=True)
 
     def _retract_many(self, x, T):
         Z = T / x
-        Z -= Z.max(axis=1, keepdims=True)
+        Z -= Z.max(axis=1, keepdims=True)  # rescaling cancels in the normalisation
         W = x * np.exp(Z)
         W = np.maximum(W / W.sum(axis=1, keepdims=True), self.feasibility_tol)
         return W / W.sum(axis=1, keepdims=True)
@@ -734,10 +686,8 @@ class Euclidean(Manifold):
     def _project_many(self, x, A):
         return A.copy()
 
-    def _retract(self, x, t):
-        return x + t
-
-    _retract_many = _retract
+    def _retract_many(self, x, T):
+        return x + T
 
     def _inner(self, x, u, v):
         return float(np.sum(u * v))
@@ -774,6 +724,16 @@ class Product(Manifold):
         self.costly_retraction = any(b.costly_retraction for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
+        # (block, g, slice) per run of g adjacent equal blocks; their values
+        # are contiguous, so a row's run reshapes into g block values
+        runs = []
+        for b, sl in zip(blocks, self._slices):
+            if runs and _same_block(runs[-1][0], b):
+                b0, g, run = runs[-1]
+                runs[-1] = (b0, g + 1, slice(run.start, sl.stop))
+            else:
+                runs.append((b, 1, sl))
+        self._runs = tuple(runs)
 
     def spec_string(self) -> str:
         inner = ",".join(b.spec_string() for b in self.blocks)
@@ -788,21 +748,20 @@ class Product(Manifold):
             axis=1,
         )
 
-    def _retract(self, x, t):
-        y = x.copy()
-        for b, sl in zip(self.blocks, self._slices):
-            if t[sl].any():
-                y[sl] = b._retract(x[sl], t[sl])
-        return y
-
     def _retract_many(self, x, T):
-        # a block retracts only the rows that move it; a coordinate
-        # direction touches one block
-        Y = np.tile(x, (len(T), 1))
-        for b, sl in zip(self.blocks, self._slices):
-            rows = T[:, sl].any(axis=1)
-            if rows.any():
-                Y[rows, sl] = b._retract_many(x[sl], T[rows, sl])
+        # a run of g equal blocks retracts its (k * g, len) stack of block
+        # values in one call, on the block values that move; a coordinate
+        # direction moves one block
+        k = len(T)
+        Y = np.empty_like(T)
+        Y[:] = x
+        for b, g, sl in self._runs:
+            Tb = T[:, sl].reshape(k * g, -1)
+            moved = Tb.any(axis=1)
+            if moved.any():
+                Yb = Y[:, sl].reshape(k * g, -1)
+                Yb[moved] = b._retract_many(Yb[moved], Tb[moved])
+                Y[:, sl] = Yb.reshape(k, -1)
         return Y
 
     def _inner(self, x, u, v):
@@ -819,6 +778,12 @@ class Product(Manifold):
 
     def _random_point(self, rng):
         return np.concatenate([b._random_point(rng) for b in self.blocks])
+
+
+def _same_block(a: Manifold, b: Manifold) -> bool:
+    # blocks that retract alike, so one call may retract both
+    return (type(a) is type(b) and a.spec_string() == b.spec_string()
+            and a.feasibility_tol == b.feasibility_tol)
 
 
 def product_spheres(dims) -> Product:

@@ -462,8 +462,8 @@ def test_check_command_passes(capsys):
 
 def test_check_detects_broken_retraction():
     class BrokenSphere(Sphere):
-        def _retract(self, x, t):
-            return x + t  # skips the normalisation
+        def _retract_many(self, x, T):
+            return x + T  # skips the normalisation
 
     results = geometry_checks([BrokenSphere(6)], seed=0, cases=20)
     failed = [r for r in results if not r.passed]
@@ -471,15 +471,17 @@ def test_check_detects_broken_retraction():
 
 
 def test_check_detects_broken_stacked_retraction():
-    # a poll chunk of two or more slots goes through _retract_many, which
-    # the single-call checks never reach
-    class BrokenStackSphere(Sphere):
+    # a lone retraction is a stack of one; the stacked check compares each
+    # row of a poll chunk's stack with its stack of one, so a kind whose
+    # one-row stack differs fails it, besides the feasibility of lone steps
+    class OneRowSphere(Sphere):
         def _retract_many(self, x, T):
-            return x + T  # skips the normalisation
+            return x + T if len(T) == 1 else super()._retract_many(x, T)
 
-    results = geometry_checks([BrokenStackSphere(6)], seed=0, cases=20)
+    results = geometry_checks([OneRowSphere(6)], seed=0, cases=20)
     failed = [r.name for r in results if not r.passed]
-    assert failed == ["geometry/stacked-retraction sphere(6)"]
+    assert failed == ["geometry/feasibility sphere(6)",
+                      "geometry/stacked-retraction sphere(6)"]
 
 
 def test_check_detects_broken_dense_projection():

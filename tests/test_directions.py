@@ -132,7 +132,7 @@ def _degenerate_points():
         Sphere(3).point(near_pole / np.linalg.norm(near_pole)),
         Stiefel(2, 2).point(np.eye(2).ravel()),
         so.point(np.eye(3).ravel()),
-        so.point(so._retract(_rotation_near_identity(1e-9).ravel(), np.zeros(9))),
+        so.point(so._retract_many(_rotation_near_identity(1e-9).ravel(), np.zeros((1, 9)))[0]),
         fr.point(fr.pack(u, np.array([2.0, 1.0]), v)),
     ]
 

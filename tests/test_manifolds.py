@@ -11,9 +11,11 @@ from manisearch.manifolds import (
     Stiefel,
     SymmetricPositiveDefinite,
     TangentVector,
+    product_spheres,
     random_point,
     random_tangent,
 )
+from manisearch.problems import build_instance
 
 from conftest import manifold_zoo, sample_point
 
@@ -232,8 +234,8 @@ def test_product_operations_match_blockwise():
         assert np.array_equal(got.value[3:], man_st)
 
         y = prod.retract(x, got)
-        assert np.array_equal(y.value[:3], sph._retract(xs, man_s))
-        assert np.array_equal(y.value[3:], st._retract(xst, man_st))
+        assert np.array_equal(y.value[:3], sph._retract_many(xs, man_s[None])[0])
+        assert np.array_equal(y.value[3:], st._retract_many(xst, man_st[None])[0])
 
         u = prod.project_tangent(x, rng.standard_normal(prod.ambient_dim))
         assert prod.inner(x, got, u) == (
@@ -290,14 +292,24 @@ def test_projection_rows_are_independent_of_their_stack(m):
 
 @pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
 def test_stacked_geometry_matches_per_row_bitwise(m):
+    # row i of a k-stack is its stack of one.  Every kind a product may
+    # hold also takes one base point per row, as a run of equal blocks
+    # passes them; fixed-rank takes one base point only
     rng = np.random.default_rng(61)
     for _ in range(3):
         x = sample_point(m, rng).value
+        points = (x, sample_point(m, rng).value, sample_point(m, rng).value)
         for T in _tangent_stacks(m, x, rng):
-            want = np.array([m._retract(x, t) for t in T])
+            want = np.array([m._retract_many(x, t[None])[0] for t in T])
             assert np.array_equal(m._retract_many(x, T), want)
             want = np.array([m._inner(x, t, t) for t in T])
             assert np.array_equal(m._sqnorms(x, T), want)
+            if isinstance(m, FixedRank):
+                continue
+            X = np.array([points[i % 3] for i in range(len(T))])
+            TX = np.vstack([m._project_many(xi, t[None]) for xi, t in zip(X, T)])
+            want = np.array([m._retract_many(xi, t[None])[0] for xi, t in zip(X, TX)])
+            assert np.array_equal(m._retract_many(X, TX), want)
 
 
 def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
@@ -311,6 +323,50 @@ def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
     T = prod._project_many(x, np.eye(11)[[0, 1, 5]])
     prod._retract_many(x, T)
     assert seen == [2, 1]  # rows 0 and 1 move the sphere, row 2 the Stiefel block
+
+
+def _leaf_calls(monkeypatch, m):
+    # (kind, rows) of each _retract_many call the product m makes to a leaf block
+    seen, todo = [], list(m.blocks)
+    while todo:
+        b = todo.pop()
+        if isinstance(b, Product):
+            todo.extend(b.blocks)
+        else:
+            monkeypatch.setattr(b, "_retract_many", lambda x, T, b=b, many=b._retract_many:
+                                seen.append((b.kind, len(T))) or many(x, T))
+    return seen
+
+
+@pytest.mark.parametrize("problem", ["top-sv", "sync-rotations", "gmm", "dict-learning"])
+def test_lone_product_retraction_is_one_call_per_run_of_equal_blocks(problem, monkeypatch):
+    m = build_instance(problem, 10, 0).manifold
+    rng = np.random.default_rng(73)
+    x = m.random_point(rng)
+    t = random_tangent(x, rng)
+    want = m._retract_many(x.value, t.value[None])[0]
+    seen = _leaf_calls(monkeypatch, m)
+    assert np.array_equal(m.retract(x, t).value, want)
+    if problem == "dict-learning":
+        spheres, (h, k) = m.blocks[0].blocks, m.blocks[1].shape
+        assert len(spheres) == h > 1
+        assert seen == [("sphere", h), ("euclidean", 1)]
+    else:
+        assert seen[0] == (m.blocks[0].kind, 2)
+        assert seen[1:] == ([("simplex", 1)] if problem == "gmm" else [])
+
+
+def test_coordinate_chunk_retracts_only_the_blocks_it_moves(monkeypatch):
+    prod = product_spheres([4, 4, 4])
+    x = prod.random_point(np.random.default_rng(79)).value
+    T = prod._project_many(x, np.eye(12)[[0, 1, 9]])  # rows 0, 1 move block 0, row 2 block 2
+    seen = _leaf_calls(monkeypatch, prod)
+    Y = prod._retract_many(x, T)
+    assert seen == [("sphere", 3)]  # three of the nine block values, in one call
+    assert np.array_equal(Y[:2, 4:], np.tile(x[4:], (2, 1)))
+    assert np.array_equal(Y[2, :8], x[:8])
+    for y, t in zip(Y, T):
+        assert np.array_equal(y, prod._retract_many(x, t[None])[0])
 
 
 def test_fixed_rank_coordinate_steps_leak_into_span_u():

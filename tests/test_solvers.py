@@ -606,23 +606,33 @@ def _recorded_run(name, prob, cfg):
             trace.final_alpha_by_slot, trace.switch_eval, trace.stop_reason)
 
 
+def _row_by_row(many):
+    # a stacked retraction as its rows' stacks of one
+    def retract(self, x, T):
+        xs = x if x.ndim == 2 else [x] * len(T)
+        return np.array([many(self, xi, t[None])[0] for xi, t in zip(xs, T)])
+    return retract
+
+
 @pytest.mark.parametrize("problem", ["matrix-completion", "top-sv", "sync-rotations",
                                      "gmm", "dict-learning", "sparsest-vector",
                                      "nonsmooth-mc"])
 def test_stacked_geometry_leaves_runs_unchanged(problem, monkeypatch):
     # the same runs three ways: as shipped; with every stacked retraction
-    # put back to the base-class loop over rows; and with chunks of one
-    # search, where every direction is projected and every trial point
-    # retracted on its own.  Evaluations, accepts and traces must be identical
+    # done row by row as stacks of one, base point by base point; and with
+    # chunks of one search, where every direction is projected and every
+    # trial point retracted on its own.  Evaluations, accepts and traces
+    # must be identical
     prob = build_instance(problem, 6, 1)
     names = (("rds-sb", "rdse-sb", "rds-dd-plus", "rdse-dd-plus") if prob.smooth
              else ("rds-dd", "rdse-dd"))
     runs = []
-    for variant in ("shipped", "per-row overrides", "chunks of one"):
-        if variant == "per-row overrides":
+    for variant in ("shipped", "stacks of one", "chunks of one"):
+        if variant == "stacks of one":
             for cls in _manifold_classes():
                 if "_retract_many" in vars(cls):
-                    monkeypatch.setattr(cls, "_retract_many", Manifold._retract_many)
+                    monkeypatch.setattr(cls, "_retract_many",
+                                        _row_by_row(vars(cls)["_retract_many"]))
         elif variant == "chunks of one":
             monkeypatch.undo()
             monkeypatch.setattr(solvers, "CHUNK_MAX", 1)
@@ -676,11 +686,12 @@ def _stack_sizes(monkeypatch, name, budget, manifold):
 
 def test_poll_chunks_double_from_one_each_round(monkeypatch):
     # per round over the 80 slots of Sphere(40): slot 0 alone, then 2, 4,
-    # 8 and CHUNK_MAX slots at a time; the lone last slot goes through
-    # Manifold.retract
+    # 8 and CHUNK_MAX slots at a time, and the last slot alone.  A lone
+    # slot goes through Manifold.retract, a stack of one; slot 0 of the
+    # third round is retracted before the budget refuses its evaluation
     assert CHUNK_MAX == 16
     sizes = _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 80, Sphere(40))
-    assert sizes == [2, 4, 8, 16, 16, 16, 16] * 2
+    assert sizes == [1, 2, 4, 8, 16, 16, 16, 16, 1] * 2 + [1]
 
 
 @pytest.mark.parametrize("name", ["rds-dd", "rdse-dd"])
@@ -697,10 +708,11 @@ def test_linesearch_retracts_ahead_only_where_retraction_is_costly(monkeypatch):
     # Stiefel(8, 5) keeps all 80 slots.  The chunk stops at the last slot
     # and keeps its size across the wrap; the sixth chunk of the second
     # sweep is retracted before the budget refuses its first evaluation.
-    # On the sphere a retraction is cheap, so nothing is retracted ahead
+    # On the sphere a retraction is cheap, so nothing is retracted ahead:
+    # each of the 161 trials is a lone retraction, a stack of one
     assert Stiefel.costly_retraction and not Sphere.costly_retraction
     assert Product([Sphere(3), Stiefel(4, 2)]).costly_retraction
     assert not Product([Sphere(3), Sphere(4)]).costly_retraction
     sizes = _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Stiefel(8, 5))
-    assert sizes == [2, 4, 8, 16, 16, 16, 16] + [16] * 6
-    assert _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Sphere(40)) == []
+    assert sizes == [1, 2, 4, 8, 16, 16, 16, 16, 1] + [16] * 6
+    assert _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Sphere(40)) == [1] * 161
