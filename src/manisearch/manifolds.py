@@ -24,9 +24,10 @@ row i of a stack is bitwise the same in any stack holding it.  The
 retraction's base point is one flat value or a (k, len) stack of them,
 one per row; numpy broadcasting covers both.  A product retracts each
 run of adjacent equal blocks in one call, on the stack of the block
-values that move.  ``_sqnorms`` gives the squared Riemannian norms of a tangent stack, each
-bitwise its ``_inner``; sphere and fixed-rank, the kinds of the
-nonsmooth problems, compute it in one stacked call, the others row by row.
+values that move.  ``_sqnorms`` gives the squared Riemannian norms of a
+tangent stack, each bitwise its ``_inner``; sphere and fixed-rank, the
+kinds of the nonsmooth problems, compute it in one stacked call, the
+others row by row.
 
 Supported kinds and their stable names:
 
@@ -44,6 +45,7 @@ Supported kinds and their stable names:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -724,16 +726,14 @@ class Product(Manifold):
         self.costly_retraction = any(b.costly_retraction for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
-        # (block, g, slice) per run of g adjacent equal blocks; their values
-        # are contiguous, so a row's run reshapes into g block values
-        runs = []
-        for b, sl in zip(blocks, self._slices):
-            if runs and _same_block(runs[-1][0], b):
-                b0, g, run = runs[-1]
-                runs[-1] = (b0, g + 1, slice(run.start, sl.stop))
-            else:
-                runs.append((b, 1, sl))
-        self._runs = tuple(runs)
+        # (block, g, slice) per run of g adjacent blocks that retract alike;
+        # their values are contiguous, so a row's run reshapes into g block values
+        self._runs, start = [], 0
+        for _, run in groupby(blocks, lambda b: (type(b), b.spec_string(), b.feasibility_tol)):
+            run = list(run)
+            stop = start + sum(b.ambient_dim for b in run)
+            self._runs.append((run[0], len(run), slice(start, stop)))
+            start = stop
 
     def spec_string(self) -> str:
         inner = ",".join(b.spec_string() for b in self.blocks)
@@ -778,12 +778,6 @@ class Product(Manifold):
 
     def _random_point(self, rng):
         return np.concatenate([b._random_point(rng) for b in self.blocks])
-
-
-def _same_block(a: Manifold, b: Manifold) -> bool:
-    # blocks that retract alike, so one call may retract both
-    return (type(a) is type(b) and a.spec_string() == b.spec_string()
-            and a.feasibility_tol == b.feasibility_tol)
 
 
 def product_spheres(dims) -> Product:
