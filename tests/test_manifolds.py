@@ -4,6 +4,7 @@ import pytest
 from manisearch.errors import BaseMismatch, InvalidShape
 from manisearch.manifolds import (
     FixedRank,
+    ManifoldPoint,
     PositiveSimplex,
     Product,
     SpecialOrthogonal,
@@ -17,7 +18,7 @@ from manisearch.manifolds import (
 )
 from manisearch.problems import build_instance
 
-from conftest import manifold_zoo, sample_point
+from conftest import deadline, manifold_zoo, sample_point
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,14 @@ def test_random_sphere_norm_and_so_det():
         so = SpecialOrthogonal(3)
         q = random_point(so, seed)
         assert abs(np.linalg.det(so._unpack(q.value)) - 1.0) <= 1e-10
+
+
+def test_random_tangent_rejects_a_non_finite_base_point():
+    # every projection at a NaN point has a NaN norm, which never exceeds
+    # the unit threshold: the draw loop would never end
+    x = ManifoldPoint(Sphere(4), np.full(4, np.nan))
+    with deadline(3), pytest.raises(ValueError, match="non-finite"):
+        random_tangent(x, np.random.default_rng(0))
 
 
 def test_random_point_feasible(zoo):

@@ -15,7 +15,7 @@ from manisearch.solvers import (
     run_solver,
 )
 
-from conftest import make_problem
+from conftest import deadline, make_problem
 
 
 def _circle_setup():
@@ -414,6 +414,24 @@ def test_zo_rgd_constant_objective_fixed_iterates():
     assert trace.final_point is prob.start  # zero estimate, zero retraction
     assert trace.evals_used == 21
     assert trace.iterations == 10  # 1 + 2 per iteration
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_zo_rgd_spends_its_budget_past_a_non_finite_value(bad):
+    # f is non-finite on half the sphere, so some probe or step lands there;
+    # that iteration fails, and the run still ends at its budget at a
+    # finite, feasible point instead of moving to a NaN iterate
+    sph = Sphere(4)
+    prob = make_problem(sph, lambda v: bad if v[0] > 0 else float(v[1]),
+                        start=sph.point(np.array([0.0, 1.0, 0.0, 0.0])))
+    cfg = default_config("zo-rgd", budget=200, seed=0)
+    with deadline(3):
+        trace = run_solver("zo-rgd", prob, cfg)
+    assert trace.stop_reason == "budget"
+    assert trace.evals_used == cfg.budget
+    assert np.isfinite(trace.final_point.value).all()
+    assert trace.final_point.residual() <= sph.feasibility_tol
+    assert np.isfinite(trace.best_f)
 
 
 def test_zo_rgd_rejects_nonsmooth_and_bad_mu():
