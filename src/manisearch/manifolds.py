@@ -798,8 +798,14 @@ def random_point(m: Manifold, seed) -> ManifoldPoint:
 def random_tangent(
     x: ManifoldPoint, rng: np.random.Generator, unit: bool = True
 ) -> TangentVector:
-    """Seeded tangent vector at ``x``: projected ambient normal, optionally unit."""
+    """Seeded tangent vector at ``x``: projected ambient normal, optionally unit.
+
+    Raises ``ValueError`` at a non-finite ``x``, where every projection is
+    non-finite and no draw would ever pass the unit-norm test.
+    """
     m = x.manifold
+    if not np.isfinite(x.value).all():
+        raise ValueError(f"random_tangent at a non-finite point of {m.spec_string()}: {x.value}")
     while True:
         t = m.project_tangent(x, rng.standard_normal(m.ambient_dim))
         if not unit:

@@ -549,6 +549,9 @@ def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
     directional estimate ``(f(R(x, mu u)) - f(x)) / mu``, and retracts
     the step ``-eta * estimate * u`` with ``eta = 1.64 / n`` for ambient
     dimension n.  Two evaluations per iteration (probe and new iterate).
+    The new iterate is taken whatever its value, unless the estimate or
+    that value is not finite: the iteration then fails, the iterate stays,
+    and the evaluations it made still count against the budget.
     """
     if not mu > 0:
         raise ValueError("mu must be > 0")
@@ -563,11 +566,13 @@ def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
             u = random_tangent(st.x, rng, unit=True)
             f_probe = ev(m.retract(st.x, u.scaled(mu)))
             coef = (f_probe - st.fx) / mu
-            x_new = m.retract(st.x, u.scaled(-eta * coef))
-            f_new = ev(x_new)
-            if f_new < st.fx:
-                st.succ += 1
-            st.x, st.fx = x_new, f_new
+            if isfinite(coef):
+                x_new = m.retract(st.x, u.scaled(-eta * coef))
+                f_new = ev(x_new)
+                if isfinite(f_new):
+                    if f_new < st.fx:
+                        st.succ += 1
+                    st.x, st.fx = x_new, f_new
             st.iters += 1
     except BudgetExhausted:
         st.exhausted = True
