@@ -209,9 +209,10 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
         dense_tangency = max(m.tangency_residual(x, dense_direction(stream, x))
                              for _ in range(20))
-        # a solver's stream chunk: the next 20 draws projected in one stack
+        # a solver's stream chunk, the next 20 draws projected in one stack,
+        # against each draw's stack of one
         ahead = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
-        rows, _ = dense_directions(ahead, x, 20)
+        rows = dense_directions(ahead, x, 20)
         stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
         lookahead_same = all(np.array_equal(row, dense_direction(stream, x).value)
                              for row in rows)
@@ -229,8 +230,8 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
             f"max {dense_tangency:.2e} over 20 dense directions"))
         results.append(CheckResult(
             f"directions/stream-lookahead {name}", lookahead_same,
-            f"20 stacked rows {'equal' if lookahead_same else 'differ from'}"
-            " lone dense directions"))
+            f"rows of a 20-stack {'equal' if lookahead_same else 'differ from'}"
+            " their stacks of one"))
 
     s1 = DenseDirectionStream(seed=3, ambient_dim=7)
     s2 = DenseDirectionStream(seed=3, ambient_dim=7)

@@ -10,9 +10,11 @@ For nonsmooth problems, one seeded generator per run draws a sequence of
 independent standard normal ambient vectors; normalised, they are
 i.i.d. uniform on the unit sphere and so dense in it with probability
 one.  Each is projected and normalised, one direction per search.
+Both sources hand out directions as rows of one array of tangent values.
 ``dense_directions`` projects the next k draws in one stacked
 ``_project_many`` call, peeked and not emitted, so a solver can fix the
-trial points of several searches at one iterate before it reaches them.
+trial points of several searches at one iterate before it reaches them;
+``dense_direction`` is its stack of one, emitted.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ class DenseDirectionStream:
     normalised to unit ambient norm.  A draw whose norm does not exceed
     1e-12 is skipped.  ``peek(k)`` returns the next k emissions without
     emitting them; ``next_ambient`` emits the peeked draws first, so
-    peeking never changes what is emitted.  ``counter`` counts the
+    peeking never changes what is emitted.  The peeked draws wait as the
+    rows of one array: ``peek`` copies its first k rows, and
+    ``next_ambient`` slices the first row off.  ``counter`` counts the
     emitted directions only.  Streams are owned by a single solver run.
     """
 
@@ -132,7 +136,7 @@ class DenseDirectionStream:
 
     def __post_init__(self):
         self._rng = np.random.default_rng([self.seed, self.ambient_dim])
-        self._peeked = []
+        self._peeked = np.empty((0, self.ambient_dim))
 
     def _fill(self, k: int) -> None:
         # draw until k usable draws wait unemitted; a stack of draws takes
@@ -142,49 +146,18 @@ class DenseDirectionStream:
             D = self._rng.standard_normal((k - len(self._peeked), self.ambient_dim))
             nrm = np.sqrt(_row_dots(D, D))
             kept = nrm[:, 0] > 1e-12
-            self._peeked.extend(D[kept] / nrm[kept])
+            self._peeked = np.concatenate((self._peeked, D[kept] / nrm[kept]))
 
     def peek(self, k: int) -> np.ndarray:
         """The next ``k`` emissions as a (k, ambient_dim) stack, not emitted."""
         self._fill(k)
-        return np.array(self._peeked[:k])
+        return self._peeked[:k].copy()
 
     def next_ambient(self) -> np.ndarray:
         self._fill(1)
         self.counter += 1
-        return self._peeked.pop(0)
-
-
-def _check_dim(stream, m) -> None:
-    if stream.ambient_dim != m.ambient_dim:
-        raise InvalidShape(
-            f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
-        )
-
-
-def dense_direction(
-    stream: DenseDirectionStream,
-    x: ManifoldPoint,
-    drop_tol: float = DEFAULT_DROP_TOL,
-) -> TangentVector:
-    """Next stream direction projected onto T_x, unit Riemannian norm.
-
-    Returns the zero tangent vector when the projection's Riemannian
-    norm does not exceed ``drop_tol`` (the stream direction was normal
-    to the tangent space).  On the kinds with the embedded metric
-    (sphere, product-spheres, stiefel, so, fixed-rank, euclidean) that
-    norm equals the ambient norm; on spd, simplex and products holding
-    them it is the kind's own metric.
-    """
-    m = x.manifold
-    _check_dim(stream, m)
-    d_bar = stream.next_ambient()
-    # bitwise project_tangent, without its conversion and size checks
-    t = TangentVector(x, m._project_many(x.value, d_bar[None])[0])
-    nrm = t.norm()
-    if nrm <= drop_tol:
-        return m.zero_tangent(x)
-    return t.scaled(1.0 / nrm)
+        d, self._peeked = self._peeked[0], self._peeked[1:]
+        return d
 
 
 def dense_directions(
@@ -192,21 +165,43 @@ def dense_directions(
     x: ManifoldPoint,
     k: int,
     drop_tol: float = DEFAULT_DROP_TOL,
-) -> tuple:
+) -> np.ndarray:
     """The next ``k`` stream directions at ``x``, peeked and not emitted.
 
-    Returns ``(rows, ds)``: a (k, len) stack of tangent values and the k
-    tangent vectors wrapping its rows.  Row i is bitwise what the i-th
-    next ``dense_direction(stream, x, drop_tol)`` returns, a zero row
-    where that is the zero tangent.  One stacked ``_project_many`` call
-    projects the k peeked draws and one ``_sqnorms`` call measures them.
+    Returns a (k, len) stack of tangent values: each peeked draw projected
+    onto T_x and scaled to unit Riemannian norm, or a zero row where that
+    norm does not exceed ``drop_tol`` (the draw was normal to the tangent
+    space).  One stacked ``_project_many`` call projects the k draws and
+    one ``_sqnorms`` call measures them, so row i is bitwise the same in
+    any stack holding it, a stack of one included.  On the kinds with the
+    embedded metric (sphere, product-spheres, stiefel, so, fixed-rank,
+    euclidean) the norm is the ambient norm; on spd, simplex and products
+    holding them it is the kind's own metric.
     """
     m = x.manifold
-    _check_dim(stream, m)
+    if stream.ambient_dim != m.ambient_dim:
+        raise InvalidShape(
+            f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
+        )
     rows = m._project_many(x.value, stream.peek(k))
     # TangentVector.norm of each row: fmax(0, nan) is 0 as max(0.0, nan) is
     nrm = np.sqrt(np.fmax(0.0, m._sqnorms(x.value, rows)))
     kept = nrm > drop_tol
     rows[kept] *= (1.0 / nrm[kept])[:, None]
     rows[~kept] = 0.0
-    return rows, [TangentVector(x, row) for row in rows]
+    return rows
+
+
+def dense_direction(
+    stream: DenseDirectionStream,
+    x: ManifoldPoint,
+    drop_tol: float = DEFAULT_DROP_TOL,
+) -> TangentVector:
+    """The next stream direction at ``x``, emitted.
+
+    It is the stack of one of ``dense_directions``, as a tangent vector:
+    unit Riemannian norm, or zero where the draw was normal to T_x.
+    """
+    d = TangentVector(x, dense_directions(stream, x, 1, drop_tol)[0])
+    stream.next_ambient()
+    return d

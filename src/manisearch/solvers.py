@@ -24,8 +24,9 @@ One registry names each solver by its loop and its sources:
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
 Both loops read their trial points ``R(x, alpha d)`` from one generator,
-``_ahead``, which projects and retracts the trials of upcoming searches
-at one iterate a chunk at a time; its docstring states the chunk rule.
+``_ahead``, which takes the direction rows of upcoming searches at one
+iterate from their source and retracts them as one stack, a chunk at a
+time, a chunk of one included; its docstring states the chunk rule.
 Evaluation stays lazy and in search order, so budgets, traces, hooks and
 stream emissions are those of one search at a time.
 
@@ -51,7 +52,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .directions import (
+from .directions import (  # perfbench wraps dense_direction here; no solver calls it
     DEFAULT_DROP_TOL,
     DenseDirectionStream,
     dense_direction,
@@ -294,8 +295,8 @@ class _Basis:
     """The projected spanning basis at the iterate, one slot per signed coordinate.
 
     The basis is rebuilt only when the iterate has moved, so a failed
-    poll or linesearch reuses the directions already projected.  A
-    direction is a row of the basis' ``values`` wrapped as a tangent vector.
+    poll or linesearch reuses the directions already projected.  The
+    directions of slots start..stop-1 are rows of the basis' ``values``.
     """
 
     def __init__(self, problem, cfg):
@@ -309,13 +310,8 @@ class _Basis:
             self._slots = np.array(self.basis.slots)
         return self._slots
 
-    def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
-        return TangentVector(x, self.basis.values[j])
-
-    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
-        # the rows of slots start..stop-1 as one stack, and as tangent vectors
-        rows = self.basis.values[start:stop]
-        return rows, [TangentVector(x, v) for v in rows]
+    def directions(self, x: ManifoldPoint, start: int, stop: int) -> np.ndarray:
+        return self.basis.values[start:stop]
 
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha_by_slot={int(i): float(a) for i, a in enumerate(atil)})
@@ -343,11 +339,8 @@ class _Stream:
     def slots(self, x: ManifoldPoint) -> np.ndarray:
         return self._SLOTS
 
-    def direction(self, x: ManifoldPoint, j: int) -> TangentVector:
-        return dense_direction(self.stream, x, self.drop_tol)
-
-    def directions(self, x: ManifoldPoint, start: int, stop: int) -> tuple:
-        # the next stop - start directions as one stack, and as tangent vectors
+    def directions(self, x: ManifoldPoint, start: int, stop: int) -> np.ndarray:
+        # the next stop - start directions as one stack, peeked and not emitted
         return dense_directions(self.stream, x, stop - start, self.drop_tol)
 
     def trace_fields(self, atil) -> dict:
@@ -374,12 +367,13 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
     The chunk rule: trials are computed a chunk of searches at a time,
     when the consumer reaches the chunk.  On the basis the chunks hold 1,
     2, 4, ... up to ``cap`` slots and never run past the last slot; on a
-    stream every chunk holds ``cap`` searches.  A chunk of two or more is
-    one stacked ``_retract_many`` call; on a stream it is also one
-    stacked ``_project_many`` call of the peeked draws, each emitted when
-    its search is yielded.  A chunk of one takes its direction from
-    ``source.direction`` (a stream draws it only then) and goes through
-    ``Manifold.retract``.  The poll reads one round of the basis from a
+    stream every chunk holds ``cap`` searches.  Every chunk, one of one
+    included, is a stack: ``source.directions`` hands out its directions
+    as rows (on a stream, one stacked ``_project_many`` call of the
+    peeked draws, each emitted when its search is yielded), and one
+    ``_retract_many`` call retracts the rows times their stepsizes.  A
+    row is wrapped as a tangent vector only when its search is yielded.
+    The poll reads one round of the basis from a
     fresh generator at slot 0, and a stream from one generator per
     iterate, with ``cap = CHUNK_MAX``.  The linesearch starts one at slot
     k mod K whenever the iterate moves, with ``cap = CHUNK_MAX`` on a
@@ -401,19 +395,14 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
         else:
             stop = min(j + c, n)
             alphas = stepsizes[slots[j:stop]]
-        if stop - j == 1:
-            d, a1 = source.direction(x, j), float(alphas[0])
-            y = m.retract(x, d.scaled(a1))
-            yield d, a1, None if y is x else y  # a zero step retracts to x itself
-        else:
-            rows, ds = source.directions(x, j, stop)
-            T = rows * alphas[:, None]
-            Y = m._retract_many(x.value, T)
-            for d, a1, moved, y in zip(ds, alphas.tolist(), T.any(axis=1).tolist(), Y):
-                if stream:
-                    source.stream.next_ambient()  # the search emits its draw
-                # each point owns a copy of its row, as a lone retraction's value does
-                yield d, a1, ManifoldPoint(m, y.copy()) if moved else None
+        rows = source.directions(x, j, stop)
+        T = rows * alphas[:, None]
+        Y = m._retract_many(x.value, T)
+        for row, a1, moved, y in zip(rows, alphas.tolist(), T.any(axis=1).tolist(), Y):
+            if stream:
+                source.stream.next_ambient()  # the search emits its draw
+            # a kept point owns a copy of its row, not a view holding the stack
+            yield TangentVector(x, row), a1, ManifoldPoint(m, y.copy()) if moved else None
         j, c = (stop, c) if stream else (stop % n, min(2 * c, cap))
 
 

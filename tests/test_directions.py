@@ -322,31 +322,38 @@ def test_stream_peek_emits_nothing_and_changes_no_emission(k):
     assert ahead.shape == (k, 9)
     assert np.array_equal(peeking.peek(k), ahead)  # peeking twice draws nothing new
     assert peeking.counter == 1
-    emitted = [peeking.next_ambient() for _ in range(k + 2)]
-    assert peeking.counter == k + 3
-    for i, d in enumerate(emitted):
+    # a peeked stack and an emitted draw are the caller's own: writing into
+    # them changes no later emission
+    peeking.peek(k)[:] = np.nan
+    for i in range(k + 2):
+        d = peeking.next_ambient()
         assert np.array_equal(d, fresh.next_ambient())
         if i < k:
             assert np.array_equal(d, ahead[i])
+        d[:] = np.nan
+    assert peeking.counter == k + 3
 
 
-def test_dense_directions_rows_equal_lone_directions_bitwise():
+def test_dense_directions_rows_equal_their_stacks_of_one_bitwise():
+    # row i of a k-stack is the i-th next stack of one, which
+    # dense_direction wraps and emits
     for m in manifold_zoo():
         x = sample_point(m, np.random.default_rng(72))
         ahead = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
         lone = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
-        rows, ds = dense_directions(ahead, x, 12)
+        rows = dense_directions(ahead, x, 12)
         assert ahead.counter == 0
-        for row, d in zip(rows, ds):
-            want = dense_direction(lone, x).value
-            assert np.array_equal(row, want) and np.array_equal(d.value, want)
-            assert d.point is x
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, dense_directions(lone, x, 1)[0])
+            d = dense_direction(lone, x)
+            assert np.array_equal(row, d.value) and d.point is x
+            assert lone.counter == i + 1
 
 
 def test_dense_directions_zero_row_for_a_normal_draw():
     x = Sphere(2).point(np.array([0.0, 1.0]))
-    rows, ds = dense_directions(_FixedStream([0.0, 1.0]), x, 3)
-    assert not rows.any() and all(d.is_zero() for d in ds)
+    rows = dense_directions(_FixedStream([0.0, 1.0]), x, 3)
+    assert rows.shape == (3, 2) and not rows.any()
 
 
 def test_dense_direction_norms_across_kinds():

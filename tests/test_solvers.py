@@ -704,9 +704,9 @@ def _stack_sizes(monkeypatch, name, budget, manifold):
 
 def test_poll_chunks_double_from_one_each_round(monkeypatch):
     # per round over the 80 slots of Sphere(40): slot 0 alone, then 2, 4,
-    # 8 and CHUNK_MAX slots at a time, and the last slot alone.  A lone
-    # slot goes through Manifold.retract, a stack of one; slot 0 of the
-    # third round is retracted before the budget refuses its evaluation
+    # 8 and CHUNK_MAX slots at a time, and the last slot alone, each chunk
+    # one stack, a lone slot a stack of one; slot 0 of the third round is
+    # retracted before the budget refuses its evaluation
     assert CHUNK_MAX == 16
     sizes = _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 80, Sphere(40))
     assert sizes == [1, 2, 4, 8, 16, 16, 16, 16, 1] * 2 + [1]
@@ -727,7 +727,7 @@ def test_linesearch_retracts_ahead_only_where_retraction_is_costly(monkeypatch):
     # and keeps its size across the wrap; the sixth chunk of the second
     # sweep is retracted before the budget refuses its first evaluation.
     # On the sphere a retraction is cheap, so nothing is retracted ahead:
-    # each of the 161 trials is a lone retraction, a stack of one
+    # each of the 161 trials is a chunk of one, retracted as a stack of one
     assert Stiefel.costly_retraction and not Sphere.costly_retraction
     assert Product([Sphere(3), Stiefel(4, 2)]).costly_retraction
     assert not Product([Sphere(3), Sphere(4)]).costly_retraction
