@@ -805,7 +805,9 @@ def random_tangent(
     """
     m = x.manifold
     if not np.isfinite(x.value).all():
-        raise ValueError(f"random_tangent at a non-finite point of {m.spec_string()}: {x.value}")
+        raise ValueError(
+            f"random_tangent at a non-finite point of {m.spec_string()}: {x.value}"
+        )
     while True:
         t = m.project_tangent(x, rng.standard_normal(m.ambient_dim))
         if not unit:

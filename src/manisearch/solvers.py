@@ -321,10 +321,10 @@ class _Stream:
     """One fresh dense stream direction per search, always in slot 0.
 
     A search emits its direction when the loop reaches it, after its
-    stepsize test, so every emission is spent on a search.  A stacked
-    chunk projects the stream's next draws ahead, peeked and not yet
-    emitted; draws a moved iterate leaves unused are projected again at
-    the new iterate.  ``gamma1`` is the shrink that each failed search
+    stepsize test, so every emission is spent on a search.  A chunk
+    projects the stream's next draws ahead, peeked and not yet emitted;
+    draws a moved iterate leaves unused are projected again at the new
+    iterate.  ``gamma1`` is the shrink that each failed search
     applies to the stepsize of the next.
     """
 
@@ -373,9 +373,9 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
     peeked draws, each emitted when its search is yielded), and one
     ``_retract_many`` call retracts the rows times their stepsizes.  A
     row is wrapped as a tangent vector only when its search is yielded.
-    The poll reads one round of the basis from a
-    fresh generator at slot 0, and a stream from one generator per
-    iterate, with ``cap = CHUNK_MAX``.  The linesearch starts one at slot
+    The poll reads one round of the basis from a fresh generator at slot
+    0, and a stream from one generator per iterate, with
+    ``cap = CHUNK_MAX``.  The linesearch starts one at slot
     k mod K whenever the iterate moves, with ``cap = CHUNK_MAX`` on a
     stream or where a retraction factorises a matrix
     (``Manifold.costly_retraction``), and 1 elsewhere, where a stacked
