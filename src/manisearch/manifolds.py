@@ -800,14 +800,10 @@ def random_tangent(
 ) -> TangentVector:
     """Seeded tangent vector at ``x``: projected ambient normal, optionally unit.
 
-    Raises ``ValueError`` at a non-finite ``x``, where every projection is
-    non-finite and no draw would ever pass the unit-norm test.
+    A unit draw raises ``ValueError`` at a non-finite ``x``, where every
+    projection is non-finite and no draw would ever pass the norm test.
     """
     m = x.manifold
-    if not np.isfinite(x.value).all():
-        raise ValueError(
-            f"random_tangent at a non-finite point of {m.spec_string()}: {x.value}"
-        )
     while True:
         t = m.project_tangent(x, rng.standard_normal(m.ambient_dim))
         if not unit:
@@ -815,3 +811,7 @@ def random_tangent(
         nrm = t.norm()
         if nrm > 1e-12:
             return t.scaled(1.0 / nrm)
+        if not np.isfinite(x.value).all():
+            raise ValueError(
+                f"random_tangent at a non-finite point of {m.spec_string()}: {x.value}"
+            )

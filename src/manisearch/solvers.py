@@ -52,10 +52,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .directions import (  # perfbench wraps dense_direction here; no solver calls it
+from .directions import (
     DEFAULT_DROP_TOL,
     DenseDirectionStream,
-    dense_direction,
+    dense_direction,  # no solver calls it; perfbench's tracer wraps it here
     dense_directions,
     spanning_basis,
 )
