@@ -205,12 +205,70 @@ def test_measure_tau_one_dimensional_tangent_is_one():
     assert measure_tau(basis, trials=50, seed=1) == pytest.approx(1.0, abs=1e-12)
 
 
+# repr of measure_tau(spanning_basis(x), 50, seed=[3, i]) at the five
+# seeded points of each zoo kind; any change to the metric or to the
+# tangent draws shows here
+_PINNED_TAU = {
+    'sphere(8)': (
+        '0.49594949534979477', '0.46703786382049767', '0.5097147862400471',
+        '0.4815608624645953', '0.4248194210473446',
+    ),
+    'product-spheres(sphere(4),sphere(5))': (
+        '0.47191660413505415', '0.43014966983438835', '0.5025324150515768',
+        '0.46755727845674006', '0.44946499124643446',
+    ),
+    'stiefel(7,3)': (
+        '0.35477774991314925', '0.35238865616861315', '0.37552692409532',
+        '0.3642012315012995', '0.38277245130002485',
+    ),
+    'so(3)': (
+        '0.46914290481779786', '0.499678288624364', '0.4764079309264444',
+        '0.48007717911161824', '0.47436938164764614',
+    ),
+    'fixed-rank(6,5,2)': (
+        '0.34253291862630536', '0.34589060872383576', '0.32808663209764954',
+        '0.31515180874660725', '0.33056715116799296',
+    ),
+    'spd(4)': (
+        '0.1779240994112052', '0.1192299605598377', '0.1925293250603175',
+        '0.21252041700378133', '0.17123891415598314',
+    ),
+    'simplex(3)': (
+        '1.152606379409368', '1.2276703769528425', '1.2071056936982025',
+        '1.1827892890052305', '1.210186952962212',
+    ),
+    'euclidean(3x2)': (
+        '0.5378759061563311', '0.49677833477449523', '0.5027741098677568',
+        '0.4872887765762622', '0.5058844302888182',
+    ),
+    'product(sphere(3),stiefel(4,2))': (
+        '0.4192668259491264', '0.41816385917310095', '0.44251030188402934',
+        '0.46845992571013334', '0.4795240384288549',
+    ),
+    'product-spheres(sphere(4),sphere(4))': (
+        '0.5047290550825267', '0.4683103065161901', '0.4861618119701562',
+        '0.4829932560051482', '0.4978058480936357',
+    ),
+    'product(stiefel(4,2),stiefel(4,2))': (
+        '0.4112279380223585', '0.40382661714164486', '0.39922339405037965',
+        '0.42560671880172896', '0.36662387419373044',
+    ),
+    'product(spd(3),spd(3),simplex(2))': (
+        '0.2615212107932152', '0.23305099161998788', '0.1828407564551166',
+        '0.23446873478184363', '0.2743441371662877',
+    ),
+}
+
+
 def test_measure_tau_positive_across_kinds():
     for m in manifold_zoo():
         rng = np.random.default_rng(67)
+        got = []
         for i in range(5):
             x = sample_point(m, rng)
-            assert measure_tau(spanning_basis(x), trials=50, seed=[3, i]) > 0
+            got.append(measure_tau(spanning_basis(x), trials=50, seed=[3, i]))
+            assert got[-1] > 0
+        assert tuple(map(repr, got)) == _PINNED_TAU[m.spec_string()], m.spec_string()
 
 
 def test_measure_tau_validates_trials():
