@@ -45,7 +45,6 @@ from .problems import (
     SMOOTH_PROBLEMS,
     ProblemInstance,
     build_instance,
-    smooth_l1,
 )
 from .solvers import (
     DEFAULT_PARAMS,

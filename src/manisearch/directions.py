@@ -103,15 +103,16 @@ def measure_tau(basis: SpanningBasis, trials: int, seed) -> float:
         raise ValueError("trials must be >= 1")
     x = basis.base
     m = x.manifold
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     # the minus half negates the plus half exactly, and so do the inner
     # products, so |<r, p>| over the plus half covers both signs
     plus = basis.values[: len(basis) // 2]
     worst = np.inf
     for _ in range(trials):
         r = random_tangent(x, rng, unit=True)
-        best = max(abs(m._inner(x.value, r.value, p)) for p in plus)
-        worst = min(worst, best)
+        # r first: spd's metric is symmetric in its two stacks only up
+        # to rounding, and the swapped order changes its last bits
+        worst = min(worst, np.abs(m._inners(x.value, r.value[None], plus)).max())
     return float(worst)
 
 
@@ -172,7 +173,7 @@ def dense_directions(
     onto T_x and scaled to unit Riemannian norm, or a zero row where that
     norm does not exceed ``drop_tol`` (the draw was normal to the tangent
     space).  One stacked ``_project_many`` call projects the k draws and
-    one ``_sqnorms`` call measures them, so row i is bitwise the same in
+    one ``_norms`` call measures them, so row i is bitwise the same in
     any stack holding it, a stack of one included.  On the kinds with the
     embedded metric (sphere, product-spheres, stiefel, so, fixed-rank,
     euclidean) the norm is the ambient norm; on spd, simplex and products
@@ -184,8 +185,7 @@ def dense_directions(
             f"stream dimension {stream.ambient_dim} != ambient {m.ambient_dim}"
         )
     rows = m._project_many(x.value, stream.peek(k))
-    # TangentVector.norm of each row: fmax(0, nan) is 0 as max(0.0, nan) is
-    nrm = np.sqrt(np.fmax(0.0, m._sqnorms(x.value, rows)))
+    nrm = m._norms(x.value, rows)
     kept = nrm > drop_tol
     rows[kept] *= (1.0 / nrm[kept])[:, None]
     rows[~kept] = 0.0

@@ -24,10 +24,11 @@ row i of a stack is bitwise the same in any stack holding it.  The
 retraction's base point is one flat value or a (k, len) stack of them,
 one per row; numpy broadcasting covers both.  A product retracts each
 run of adjacent equal blocks in one call, on the stack of the block
-values that move.  ``_sqnorms`` gives the squared Riemannian norms of a
-tangent stack, each bitwise its ``_inner``; sphere and fixed-rank, the
-kinds of the nonsmooth problems, compute it in one stacked call, the
-others row by row.
+values that move.  ``_inners`` is a kind's one metric: the row-wise
+Riemannian inner products of two tangent stacks in one stacked call,
+row i bitwise the same in any stack holding it.  ``_norms`` is the
+square root of ``_inners`` of a stack with itself; ``inner`` and
+``TangentVector.norm`` pass stacks of one.
 
 Supported kinds and their stable names:
 
@@ -84,8 +85,7 @@ class TangentVector:
 
     def norm(self) -> float:
         """Riemannian norm at the base point."""
-        m = self.manifold
-        return float(np.sqrt(max(0.0, m._inner(self.point.value, self.value, self.value))))
+        return float(self.manifold._norms(self.point.value, self.value[None])[0])
 
     def ambient(self) -> np.ndarray:
         """Flat ambient coordinates of the tangent vector."""
@@ -146,12 +146,15 @@ class Manifold:
         # bitwise the same in any stack holding it, one of one included
         raise NotImplementedError
 
-    def _inner(self, x, u, v) -> float:
+    def _inners(self, x, U, V) -> np.ndarray:
+        # the Riemannian inner products at x of the rows of two (k, len)
+        # tangent stacks, either of which may be one (1, len) row; row i
+        # is bitwise the same in any stack holding it, one of one included
         raise NotImplementedError
 
-    def _sqnorms(self, x, T) -> np.ndarray:
-        # row i is _inner(x, T[i], T[i]) for a (k, len) tangent stack T, bitwise
-        return np.array([self._inner(x, t, t) for t in T], dtype=float)
+    def _norms(self, x, T) -> np.ndarray:
+        # the Riemannian norms of the rows of T; fmax(0, nan) is 0
+        return np.sqrt(np.fmax(0.0, self._inners(x, T, T)))
 
     def _embed(self, x, t) -> np.ndarray:
         return t
@@ -229,7 +232,7 @@ class Manifold:
         """Riemannian scalar product of two tangent vectors at ``x``."""
         if not (_same_point(u.point, x) and _same_point(v.point, x)):
             raise BaseMismatch("inner product requires tangents based at x")
-        return float(self._inner(x.value, u.value, v.value))
+        return float(self._inners(x.value, u.value[None], v.value[None])[0])
 
     def constraint_residual(self, a) -> float:
         """Feasibility residual of a flat ambient vector (0 iff on the manifold)."""
@@ -270,9 +273,9 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (k, 1) column of A[i] @ b, b one vector or a stack like A.  A (1, n)
-    # @ (n, 1) product rounds as the 1-D dot and np.linalg.norm do;
-    # einsum and norm(axis=1) sum in another order
+    # (k, 1) column of A[i] @ b[i]; a one-row A or a 1-D b broadcasts.
+    # A (1, n) @ (n, 1) product rounds as the 1-D dot and np.linalg.norm
+    # do; einsum and norm(axis=1) sum in another order
     return (A[:, None, :] @ b[..., :, None])[:, 0]
 
 
@@ -307,11 +310,8 @@ class Sphere(Manifold):
         Y = x + T
         return Y / np.sqrt(_row_dots(Y, Y))
 
-    def _inner(self, x, u, v):
-        return float(u @ v)
-
-    def _sqnorms(self, x, T):
-        return _row_dots(T, T)[:, 0]
+    def _inners(self, x, U, V):
+        return _row_dots(U, V)[:, 0]
 
     def _point_residual(self, x):
         return abs(np.linalg.norm(x) - 1.0)
@@ -354,8 +354,8 @@ class Stiefel(Manifold):
     def _retract_many(self, x, T):
         return _qr_fixed((x + T).reshape(len(T), self.n, self.p)).reshape(len(T), -1)
 
-    def _inner(self, x, u, v):
-        return float(np.sum(u * v))
+    def _inners(self, x, U, V):
+        return (U * V).sum(axis=1)
 
     def _point_residual(self, x):
         x = self._unpack(x)
@@ -386,7 +386,9 @@ class SpecialOrthogonal(Stiefel):
     def _retract_many(self, x, T):
         Q = super()._retract_many(x, T)
         if (np.linalg.det(Q.reshape(len(T), self.d, self.d)) <= 0).any():
-            # cannot happen for genuinely tangent steps x @ skew
+            # a tangent step x @ skew keeps det +1 in exact arithmetic,
+            # but not in floating point once x drops below the rounding
+            # of the step (on so(3), steps of length about 1e18)
             raise InvalidShape("so retraction left the det=+1 component")
         return Q
 
@@ -503,16 +505,10 @@ class FixedRank(Manifold):
         new_v = _hstack_rows(v, qv) @ zt[:, :r, :].swapaxes(-1, -2)
         return self._pack_rows(new_u, sv, new_v)
 
-    def _inner(self, x, u, v):
+    def _inners(self, x, U, V):
         # one sum per factor block, added in factor order: bitwise np.sum
         # over each unpacked factor
-        w = u * v
-        i, j = self._tangent_cuts
-        return float(w[:i].sum() + w[i:j].sum() + w[j:].sum())
-
-    def _sqnorms(self, x, T):
-        # a row's block sums round as the 1-D sums of _inner do
-        W = T * T
+        W = U * V
         i, j = self._tangent_cuts
         return W[:, :i].sum(axis=1) + W[:, i:j].sum(axis=1) + W[:, j:].sum(axis=1)
 
@@ -524,7 +520,8 @@ class FixedRank(Manifold):
     def tangent_ambient_norm(self, x_value, t_value):
         # the three blocks embed orthogonally, so the Frobenius norm
         # of the embedding equals the factored norm
-        return float(np.sqrt(self._inner(x_value, t_value, t_value)))
+        T = t_value[None]
+        return float(np.sqrt(self._inners(x_value, T, T)[0]))
 
     def _point_ambient(self, x):
         u, s, v = self._unpack(x)
@@ -594,11 +591,11 @@ class SymmetricPositiveDefinite(Manifold):
         W = np.linalg.solve(x, T)
         return _sym(x + T + 0.5 * (T @ W)).reshape(len(T), -1)
 
-    def _inner(self, x, u, v):
-        x = self._unpack(x)
-        a = np.linalg.solve(x, self._unpack(u))
-        b = np.linalg.solve(x, self._unpack(v))
-        return float(np.sum(a * b.T))
+    def _inners(self, x, U, V):
+        x, d = self._unpack(x), self.d
+        A = np.linalg.solve(x, U.reshape(len(U), d, d))
+        B = np.linalg.solve(x, V.reshape(len(V), d, d))
+        return (A * B.swapaxes(-1, -2)).reshape(-1, d * d).sum(axis=1)
 
     def _point_residual(self, x):
         x = self._unpack(x)
@@ -649,8 +646,8 @@ class PositiveSimplex(Manifold):
         W = np.maximum(W / W.sum(axis=1, keepdims=True), self.feasibility_tol)
         return W / W.sum(axis=1, keepdims=True)
 
-    def _inner(self, x, u, v):
-        return float(np.sum(u * v / x))
+    def _inners(self, x, U, V):
+        return (U * V / x).sum(axis=1)
 
     def _point_residual(self, x):
         if np.min(x) <= 0:
@@ -691,8 +688,8 @@ class Euclidean(Manifold):
     def _retract_many(self, x, T):
         return x + T
 
-    def _inner(self, x, u, v):
-        return float(np.sum(u * v))
+    def _inners(self, x, U, V):
+        return (U * V).sum(axis=1)
 
     def _point_residual(self, x):
         return 0.0
@@ -764,9 +761,9 @@ class Product(Manifold):
                 Y[:, sl] = Yb.reshape(k, -1)
         return Y
 
-    def _inner(self, x, u, v):
-        return float(sum(b._inner(x[sl], u[sl], v[sl])
-                         for b, sl in zip(self.blocks, self._slices)))
+    def _inners(self, x, U, V):
+        return sum(b._inners(x[sl], U[:, sl], V[:, sl])
+                   for b, sl in zip(self.blocks, self._slices))
 
     def _point_residual(self, x):
         return float(sum(b._point_residual(x[sl])
@@ -791,8 +788,7 @@ def product_spheres(dims) -> Product:
 
 def random_point(m: Manifold, seed) -> ManifoldPoint:
     """Deterministic seeded sample from ``m``."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return m.random_point(rng)
+    return m.random_point(np.random.default_rng(seed))
 
 
 def random_tangent(

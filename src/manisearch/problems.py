@@ -59,17 +59,6 @@ DICT_LAMBDA = 0.01
 DICT_EPS = 0.001
 
 
-def smooth_l1(c, eps: float) -> float:
-    """Smoothed entrywise absolute sum: sum of sqrt(c_ij^2 + eps^2).
-
-    Smooth everywhere and bounded below by the plain absolute sum.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(c, dtype=float)))
-    return float(kernels.smooth_l1_sum(arr, float(eps)))
-
-
 @dataclass
 class ProblemInstance:
     """One seeded benchmark instance: manifold, objective, start point.

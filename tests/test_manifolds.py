@@ -247,9 +247,10 @@ def test_product_operations_match_blockwise():
         assert np.array_equal(y.value[3:], st._retract_many(xst, man_st[None])[0])
 
         u = prod.project_tangent(x, rng.standard_normal(prod.ambient_dim))
+        G, W = got.value[None], u.value[None]
         assert prod.inner(x, got, u) == (
-            sph._inner(xs, got.value[:3], u.value[:3])
-            + st._inner(xst, got.value[3:], u.value[3:])
+            sph._inners(xs, G[:, :3], W[:, :3])[0]
+            + st._inners(xst, G[:, 3:], W[:, 3:])[0]
         )
 
 
@@ -311,8 +312,15 @@ def test_stacked_geometry_matches_per_row_bitwise(m):
         for T in _tangent_stacks(m, x, rng):
             want = np.array([m._retract_many(x, t[None])[0] for t in T])
             assert np.array_equal(m._retract_many(x, T), want)
-            want = np.array([m._inner(x, t, t) for t in T])
-            assert np.array_equal(m._sqnorms(x, T), want)
+            V = T[::-1] * 0.75
+            want = np.array([m._inners(x, t[None], t[None])[0] for t in T])
+            assert np.array_equal(m._inners(x, T, T), want)
+            assert np.array_equal(m._norms(x, T), np.sqrt(np.fmax(0.0, want)))
+            want = np.array([m._inners(x, t[None], v[None])[0] for t, v in zip(T, V)])
+            assert np.array_equal(m._inners(x, T, V), want)
+            # one row against a stack, as measure_tau passes them
+            want = np.array([m._inners(x, V[:1], t[None])[0] for t in T])
+            assert np.array_equal(m._inners(x, V[:1], T), want)
             if isinstance(m, FixedRank):
                 continue
             X = np.array([points[i % 3] for i in range(len(T))])
@@ -419,7 +427,7 @@ def test_fixed_rank_norms_equal_three_block_sums_bitwise(shape):
         (um, uu, uv), (vm, vu, vv) = fr._unpack_tangent(u.value), fr._unpack_tangent(v.value)
         inner = float(np.sum(um * vm) + np.sum(uu * vu) + np.sum(uv * vv))
         sq = np.sum(um * um) + np.sum(uu * uu) + np.sum(uv * uv)
-        assert fr._inner(x.value, u.value, v.value) == inner
+        assert fr._inners(x.value, u.value[None], v.value[None])[0] == inner
         assert u.ambient_norm() == float(np.sqrt(sq))
         assert u.norm() == u.ambient_norm()
 

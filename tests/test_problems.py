@@ -9,7 +9,6 @@ from manisearch.problems import (
     PROBLEM_NAMES,
     SMOOTH_PROBLEMS,
     build_instance,
-    smooth_l1,
 )
 
 DIMS = (2, 10, 50)
@@ -117,22 +116,6 @@ def test_sparsest_vector_matches_l1_formula():
     # hand value: with Q = I2 and x = (1, 1)/sqrt(2) the objective is sqrt(2)
     x2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.abs(np.eye(2) @ x2).sum() == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
-def test_smooth_l1_values():
-    assert smooth_l1(np.zeros((2, 2)), 0.001) == pytest.approx(0.004, rel=1e-12)
-    assert smooth_l1(np.array([[3.0]]), 1e-9) == pytest.approx(3.0, rel=1e-9)
-    assert smooth_l1(np.array([[-4.0]]), 0.003) == pytest.approx(
-        np.sqrt(16.0 + 9e-6), rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        smooth_l1(np.zeros((2, 2)), 0.0)
-
-
-def test_smooth_l1_dominates_l1():
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal((4, 6))
-    assert smooth_l1(c, 0.01) >= np.abs(c).sum()
 
 
 # ---------------------------------------------------------------------------
