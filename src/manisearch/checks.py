@@ -92,8 +92,7 @@ def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
     if start is None:
         start = man.random_point(np.random.default_rng([seed, 97]))
     return ProblemInstance(
-        name=name, manifold=man, ambient_dim=man.ambient_dim,
-        requested_dim=man.ambient_dim, seed=seed, smooth=smooth, data={},
+        name=name, manifold=man, seed=seed, smooth=smooth, data={},
         start=start, f0=float(f_val(man._unpack(start.value))), known_opt=known_opt,
         _value_f=f_val, _grad_f=grad,
     )

@@ -32,8 +32,7 @@ from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, ProblemInstance, build_
 from .solvers import DEFAULT_MU, SOLVER_NAMES, check_config, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
-_SOLVER_PARAM_KEYS = ("gamma", "gamma1", "gamma2", "alpha0", "alpha_eps",
-                      "drop_tol", "mu")
+_SOLVER_PARAM_KEYS = ("gamma", "gamma1", "gamma2", "alpha0", "alpha_eps", "mu")
 
 
 def stable_seed(*parts) -> int:

@@ -26,7 +26,9 @@ import numpy as np
 from .errors import DegenerateBasis, InvalidShape
 from .manifolds import ManifoldPoint, TangentVector, _row_dots, random_tangent
 
-DEFAULT_DROP_TOL = 1e-12
+# a projected direction whose norm does not exceed this is zero: it was
+# normal to the tangent space, up to rounding
+DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +56,11 @@ class SpanningBasis:
         return len(self.values)
 
 
-def spanning_basis(x: ManifoldPoint, drop_tol: float = DEFAULT_DROP_TOL) -> SpanningBasis:
+def spanning_basis(x: ManifoldPoint) -> SpanningBasis:
     """Projected signed ambient coordinate basis of T_x.
 
     Projects +e_1..+e_n in one stacked call and keeps each projection
-    whose ambient norm exceeds ``drop_tol``; a dropped direction's
+    whose ambient norm exceeds ``DROP_TOL``; a dropped direction's
     negative drops with it.  The survivors keep the order +e_1..+e_n,
     -e_1..-e_n, and each negative is its projection times -1.
 
@@ -67,18 +69,16 @@ def spanning_basis(x: ManifoldPoint, drop_tol: float = DEFAULT_DROP_TOL) -> Span
     DegenerateBasis
         If every projection is dropped.
     """
-    if not 0.0 < drop_tol < 1.0:
-        raise ValueError("drop_tol must lie in (0, 1)")
     m = x.manifold
     n = m.ambient_dim
     P = m._project_many(x.value, np.eye(n))
     # every packed tangent value has the ambient norm of its embedding,
     # and the row dots round as np.linalg.norm does
     norms = np.sqrt(_row_dots(P, P)[:, 0])
-    kept = np.flatnonzero(norms > drop_tol)
+    kept = np.flatnonzero(norms > DROP_TOL)
     if kept.size == 0:
         raise DegenerateBasis(
-            f"all {2 * n} projected coordinate directions fell below {drop_tol}"
+            f"all {2 * n} projected coordinate directions fell below {DROP_TOL}"
         )
     plus = P[kept]
     coords = tuple(kept.tolist())
@@ -161,17 +161,12 @@ class DenseDirectionStream:
         return d
 
 
-def dense_directions(
-    stream: DenseDirectionStream,
-    x: ManifoldPoint,
-    k: int,
-    drop_tol: float = DEFAULT_DROP_TOL,
-) -> np.ndarray:
+def dense_directions(stream: DenseDirectionStream, x: ManifoldPoint, k: int) -> np.ndarray:
     """The next ``k`` stream directions at ``x``, peeked and not emitted.
 
     Returns a (k, len) stack of tangent values: each peeked draw projected
     onto T_x and scaled to unit Riemannian norm, or a zero row where that
-    norm does not exceed ``drop_tol`` (the draw was normal to the tangent
+    norm does not exceed ``DROP_TOL`` (the draw was normal to the tangent
     space).  One stacked ``_project_many`` call projects the k draws and
     one ``_norms`` call measures them, so row i is bitwise the same in
     any stack holding it, a stack of one included.  On the kinds with the
@@ -186,22 +181,18 @@ def dense_directions(
         )
     rows = m._project_many(x.value, stream.peek(k))
     nrm = m._norms(x.value, rows)
-    kept = nrm > drop_tol
+    kept = nrm > DROP_TOL
     rows[kept] *= (1.0 / nrm[kept])[:, None]
     rows[~kept] = 0.0
     return rows
 
 
-def dense_direction(
-    stream: DenseDirectionStream,
-    x: ManifoldPoint,
-    drop_tol: float = DEFAULT_DROP_TOL,
-) -> TangentVector:
+def dense_direction(stream: DenseDirectionStream, x: ManifoldPoint) -> TangentVector:
     """The next stream direction at ``x``, emitted.
 
     It is the stack of one of ``dense_directions``, as a tangent vector:
     unit Riemannian norm, or zero where the draw was normal to T_x.
     """
-    d = TangentVector(x, dense_directions(stream, x, 1, drop_tol)[0])
+    d = TangentVector(x, dense_directions(stream, x, 1)[0])
     stream.next_ambient()
     return d

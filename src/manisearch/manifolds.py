@@ -123,6 +123,8 @@ class Manifold:
     kind: str = "abstract"
     ambient_dim: int
     intrinsic_dim: int
+    # the one feasibility tolerance: ``point`` accepts residuals up to ten
+    # times it, and the fixed-rank and simplex retractions clamp to it
     feasibility_tol: float = 1e-10
     # True where one retraction factorises a matrix (QR, SVD or a linear
     # solve): a stacked call then costs little more than one retraction,
@@ -292,13 +294,12 @@ class Sphere(Manifold):
 
     kind = "sphere"
 
-    def __init__(self, n: int, feasibility_tol: float = 1e-10):
+    def __init__(self, n: int):
         if n < 2:
             raise InvalidShape("sphere needs ambient dimension >= 2")
         self.n = int(n)
         self.ambient_dim = self.n
         self.intrinsic_dim = self.n - 1
-        self.feasibility_tol = feasibility_tol
 
     def spec_string(self) -> str:
         return f"sphere({self.n})"
@@ -333,13 +334,12 @@ class Stiefel(Manifold):
     kind = "stiefel"
     costly_retraction = True
 
-    def __init__(self, n: int, p: int, feasibility_tol: float = 1e-10):
+    def __init__(self, n: int, p: int):
         if not 1 <= p <= n:
             raise InvalidShape("stiefel needs 1 <= p <= n")
         self.n, self.p = int(n), int(p)
         self.ambient_dim = self.n * self.p
         self.intrinsic_dim = self.n * self.p - self.p * (self.p + 1) // 2
-        self.feasibility_tol = feasibility_tol
 
     def spec_string(self) -> str:
         return f"stiefel({self.n},{self.p})"
@@ -373,10 +373,10 @@ class SpecialOrthogonal(Stiefel):
 
     kind = "so"
 
-    def __init__(self, d: int, feasibility_tol: float = 1e-10):
+    def __init__(self, d: int):
         if d < 2:
             raise InvalidShape("so needs d >= 2")
-        super().__init__(d, d, feasibility_tol)
+        super().__init__(d, d)
         self.d = int(d)
         self.intrinsic_dim = d * (d - 1) // 2
 
@@ -425,13 +425,12 @@ class FixedRank(Manifold):
     kind = "fixed-rank"
     costly_retraction = True
 
-    def __init__(self, m: int, h: int, r: int, feasibility_tol: float = 1e-10):
+    def __init__(self, m: int, h: int, r: int):
         if not (1 <= r <= min(m, h)) or min(m, h) < 2:
             raise InvalidShape("fixed-rank needs 1 <= r <= min(m,h) and min(m,h) >= 2")
         self.m, self.h, self.r = int(m), int(h), int(r)
         self.ambient_dim = self.m * self.h
         self.intrinsic_dim = (self.m + self.h - self.r) * self.r
-        self.feasibility_tol = feasibility_tol
         # where the second and third factor start in a point / tangent value
         self._point_cuts = (self.m * self.r, (self.m + 1) * self.r)
         self._tangent_cuts = (self.r * self.r, (self.r + self.m) * self.r)
@@ -569,13 +568,12 @@ class SymmetricPositiveDefinite(Manifold):
     kind = "spd"
     costly_retraction = True
 
-    def __init__(self, d: int, feasibility_tol: float = 1e-10):
+    def __init__(self, d: int):
         if d < 1:
             raise InvalidShape("spd needs d >= 1")
         self.d = int(d)
         self.ambient_dim = self.d * self.d
         self.intrinsic_dim = self.d * (self.d + 1) // 2
-        self.feasibility_tol = feasibility_tol
 
     def spec_string(self) -> str:
         return f"spd({self.d})"
@@ -625,13 +623,12 @@ class PositiveSimplex(Manifold):
 
     kind = "simplex"
 
-    def __init__(self, k: int, feasibility_tol: float = 1e-10):
+    def __init__(self, k: int):
         if k < 2:
             raise InvalidShape("simplex needs K >= 2")
         self.k = int(k)
         self.ambient_dim = self.k
         self.intrinsic_dim = self.k - 1
-        self.feasibility_tol = feasibility_tol
 
     def spec_string(self) -> str:
         return f"simplex({self.k})"
@@ -668,13 +665,12 @@ class Euclidean(Manifold):
 
     kind = "euclidean"
 
-    def __init__(self, shape, feasibility_tol: float = 1e-10):
+    def __init__(self, shape):
         self.shape = tuple(int(s) for s in np.atleast_1d(shape))
         self.ambient_dim = int(np.prod(self.shape))
         if self.ambient_dim < 1:
             raise InvalidShape("euclidean block needs at least one entry")
         self.intrinsic_dim = self.ambient_dim
-        self.feasibility_tol = feasibility_tol
 
     def spec_string(self) -> str:
         return f"euclidean({'x'.join(str(s) for s in self.shape)})"
@@ -709,7 +705,7 @@ class Product(Manifold):
     tangent and ambient vectors have different lengths.
     """
 
-    def __init__(self, blocks, kind: str = "product", feasibility_tol: float = 1e-10):
+    def __init__(self, blocks, kind: str = "product"):
         blocks = tuple(blocks)
         if not blocks:
             raise InvalidShape("product needs at least one block")
@@ -719,14 +715,13 @@ class Product(Manifold):
         self.kind = kind
         self.ambient_dim = sum(b.ambient_dim for b in blocks)
         self.intrinsic_dim = sum(b.intrinsic_dim for b in blocks)
-        self.feasibility_tol = feasibility_tol
         self.costly_retraction = any(b.costly_retraction for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         # (block, g, slice) per run of g adjacent blocks that retract alike;
         # their values are contiguous, so a row's run reshapes into g block values
         self._runs, start = [], 0
-        for _, run in groupby(blocks, lambda b: (type(b), b.spec_string(), b.feasibility_tol)):
+        for _, run in groupby(blocks, lambda b: (type(b), b.spec_string())):
             run = list(run)
             stop = start + sum(b.ambient_dim for b in run)
             self._runs.append((run[0], len(run), slice(start, stop)))

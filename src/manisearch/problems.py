@@ -71,13 +71,13 @@ class ProblemInstance:
     ``_grad_f`` receive them as the manifold's ``_unpack`` views.
     ``raw_ambient`` evaluates ``f`` on the flat ambient vector read as a
     point value, unless ``_ambient_f`` supplies an ambient objective
-    (needed where points are stored factored).
+    (needed where points are stored factored).  ``ambient_dim``, the
+    n_p of the result table, is the manifold's: a requested dimension
+    can resolve to another (matrix-completion 50 -> 49).
     """
 
     name: str
     manifold: Manifold
-    ambient_dim: int
-    requested_dim: int
     seed: int
     smooth: bool
     data: dict
@@ -89,6 +89,10 @@ class ProblemInstance:
     _grad_f: Optional[Callable] = field(repr=False, default=None)
     counter: int = 0
     budget: Optional[int] = None
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.manifold.ambient_dim
 
     def fresh(self, budget: Optional[int] = None) -> "ProblemInstance":
         """Clone sharing the payload, with a zeroed counter and new budget."""
@@ -478,8 +482,6 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
     inst = ProblemInstance(
         name=name,
         manifold=man,
-        ambient_dim=man.ambient_dim,
-        requested_dim=int(n_p),
         seed=seed,
         smooth=smooth,
         data=payload,

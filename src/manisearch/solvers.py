@@ -53,7 +53,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .directions import (
-    DEFAULT_DROP_TOL,
     DenseDirectionStream,
     dense_direction,  # no solver calls it; perfbench's tracer wraps it here
     dense_directions,
@@ -79,7 +78,6 @@ class SolverConfig:
     budget     maximum number of objective evaluations (>= 1)
     alpha_eps  switching threshold for the *-plus strategies (> 0 when set)
     seed       seed for all direction randomness of the run
-    drop_tol   threshold below which projected directions count as zero
     """
 
     gamma: float
@@ -89,7 +87,6 @@ class SolverConfig:
     budget: int = 1000
     alpha_eps: Optional[float] = None
     seed: int = 0
-    drop_tol: float = DEFAULT_DROP_TOL
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -104,8 +101,6 @@ class SolverConfig:
             raise ValueError("budget must be >= 1")
         if self.alpha_eps is not None and not self.alpha_eps > 0:
             raise ValueError("alpha_eps must be > 0")
-        if not 0 < self.drop_tol < 1:
-            raise ValueError("drop_tol must lie in (0, 1)")
 
 
 @dataclass
@@ -301,12 +296,11 @@ class _Basis:
 
     def __init__(self, problem, cfg):
         self.n_slots = 2 * problem.manifold.ambient_dim
-        self.drop_tol = cfg.drop_tol
         self.basis = None
 
     def slots(self, x: ManifoldPoint) -> np.ndarray:
         if self.basis is None or self.basis.base is not x:
-            self.basis = spanning_basis(x, self.drop_tol)
+            self.basis = spanning_basis(x)
             self._slots = np.array(self.basis.slots)
         return self._slots
 
@@ -333,7 +327,6 @@ class _Stream:
 
     def __init__(self, problem, cfg):
         self.stream = DenseDirectionStream(cfg.seed, problem.manifold.ambient_dim)
-        self.drop_tol = cfg.drop_tol
         self.gamma1 = cfg.gamma1
 
     def slots(self, x: ManifoldPoint) -> np.ndarray:
@@ -341,7 +334,7 @@ class _Stream:
 
     def directions(self, x: ManifoldPoint, start: int, stop: int) -> np.ndarray:
         # the next stop - start directions as one stack, peeked and not emitted
-        return dense_directions(self.stream, x, stop - start, self.drop_tol)
+        return dense_directions(self.stream, x, stop - start)
 
     def trace_fields(self, atil) -> dict:
         return dict(final_alpha=float(atil[0]))
