@@ -48,14 +48,14 @@ def converged(f_k: float, f0: float, f_l: float, tau: float) -> bool:
     return f_k <= _threshold(f0, f_l, tau)
 
 
-def evals_to_converge(trace, f0: float, f_l: float, tau: float) -> Optional[int]:
+def evals_to_converge(history, f0: float, f_l: float, tau: float) -> Optional[int]:
     """Smallest evaluation count whose best value passes the test, else None.
 
-    ``trace`` is a RunTrace or its best-value history: a 1-D float array
-    whose entry i is the best value after evaluation i + 1, so the
-    result is the index of the first passing entry plus one.
+    ``history`` is a run's best-value history (``RunTrace.history``): a
+    1-D float array whose entry i is the best value after evaluation
+    i + 1, so the result is the index of the first passing entry plus one.
     """
-    history = np.asarray(getattr(trace, "history", trace), dtype=np.float64)
+    history = np.asarray(history, dtype=np.float64)
     if history.ndim != 1:
         raise ValueError("a history is one best value per evaluation")
     if not len(history):
@@ -86,20 +86,15 @@ class ResultTable:
 
     rows: list
 
-    def solvers(self):
-        return sorted({r.solver for r in self.rows})
-
     def taus(self):
         return sorted({r.tau for r in self.rows})
 
-    def filter(self, tau=None, bucket=None) -> "ResultTable":
-        rows = self.rows
-        if tau is not None:
-            rows = [r for r in rows if r.tau == tau]
-        if bucket is not None and bucket != "all":
-            lo, hi = SIZE_BUCKETS[bucket]
-            rows = [r for r in rows if lo <= r.n_p <= hi]
-        return ResultTable(list(rows))
+    def filter(self, bucket: str) -> "ResultTable":
+        """The rows whose n_p lies in ``SIZE_BUCKETS[bucket]``; all for "all"."""
+        if bucket == "all":
+            return ResultTable(list(self.rows))
+        lo, hi = SIZE_BUCKETS[bucket]
+        return ResultTable([r for r in self.rows if lo <= r.n_p <= hi])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -123,11 +118,23 @@ class ResultTable:
         for rec in reader:
             if not rec:
                 continue
-            rows.append(ResultRow(
-                problem=rec[0], n_p=int(rec[1]), seed=int(rec[2]), solver=rec[3],
-                tau=float(rec[4]), t_ps=None if rec[5] == "" else int(rec[5]),
-                f0=float(rec[6]), f_best=float(rec[7]), evals_used=int(rec[8]),
-            ))
+            try:
+                if len(rec) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
+                row = ResultRow(
+                    problem=rec[0], n_p=int(rec[1]), seed=int(rec[2]), solver=rec[3],
+                    tau=float(rec[4]), t_ps=None if rec[5] == "" else int(rec[5]),
+                    f0=float(rec[6]), f_best=float(rec[7]), evals_used=int(rec[8]),
+                )
+                # every row ``manisearch run`` writes meets these, and the
+                # profiles divide by t_ps and n_p + 1
+                if not (row.n_p >= 1 and row.evals_used >= 1 and (
+                        row.t_ps is None or 1 <= row.t_ps <= row.evals_used)):
+                    raise ValueError(
+                        "needs n_p >= 1, evals_used >= 1 and 1 <= t_ps <= evals_used")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            rows.append(row)
         return cls(rows)
 
 

@@ -58,8 +58,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def parse_config_file(path: Path) -> dict:
     """Flat key=value config; dotted keys collect per-solver overrides."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc.strerror}") from None
     out = {"solver_overrides": {}}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,10 +166,14 @@ def _resolve_run_settings(args) -> dict:
                 _make_config(solver, 1, 0, {solver: {param: value}})
             except ValueError as exc:
                 raise CliError(f"bad solver override {solver}.{param} = {value!r}: {exc}") from None
+    out = Path(cfg.get("out", "results"))
+    # run writes into out, creating it and its missing parents
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise CliError(f"output path {out}: {p} is not a directory")
     return dict(
         problems=problems, dims=dims, seeds=seeds, solvers=solvers,
-        budget_mult=budget_mult, taus=taus,
-        out=Path(cfg.get("out", "results")),
+        budget_mult=budget_mult, taus=taus, out=out,
         solver_overrides=cfg["solver_overrides"],
     )
 
@@ -315,8 +323,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
 
 
-def render_profile_svg(curves, title: str,
-                       width: int = 640, height: int = 420) -> str:
+def render_profile_svg(curves, title: str) -> str:
+    width, height = 640, 420
     ml, mr, mt, mb = 55, 15, 35, 40
     pw, ph = width - ml - mr, height - mt - mb
     xs = [a for c in curves for a, _ in c.points]

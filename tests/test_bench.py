@@ -25,7 +25,7 @@ from manisearch.errors import EmptyInput, InvalidBaseline
 
 
 def _row(problem="p1", n_p=4, seed=0, solver="s1", tau=0.1, t_ps=None,
-         f0=1.0, f_best=0.0, evals_used=10):
+         f0=1.0, f_best=0.0, evals_used=100):
     return ResultRow(problem, n_p, seed, solver, tau, t_ps, f0, f_best, evals_used)
 
 

@@ -350,10 +350,30 @@ def _table_with_a_repeated_row(out):
     table.write_text("".join(lines + lines[1:2]))
 
 
+def _profile_table_with_first_row(row):
+    def make_table(out):
+        out.mkdir()
+        lines = PROFILE_TABLE.splitlines(keepends=True)
+        (out / "results.csv").write_text("".join([lines[0], row + "\n", *lines[2:]]))
+    return make_table
+
+
+_BOUNDS = "line 2: needs n_p >= 1, evals_used >= 1 and 1 <= t_ps <= evals_used"
+
+
 @pytest.mark.parametrize("make_table, tau, named", [
     (_table_with_one_tau, "0.1,0.5", "no rows at tau=0.5"),
     (_table_with_a_repeated_row, "0.1", "appears twice at tau=0.1"),
-], ids=["tau-not-in-table", "repeated-run"])
+    (_profile_table_with_first_row("p1,4,0,a,0.1,10,1.0,0.0"), "0.1",
+     "line 2: expected 9 fields, got 8"),
+    (_profile_table_with_first_row("p1,4,0,a,0.1,10,1.0,0.0,30,7"), "0.1",
+     "line 2: expected 9 fields, got 10"),
+    (_profile_table_with_first_row("p1,4,0,a,0.1,0,1.0,0.0,30"), "0.1", _BOUNDS),
+    (_profile_table_with_first_row("p1,-1,0,a,0.1,10,1.0,0.0,30"), "0.1", _BOUNDS),
+    (_profile_table_with_first_row("p1,4,0,a,0.1,31,1.0,0.0,30"), "0.1", _BOUNDS),
+    (_profile_table_with_first_row("p1,4,0,a,0.1,,1.0,0.0,0"), "0.1", _BOUNDS),
+], ids=["tau-not-in-table", "repeated-run", "short-row", "long-row", "t_ps-zero",
+        "n_p-negative", "t_ps-beyond-evals", "no-evals"])
 def test_profile_writes_nothing_unless_every_curve_computes(tmp_path, capsys,
                                                             make_table, tau, named):
     out = tmp_path / "res"
@@ -436,12 +456,19 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     (["--tau", ","], "taus needs at least one value"),
     (["--solvers", "rds-sb,rdse-sb,rds-sb"], "solvers lists 'rds-sb' twice"),
     (["--tau", "0.1,1e-1"], "taus lists 0.1 twice"),
+    (["--config", "missing.cfg"], "cannot read config missing.cfg"),
+    (["--config", "drop.cfg"], "unknown solver parameter 'drop_tol'"),
+    (["--out", "taken"], "output path taken: taken is not a directory"),
+    (["--out", "taken/o"], "output path taken/o: taken is not a directory"),
 ], ids=["override-solver", "dims", "seeds", "no-problems", "no-dims", "no-seeds",
-        "no-solvers", "no-taus", "repeated-solver", "repeated-tau"])
+        "no-solvers", "no-taus", "repeated-solver", "repeated-tau", "missing-config",
+        "removed-drop-tol-key", "out-is-a-file", "out-under-a-file"])
 def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
                                                  flags, named):
     monkeypatch.chdir(tmp_path)
     Path("typo.cfg").write_text("rds-xb.gamma1 = 0.5\n")
+    Path("drop.cfg").write_text("rds-sb.drop_tol = 1e-12\n")
+    Path("taken").write_text("")
     assert main(["run", "--problems", "largest-eig", "--solvers", "rds-sb",
                  "--budget-mult", "2", "--out", "o", *flags]) == 1
     assert named in capsys.readouterr().err
