@@ -111,30 +111,33 @@ class ResultTable:
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise EmptyInput(f"bad or missing header, expected {','.join(CSV_HEADER)}")
         rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            try:
-                if len(rec) != len(CSV_HEADER):
-                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
-                row = ResultRow(
-                    problem=rec[0], n_p=int(rec[1]), seed=int(rec[2]), solver=rec[3],
-                    tau=float(rec[4]), t_ps=None if rec[5] == "" else int(rec[5]),
-                    f0=float(rec[6]), f_best=float(rec[7]), evals_used=int(rec[8]),
-                )
-                # every row ``manisearch run`` writes meets these, and the
-                # profiles divide by t_ps and n_p + 1
-                if not (row.n_p >= 1 and row.evals_used >= 1 and (
-                        row.t_ps is None or 1 <= row.t_ps <= row.evals_used)):
-                    raise ValueError(
-                        "needs n_p >= 1, evals_used >= 1 and 1 <= t_ps <= evals_used")
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            rows.append(row)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise EmptyInput(f"bad or missing header, expected {','.join(CSV_HEADER)}")
+            for rec in reader:
+                if not rec:
+                    continue
+                try:
+                    if len(rec) != len(CSV_HEADER):
+                        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
+                    row = ResultRow(
+                        problem=rec[0], n_p=int(rec[1]), seed=int(rec[2]), solver=rec[3],
+                        tau=float(rec[4]), t_ps=None if rec[5] == "" else int(rec[5]),
+                        f0=float(rec[6]), f_best=float(rec[7]), evals_used=int(rec[8]),
+                    )
+                    # every row ``manisearch run`` writes meets these, and the
+                    # profiles divide by t_ps and n_p + 1
+                    if not (row.n_p >= 1 and row.evals_used >= 1 and (
+                            row.t_ps is None or 1 <= row.t_ps <= row.evals_used)):
+                        raise ValueError(
+                            "needs n_p >= 1, evals_used >= 1 and 1 <= t_ps <= evals_used")
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+                rows.append(row)
+        except csv.Error as exc:  # a malformed record, such as an oversized field
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         return cls(rows)
 
 

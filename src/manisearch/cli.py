@@ -266,8 +266,11 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     out = Path(args.out) if args.out else Path("results")
     table_path = out / "results.csv"
-    if not table_path.exists():
+    if not table_path.is_file():
         raise CliError(f"no result table at {table_path}")
+    prof_dir = out / "profiles"
+    if prof_dir.exists() and not prof_dir.is_dir():
+        raise CliError(f"output path {prof_dir} is not a directory")
     table = bench.ResultTable.from_csv(table_path.read_text())
     bucket = args.bucket or "all"
     if bucket not in ("all", *bench.SIZE_BUCKETS):
@@ -294,8 +297,7 @@ def cmd_profile(args) -> int:
             if args.svg:
                 svg = render_profile_svg(curves, f"{kind} profile, tau={tau:g}")
                 files[f"{kind}__tau{tau:g}.svg"] = svg
-    prof_dir = out / "profiles"
-    prof_dir.mkdir(parents=True, exist_ok=True)
+    prof_dir.mkdir(exist_ok=True)
     for name, text in files.items():
         _write_atomic(prof_dir / name, text)
     written = sum(1 for name in files if name.endswith(".csv"))

@@ -126,10 +126,6 @@ class Manifold:
     # the one feasibility tolerance: ``point`` accepts residuals up to ten
     # times it, and the fixed-rank and simplex retractions clamp to it
     feasibility_tol: float = 1e-10
-    # True where one retraction factorises a matrix (QR, SVD or a linear
-    # solve): a stacked call then costs little more than one retraction,
-    # so retracting trial points that may go unused still pays
-    costly_retraction: bool = False
 
     # ---- raw geometry on flat values, per kind ------------------------
 
@@ -332,7 +328,6 @@ class Stiefel(Manifold):
     """Matrices with orthonormal columns, embedded metric, QR retraction."""
 
     kind = "stiefel"
-    costly_retraction = True
 
     def __init__(self, n: int, p: int):
         if not 1 <= p <= n:
@@ -423,7 +418,6 @@ class FixedRank(Manifold):
     """
 
     kind = "fixed-rank"
-    costly_retraction = True
 
     def __init__(self, m: int, h: int, r: int):
         if not (1 <= r <= min(m, h)) or min(m, h) < 2:
@@ -566,7 +560,6 @@ class SymmetricPositiveDefinite(Manifold):
     """
 
     kind = "spd"
-    costly_retraction = True
 
     def __init__(self, d: int):
         if d < 1:
@@ -592,7 +585,7 @@ class SymmetricPositiveDefinite(Manifold):
     def _inners(self, x, U, V):
         x, d = self._unpack(x), self.d
         A = np.linalg.solve(x, U.reshape(len(U), d, d))
-        B = np.linalg.solve(x, V.reshape(len(V), d, d))
+        B = A if V is U else np.linalg.solve(x, V.reshape(len(V), d, d))
         return (A * B.swapaxes(-1, -2)).reshape(-1, d * d).sum(axis=1)
 
     def _point_residual(self, x):
@@ -715,7 +708,6 @@ class Product(Manifold):
         self.kind = kind
         self.ambient_dim = sum(b.ambient_dim for b in blocks)
         self.intrinsic_dim = sum(b.intrinsic_dim for b in blocks)
-        self.costly_retraction = any(b.costly_retraction for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         # (block, g, slice) per run of g adjacent blocks that retract alike;
@@ -757,7 +749,9 @@ class Product(Manifold):
         return Y
 
     def _inners(self, x, U, V):
-        return sum(b._inners(x[sl], U[:, sl], V[:, sl])
+        # a norm passes one stack as both U and V; each block gets one view
+        # as both too, so that a kind can tell (spd then solves once)
+        return sum(b._inners(x[sl], Ub := U[:, sl], Ub if V is U else V[:, sl])
                    for b, sl in zip(self.blocks, self._slices))
 
     def _point_residual(self, x):

@@ -23,12 +23,12 @@ One registry names each solver by its loop and its sources:
     rdse-dd-plus  rdse-sb until every tentative stepsize falls to alpha_eps, then rdse-dd
     zo-rgd        two-point gradient-estimate baseline with stepsize 1.64/n
 
-Both loops read their trial points ``R(x, alpha d)`` from one generator,
-``_ahead``, which takes the direction rows of upcoming searches at one
-iterate from their source and retracts them as one stack, a chunk at a
-time, a chunk of one included; its docstring states the chunk rule.
-Evaluation stays lazy and in search order, so budgets, traces, hooks and
-stream emissions are those of one search at a time.
+Both loops read their trial points ``R(x, alpha d)`` from one generator
+per iterate, ``_ahead``, which takes the direction rows of the next
+``CHUNK_MAX`` searches from their source and retracts them as one stack;
+on the spanning basis a chunk stops at the last slot.  Evaluation stays
+lazy and in search order, so budgets, traces, hooks and stream emissions
+are those of one search at a time.
 
 ``run_solver`` runs any of them: it consumes a problem instance and a
 ``SolverConfig``, spends at most ``budget`` objective evaluations, and
@@ -62,7 +62,8 @@ from .errors import BaseMismatch, BudgetExhausted
 from .manifolds import ManifoldPoint, TangentVector, _same_point, random_tangent
 
 STEP_FLOOR = 1e-16
-# largest number of trial points projected and retracted in one stacked call
+# searches per trial chunk (on the basis, fewer where a chunk reaches the last
+# slot); their trial points are projected and retracted in one stacked call
 CHUNK_MAX = 16
 _NEG_INF = -np.inf
 
@@ -344,7 +345,7 @@ class _Stream:
 # trial points
 # ---------------------------------------------------------------------------
 
-def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
+def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
     """Yield ``(d, alpha, R(x, alpha d))`` for the searches ahead at ``x``.
 
     On the spanning basis the searches run through the slots j, j + 1,
@@ -357,36 +358,30 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
     each chunk starts.  A zero direction comes with ``None`` for its
     trial point, so it fails without an evaluation.
 
-    The chunk rule: trials are computed a chunk of searches at a time,
-    when the consumer reaches the chunk.  On the basis the chunks hold 1,
-    2, 4, ... up to ``cap`` slots and never run past the last slot; on a
-    stream every chunk holds ``cap`` searches.  Every chunk, one of one
-    included, is a stack: ``source.directions`` hands out its directions
-    as rows (on a stream, one stacked ``_project_many`` call of the
-    peeked draws, each emitted when its search is yielded), and one
-    ``_retract_many`` call retracts the rows times their stepsizes.  A
-    row is wrapped as a tangent vector only when its search is yielded.
-    The poll reads one round of the basis from a fresh generator at slot
-    0, and a stream from one generator per iterate, with
-    ``cap = CHUNK_MAX``.  The linesearch starts one at slot
-    k mod K whenever the iterate moves, with ``cap = CHUNK_MAX`` on a
-    stream or where a retraction factorises a matrix
-    (``Manifold.costly_retraction``), and 1 elsewhere, where a stacked
-    basis chunk costs more than the unused trials it computes.
+    The chunk rule: trials are computed ``CHUNK_MAX`` searches at a time,
+    when the consumer reaches the chunk.  On the basis a chunk stops at
+    the last slot, and the next starts at the slot after it, wrapping to
+    0.  Every chunk is a stack: ``source.directions`` hands out its
+    directions as rows (on a stream, one stacked ``_project_many`` call
+    of the peeked draws, each emitted when its search is yielded), and
+    one ``_retract_many`` call retracts the rows times their stepsizes.
+    A row is wrapped as a tangent vector only when its search is
+    yielded.  Both loops keep one generator per iterate: the poll starts
+    it at slot 0, the linesearch at slot k mod K.
     """
     m = x.manifold
     slots = source.slots(x)
     stream = isinstance(source, _Stream)
-    n, c = len(slots), cap if stream else 1
+    n = len(slots)
     while True:
         if stream:
-            stop, a, alphas = j + c, float(stepsizes[0]), []
-            for _ in range(c):
+            stop, a, alphas = j + CHUNK_MAX, float(stepsizes[0]), []
+            for _ in range(CHUNK_MAX):
                 alphas.append(a)
                 a *= source.gamma1
             alphas = np.array(alphas)
         else:
-            stop = min(j + c, n)
+            stop = min(j + CHUNK_MAX, n)
             alphas = stepsizes[slots[j:stop]]
         rows = source.directions(x, j, stop)
         T = rows * alphas[:, None]
@@ -396,7 +391,7 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, cap: int):
                 source.stream.next_ambient()  # the search emits its draw
             # a kept point owns a copy of its row, not a view holding the stack
             yield TangentVector(x, row), a1, ManifoldPoint(m, y.copy()) if moved else None
-        j, c = (stop, c) if stream else (stop % n, min(2 * c, cap))
+        j = stop % n  # a stream has one slot, so its j stays 0
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +408,17 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     because the stepsize fell to ``switch_at``.
     """
     alpha = cfg.alpha0
-    alphas = np.empty(source.n_slots)  # alpha in every slot, as _ahead reads it
-    # a basis round starts a fresh generator; a stream keeps one per iterate
-    per_round = not isinstance(source, _Stream)
+    # alpha in every slot, as _ahead reads it when a chunk starts; a basis
+    # chunk never crosses the last slot, so each round's chunks see its alpha
+    alphas = np.empty(source.n_slots)
     trials = None
     try:
         while alpha >= STEP_FLOOR:
             n = len(source.slots(st.x))
             bound = st.fx - cfg.gamma * alpha * alpha
             alphas.fill(alpha)
-            if trials is None or per_round:
-                trials = _ahead(st.x, source, 0, alphas, CHUNK_MAX)
+            if trials is None:
+                trials = _ahead(st.x, source, 0, alphas)
             for d, _, trial in islice(trials, n):
                 if trial is None:
                     continue
@@ -460,8 +455,6 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     """
     atil = np.full(source.n_slots, float(cfg.alpha0))
     k = 0
-    stacks = isinstance(source, _Stream) or st.x.manifold.costly_retraction
-    cap = CHUNK_MAX if stacks else 1
     trials = None
     try:
         while True:
@@ -470,7 +463,7 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
                 break
             j = k % len(slots)
             if trials is None:
-                trials = _ahead(st.x, source, j, atil, cap)
+                trials = _ahead(st.x, source, j, atil)
             d, a, first = next(trials)
             res = linesearch_extrapolate(
                 ev, st.x, a, d, cfg, f_x=st.fx, on_accept=on_accept, first=first,

@@ -372,8 +372,10 @@ _BOUNDS = "line 2: needs n_p >= 1, evals_used >= 1 and 1 <= t_ps <= evals_used"
     (_profile_table_with_first_row("p1,-1,0,a,0.1,10,1.0,0.0,30"), "0.1", _BOUNDS),
     (_profile_table_with_first_row("p1,4,0,a,0.1,31,1.0,0.0,30"), "0.1", _BOUNDS),
     (_profile_table_with_first_row("p1,4,0,a,0.1,,1.0,0.0,0"), "0.1", _BOUNDS),
+    (_profile_table_with_first_row("p" * 200_000 + ",4,0,a,0.1,10,1.0,0.0,30"), "0.1",
+     "line 2: field larger than field limit"),
 ], ids=["tau-not-in-table", "repeated-run", "short-row", "long-row", "t_ps-zero",
-        "n_p-negative", "t_ps-beyond-evals", "no-evals"])
+        "n_p-negative", "t_ps-beyond-evals", "no-evals", "oversized-field"])
 def test_profile_writes_nothing_unless_every_curve_computes(tmp_path, capsys,
                                                             make_table, tau, named):
     out = tmp_path / "res"
@@ -410,6 +412,33 @@ def test_profile_rejects_budget_mult_beyond_float_range(tmp_path, capsys):
 
 def test_profile_missing_table(tmp_path):
     assert main(["profile", "--out", str(tmp_path / "nothing")]) == 1
+
+
+def _table_and_profiles_file(out):
+    out.mkdir()
+    (out / "results.csv").write_text(PROFILE_TABLE)
+    (out / "profiles").write_text("not a directory\n")
+
+
+def _table_directory(out):
+    (out / "results.csv").mkdir(parents=True)
+
+
+@pytest.mark.parametrize("layout, named", [
+    (_table_and_profiles_file, "profiles is not a directory"),
+    (_table_directory, "no result table at"),
+], ids=["profiles-is-a-file", "table-is-a-directory"])
+def test_profile_rejects_unusable_layouts_before_any_curve(tmp_path, capsys, monkeypatch,
+                                                          layout, named):
+    out = tmp_path / "res"
+    layout(out)
+    computed = []
+    monkeypatch.setattr(cli.bench, "profile_curve_csv",
+                        lambda curve: computed.append(curve) or "")
+    assert main(["profile", "--out", str(out), "--svg"]) == 1
+    assert named in capsys.readouterr().err
+    assert not computed
+    assert not (out / "profiles").is_dir()
 
 
 def test_config_file_roundtrip(tmp_path):

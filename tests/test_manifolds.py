@@ -480,6 +480,31 @@ def test_spd_retraction_stays_positive_definite():
     assert np.linalg.eigvalsh(spd._unpack(y.value))[0] > 0
 
 
+@pytest.mark.parametrize("m, spd_blocks", [
+    (SymmetricPositiveDefinite(4), 1),
+    (Product([SymmetricPositiveDefinite(3), SymmetricPositiveDefinite(3),
+              PositiveSimplex(2)]), 2),
+], ids=["spd", "spd-spd-simplex"])
+def test_spd_norm_solves_once_per_block(m, spd_blocks, monkeypatch):
+    # a norm passes one stack as both sides of the metric, so each spd
+    # block solves X^-1 T once; an inner product of two stacks solves
+    # twice, and the norms are bitwise its square roots
+    rng = np.random.default_rng(61)
+    x = sample_point(m, rng)
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    for k in (1, 16):
+        T = m._project_many(x.value, rng.standard_normal((k, m.ambient_dim)))
+        calls.clear()
+        norms = m._norms(x.value, T)
+        assert len(calls) == spd_blocks
+        calls.clear()
+        two_solves = m._inners(x.value, T, T.copy())
+        assert len(calls) == 2 * spd_blocks
+        assert np.array_equal(norms, np.sqrt(np.fmax(0.0, two_solves)))
+
+
 def test_point_constructor_validates():
     with pytest.raises(InvalidShape):
         Sphere(3).point(np.array([2.0, 0.0, 0.0]))

@@ -3,7 +3,7 @@ import pytest
 
 from manisearch import solvers
 from manisearch.errors import BudgetExhausted
-from manisearch.manifolds import Manifold, Product, Sphere, Stiefel, TangentVector
+from manisearch.manifolds import Manifold, Sphere, Stiefel, TangentVector
 from manisearch.problems import build_instance
 from manisearch.solvers import (
     CHUNK_MAX,
@@ -702,14 +702,15 @@ def _stack_sizes(monkeypatch, name, budget, manifold):
     return sizes
 
 
-def test_poll_chunks_double_from_one_each_round(monkeypatch):
-    # per round over the 80 slots of Sphere(40): slot 0 alone, then 2, 4,
-    # 8 and CHUNK_MAX slots at a time, and the last slot alone, each chunk
-    # one stack, a lone slot a stack of one; slot 0 of the third round is
-    # retracted before the budget refuses its evaluation
+def test_poll_chunks_hold_chunk_max_slots(monkeypatch):
+    # every chunk holds CHUNK_MAX slots and stops at the last slot, each
+    # chunk one stack, and one generator serves every failed round: the
+    # 80 slots of Sphere(40) fill five chunks a round, the 40 of
+    # Sphere(20) two full chunks and the 8 slots left.  Slot 0 of the
+    # third round starts a chunk before the budget refuses its evaluation
     assert CHUNK_MAX == 16
-    sizes = _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 80, Sphere(40))
-    assert sizes == [1, 2, 4, 8, 16, 16, 16, 16, 1] * 2 + [1]
+    assert _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 80, Sphere(40)) == [16] * 11
+    assert _stack_sizes(monkeypatch, "rds-sb", 1 + 2 * 40, Sphere(20)) == [16, 16, 8] * 2 + [16]
 
 
 @pytest.mark.parametrize("name", ["rds-dd", "rdse-dd"])
@@ -722,15 +723,32 @@ def test_stream_source_stacks_every_chunk(name, manifold, monkeypatch):
     assert sizes == [CHUNK_MAX] * 5
 
 
-def test_linesearch_retracts_ahead_only_where_retraction_is_costly(monkeypatch):
-    # Stiefel(8, 5) keeps all 80 slots.  The chunk stops at the last slot
-    # and keeps its size across the wrap; the sixth chunk of the second
-    # sweep is retracted before the budget refuses its first evaluation.
-    # On the sphere a retraction is cheap, so nothing is retracted ahead:
-    # each of the 161 trials is a chunk of one, retracted as a stack of one
-    assert Stiefel.costly_retraction and not Sphere.costly_retraction
-    assert Product([Sphere(3), Stiefel(4, 2)]).costly_retraction
-    assert not Product([Sphere(3), Sphere(4)]).costly_retraction
-    sizes = _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Stiefel(8, 5))
-    assert sizes == [1, 2, 4, 8, 16, 16, 16, 16, 1] + [16] * 6
-    assert _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, Sphere(40)) == [1] * 161
+@pytest.mark.parametrize("manifold", [Stiefel(8, 5), Sphere(40)], ids=["stiefel", "sphere"])
+def test_linesearch_chunks_hold_chunk_max_slots(manifold, monkeypatch):
+    # one rule on a costly retraction and on a cheap one: both keep all 80
+    # slots, a chunk stops at the last slot and the next starts at slot 0;
+    # the first chunk of the third sweep is retracted before the budget
+    # refuses its first evaluation
+    assert _stack_sizes(monkeypatch, "rdse-sb", 1 + 2 * 80, manifold) == [CHUNK_MAX] * 11
+
+
+@pytest.mark.parametrize("name", [n for n in SOLVER_NAMES if n != "zo-rgd"])
+def test_one_trial_generator_per_iterate(name, monkeypatch):
+    # a failed poll round or linesearch reads on from the generator of
+    # its iterate; a new one starts only where the iterate moves or a
+    # phase begins
+    bases = []
+    ahead = solvers._ahead
+
+    def counted(x, *args):
+        bases.append(x)
+        return ahead(x, *args)
+
+    monkeypatch.setattr(solvers, "_ahead", counted)
+    prob = build_instance("largest-eig", 6, 0)
+    extra = {"alpha_eps": 0.2} if name.endswith("plus") else {}
+    trace = run_solver(name, prob, default_config(name, budget=300, seed=1, **extra))
+    phases = 1 + name.endswith("plus")
+    assert trace.success_count > 0
+    assert (trace.switch_eval is not None) == (phases == 2)  # a *-plus run switched
+    assert len(bases) == trace.success_count + phases
