@@ -145,8 +145,9 @@ def assemble_results(records, taus) -> ResultTable:
     """Build a table from raw run records, sharing f_L across solvers.
 
     ``records`` is an iterable of dicts with keys problem, n_p, seed,
-    solver, history, f0, evals_used, where history is a run's best-value
-    array (``RunTrace.history``); its last entry is the run's best value.
+    solver, history, f0, where history is a run's best-value array
+    (``RunTrace.history``): its last entry is the run's best value and its
+    length the evaluations the run made.
     For each (problem, n_p, seed) the baseline f_L is the smallest best
     value any solver reached.
     """
@@ -167,7 +168,7 @@ def assemble_results(records, taus) -> ResultTable:
                 solver=rec["solver"], tau=tau,
                 t_ps=evals_to_converge(rec["history"], rec["f0"], f_l[key], tau),
                 f0=rec["f0"], f_best=float(rec["history"][-1]),
-                evals_used=rec["evals_used"],
+                evals_used=len(rec["history"]),
             ))
     return ResultTable(rows)
 

@@ -226,8 +226,7 @@ def run_cell(cell: Cell, overrides: dict, on_accept=None) -> dict:
     cfg, mu = _make_config(cell.solver, cell.budget, cell.run_seed, overrides)
     trace = run_solver(cell.solver, inst, cfg, mu=mu, on_accept=on_accept)
     return dict(problem=inst.name, n_p=inst.ambient_dim, seed=inst.seed,
-                solver=cell.solver, history=trace.history, f0=inst.f0,
-                evals_used=trace.evals_used)
+                solver=cell.solver, history=trace.history, f0=inst.f0)
 
 
 def cmd_run(args) -> int:

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import BudgetExhausted, InvalidDimension, UnknownProblem, Unsupported
+from .errors import InvalidDimension, UnknownProblem, Unsupported
 from .manifolds import (
     Euclidean,
     FixedRank,
@@ -59,19 +59,19 @@ DICT_LAMBDA = 0.01
 DICT_EPS = 0.001
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One seeded benchmark instance: manifold, objective, start point.
 
-    ``evaluate`` increments the evaluation counter and enforces the
-    budget when one is registered; ``raw_f`` and ``raw_ambient`` are
-    uncounted helpers for diagnostics (``raw_ambient`` accepts slightly
-    off-manifold flat vectors, which finite-difference checks need).
-    Point values are flat; the objective ``_value_f`` and gradient
-    ``_grad_f`` receive them as the manifold's ``_unpack`` views.
-    ``raw_ambient`` evaluates ``f`` on the flat ambient vector read as a
-    point value, unless ``_ambient_f`` supplies an ambient objective
-    (needed where points are stored factored).  ``ambient_dim``, the
+    An instance is immutable, and ``evaluate`` is the pure objective on a
+    point value: it counts nothing and knows no budget, so one instance
+    serves any number of runs (a solver run counts and caps its own
+    evaluations).  Point values are flat; the objective ``_value_f`` and
+    gradient ``_grad_f`` receive them as the manifold's ``_unpack`` views.
+    ``raw_ambient`` accepts slightly off-manifold flat vectors, which
+    finite-difference checks need: it evaluates ``f`` on the flat ambient
+    vector read as a point value, unless ``_ambient_f`` supplies an
+    ambient objective (needed where points are stored factored).  ``ambient_dim``, the
     n_p of the result table, is the manifold's: a requested dimension
     can resolve to another (matrix-completion 50 -> 49).
     """
@@ -87,33 +87,19 @@ class ProblemInstance:
     _value_f: Callable = field(repr=False)
     _ambient_f: Optional[Callable] = field(repr=False, default=None)
     _grad_f: Optional[Callable] = field(repr=False, default=None)
-    counter: int = 0
-    budget: Optional[int] = None
 
     @property
     def ambient_dim(self) -> int:
         return self.manifold.ambient_dim
 
-    def fresh(self, budget: Optional[int] = None) -> "ProblemInstance":
-        """Clone sharing the payload, with a zeroed counter and new budget."""
-        return replace(self, counter=0, budget=budget)
-
     def evaluate(self, value) -> float:
-        if self.budget is not None and self.counter >= self.budget:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations spent on {self.name}"
-            )
-        self.counter += 1
-        return self._value_f(self.manifold._unpack(value))
-
-    def raw_f(self, value) -> float:
         return self._value_f(self.manifold._unpack(value))
 
     def raw_ambient(self, flat) -> float:
         flat = np.asarray(flat, dtype=float).ravel()
         if self._ambient_f is not None:
             return self._ambient_f(flat)
-        return self.raw_f(flat)
+        return self.evaluate(flat)
 
     def euclidean_gradient(self, value) -> np.ndarray:
         """Analytic ambient gradient, flattened (smooth problems only)."""

@@ -30,10 +30,11 @@ on the spanning basis a chunk stops at the last slot.  Evaluation stays
 lazy and in search order, so budgets, traces, hooks and stream emissions
 are those of one search at a time.
 
-``run_solver`` runs any of them: it consumes a problem instance and a
-``SolverConfig``, spends at most ``budget`` objective evaluations, and
-returns a ``RunTrace`` with the per-evaluation best-value history, one
-float64 entry per evaluation.
+``run_solver`` runs any of them: it reads an immutable problem instance
+and a ``SolverConfig``, spends at most ``budget`` objective evaluations,
+and returns a ``RunTrace`` with the per-evaluation best-value history,
+one float64 entry per evaluation.  The run (``_Run``) counts and caps
+its own evaluations, so one instance serves any number of runs.
 
 A step is accepted only under sufficient decrease
 ``f(new) <= f(old) - gamma * alpha^2`` by a finite value; a NaN or
@@ -110,7 +111,7 @@ class RunTrace:
 
     ``history`` is a 1-D float64 array with one entry per objective
     evaluation: entry i is the best value after evaluation i + 1, so it is
-    non-increasing and its length is ``evals_used``.  ``switch_eval`` is the
+    non-increasing, and ``evals_used`` is its length.  ``switch_eval`` is the
     evaluation count at which a *-plus strategy changed phase, when it did.
     ``stop_reason`` says why the run ended: ``"budget"`` when an evaluation
     was refused, ``"step-floor"`` when the stepsize fell below ``STEP_FLOOR``.
@@ -118,13 +119,16 @@ class RunTrace:
 
     history: np.ndarray
     final_point: ManifoldPoint
-    evals_used: int
     iterations: int
     success_count: int
     final_alpha: Optional[float] = None
     final_alpha_by_slot: Optional[dict] = None
     switch_eval: Optional[int] = None
     stop_reason: Optional[str] = None
+
+    @property
+    def evals_used(self) -> int:
+        return len(self.history)
 
     @property
     def best_f(self) -> float:
@@ -221,21 +225,40 @@ def linesearch_extrapolate(
 # run plumbing
 # ---------------------------------------------------------------------------
 
-class _Eval:
-    """Budgeted objective wrapper that records the best-value history.
+class _Run:
+    """One solver run: its budgeted evaluations, iterate and counts.
 
-    A NaN or -inf value never becomes the best value.  ``history`` lists
-    the best value after each evaluation; entries share one float object
-    until it improves, so an entry costs one list slot.
+    Calling the run evaluates a point.  An evaluation past ``cfg.budget``
+    is refused before the objective runs, by raising ``BudgetExhausted``;
+    that refusal is the one place a run is marked exhausted.  A NaN or
+    -inf value never becomes the best value.  ``history`` lists the best
+    value after each evaluation, so its length is the evaluations made;
+    entries share one float object until it improves, so an entry costs
+    one list slot.  ``fields`` collects the stepsize fields of the
+    ``RunTrace``; a later phase overwrites what an earlier one set.
     """
 
-    def __init__(self, inst, on_eval=None):
-        self.inst = inst
+    __slots__ = ("inst", "budget", "on_eval", "best", "history",
+                 "x", "fx", "iters", "succ", "exhausted", "fields")
+
+    def __init__(self, problem, cfg, on_eval):
+        self.inst = problem
+        self.budget = cfg.budget
+        self.on_eval = on_eval
         self.best = np.inf
         self.history = []
-        self.on_eval = on_eval
+        self.iters = 0
+        self.succ = 0
+        self.exhausted = False
+        self.fields = {}
+        self.x = problem.start
+        self.fx = self(problem.start)  # budget >= 1: never refused
 
     def __call__(self, point: ManifoldPoint) -> float:
+        if len(self.history) >= self.budget:
+            self.exhausted = True
+            raise BudgetExhausted(
+                f"budget of {self.budget} evaluations spent on {self.inst.name}")
         f = self.inst.evaluate(point.value)
         if _NEG_INF < f < self.best:
             self.best = f
@@ -244,43 +267,15 @@ class _Eval:
             self.on_eval(point, f)
         return f
 
-
-class _State:
-    """Mutable per-run state shared between solver phases.
-
-    ``fields`` collects the stepsize fields of the ``RunTrace``; a later
-    phase overwrites what an earlier one set.
-    """
-
-    __slots__ = ("x", "fx", "iters", "succ", "exhausted", "fields")
-
-    def __init__(self, x, fx):
-        self.x = x
-        self.fx = fx
-        self.iters = 0
-        self.succ = 0
-        self.exhausted = False
-        self.fields = {}
-
-
-def _trace(ev: _Eval, st: _State) -> RunTrace:
-    return RunTrace(
-        history=np.array(ev.history, dtype=np.float64),
-        final_point=st.x,
-        evals_used=ev.inst.counter,
-        iterations=st.iters,
-        success_count=st.succ,
-        stop_reason="budget" if st.exhausted else "step-floor",
-        **st.fields,
-    )
-
-
-def _start(problem, cfg, on_eval):
-    """Fresh instance, evaluator, and state seeded with f(x0)."""
-    inst = problem.fresh(budget=cfg.budget)
-    ev = _Eval(inst, on_eval)
-    st = _State(problem.start, ev(problem.start))  # budget >= 1: never raises
-    return ev, st
+    def trace(self) -> RunTrace:
+        return RunTrace(
+            history=np.array(self.history, dtype=np.float64),
+            final_point=self.x,
+            iterations=self.iters,
+            success_count=self.succ,
+            stop_reason="budget" if self.exhausted else "step-floor",
+            **self.fields,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
 # search loops
 # ---------------------------------------------------------------------------
 
-def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
+def _poll(run, source, cfg, on_accept, switch_at=None) -> bool:
     """RDS: poll the source's directions in order with one stepsize.
 
     The first sufficient decrease moves the iterate and expands the
@@ -414,36 +409,36 @@ def _poll(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     trials = None
     try:
         while alpha >= STEP_FLOOR:
-            n = len(source.slots(st.x))
-            bound = st.fx - cfg.gamma * alpha * alpha
+            n = len(source.slots(run.x))
+            bound = run.fx - cfg.gamma * alpha * alpha
             alphas.fill(alpha)
             if trials is None:
-                trials = _ahead(st.x, source, 0, alphas)
+                trials = _ahead(run.x, source, 0, alphas)
             for d, _, trial in islice(trials, n):
                 if trial is None:
                     continue
-                f_trial = ev(trial)
+                f_trial = run(trial)
                 if isfinite(f_trial) and f_trial <= bound:
                     if on_accept is not None:
-                        on_accept(st.x, d, alpha, st.fx, f_trial)
-                    st.x, st.fx = trial, f_trial
-                    st.succ += 1
+                        on_accept(run.x, d, alpha, run.fx, f_trial)
+                    run.x, run.fx = trial, f_trial
+                    run.succ += 1
                     alpha *= cfg.gamma2
                     trials = None
                     break
             else:
                 alpha *= cfg.gamma1
-            st.iters += 1
+            run.iters += 1
             if switch_at is not None and alpha <= switch_at:
                 return True
     except BudgetExhausted:
-        st.exhausted = True
+        pass
     finally:
-        st.fields["final_alpha"] = alpha
+        run.fields["final_alpha"] = alpha
     return False
 
 
-def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
+def _linesearch(run, source, cfg, on_accept, switch_at=None) -> bool:
     """RDSE: iteration k runs the extrapolation linesearch along direction k mod K.
 
     Keeps one tentative stepsize per source slot; a slot whose direction
@@ -458,32 +453,29 @@ def _linesearch(ev, st, source, cfg, on_accept, switch_at=None) -> bool:
     trials = None
     try:
         while True:
-            slots = source.slots(st.x)
+            slots = source.slots(run.x)
             if atil[slots].max() < STEP_FLOOR:
                 break
             j = k % len(slots)
             if trials is None:
-                trials = _ahead(st.x, source, j, atil)
+                trials = _ahead(run.x, source, j, atil)
             d, a, first = next(trials)
             res = linesearch_extrapolate(
-                ev, st.x, a, d, cfg, f_x=st.fx, on_accept=on_accept, first=first,
+                run, run.x, a, d, cfg, f_x=run.fx, on_accept=on_accept, first=first,
             )
             atil[slots[j]] = res.alpha_next
             if res.alpha > 0:
-                st.x, st.fx = res.accepted_point, res.f_accepted
-                st.succ += 1
+                run.x, run.fx = res.accepted_point, res.f_accepted
+                run.succ += 1
                 trials = None
-            if res.truncated:
-                st.exhausted = True
+            if res.truncated:  # the run refused an evaluation
                 break
             k += 1
-            st.iters += 1
+            run.iters += 1
             if switch_at is not None and atil[slots].max() <= switch_at:
                 return True
-    except BudgetExhausted:
-        st.exhausted = True
     finally:
-        st.fields.update(source.trace_fields(atil))
+        run.fields.update(source.trace_fields(atil))
     return False
 
 
@@ -503,14 +495,14 @@ def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> Run
     """
     check_config(name, cfg)
     cfgs = [cfg] + [default_nonsmooth_phase(cfg)] * (len(sources) - 1)
-    ev, st = _start(problem, cfg, on_eval)
+    run = _Run(problem, cfg, on_eval)
     for i, (source, c) in enumerate(zip(sources, cfgs)):
         if i:
-            st.fields["switch_eval"] = ev.inst.counter
+            run.fields["switch_eval"] = len(run.history)
         switch_at = cfg.alpha_eps if i + 1 < len(sources) else None
-        if not loop(ev, st, source(problem, c), c, on_accept, switch_at):
+        if not loop(run, source(problem, c), c, on_accept, switch_at):
             break
-    return _trace(ev, st)
+    return run.trace()
 
 
 # ---------------------------------------------------------------------------
@@ -532,26 +524,26 @@ def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
         raise ValueError("mu must be > 0")
     if not problem.smooth:
         raise ValueError("zo-rgd applies to smooth problems only")
-    ev, st = _start(problem, cfg, on_eval)
+    run = _Run(problem, cfg, on_eval)
     m = problem.manifold
     eta = 1.64 / m.ambient_dim
     rng = np.random.default_rng([cfg.seed, 90])
     try:
         while True:
-            u = random_tangent(st.x, rng, unit=True)
-            f_probe = ev(m.retract(st.x, u.scaled(mu)))
-            coef = (f_probe - st.fx) / mu
+            u = random_tangent(run.x, rng, unit=True)
+            f_probe = run(m.retract(run.x, u.scaled(mu)))
+            coef = (f_probe - run.fx) / mu
             if isfinite(coef):
-                x_new = m.retract(st.x, u.scaled(-eta * coef))
-                f_new = ev(x_new)
+                x_new = m.retract(run.x, u.scaled(-eta * coef))
+                f_new = run(x_new)
                 if isfinite(f_new):
-                    if f_new < st.fx:
-                        st.succ += 1
-                    st.x, st.fx = x_new, f_new
-            st.iters += 1
+                    if f_new < run.fx:
+                        run.succ += 1
+                    run.x, run.fx = x_new, f_new
+            run.iters += 1
     except BudgetExhausted:
-        st.exhausted = True
-    return _trace(ev, st)
+        pass
+    return run.trace()
 
 
 # ---------------------------------------------------------------------------

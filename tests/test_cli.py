@@ -648,7 +648,7 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
         "        cli.build_instance(name, dim, 0)\n"
         "inst = cli.build_instance('sync-rotations', 10, 0)\n"
         "rec = cli.run_cell(cli.Cell(inst, 'rds-sb', 20 * (inst.ambient_dim + 1), 0), {})\n"
-        "assert rec['evals_used'] > 0\n"
+        "assert len(rec['history']) > 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

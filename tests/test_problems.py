@@ -1,15 +1,21 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from manisearch import problems
-from manisearch.errors import BudgetExhausted, InvalidDimension, UnknownProblem, Unsupported
-from manisearch.manifolds import FixedRank, random_point, random_tangent
+from manisearch.errors import InvalidDimension, UnknownProblem, Unsupported
+from manisearch.manifolds import FixedRank, Sphere, random_point, random_tangent
 from manisearch.problems import (
     NONSMOOTH_PROBLEMS,
     PROBLEM_NAMES,
     SMOOTH_PROBLEMS,
+    ProblemInstance,
     build_instance,
 )
+from manisearch.solvers import SOLVER_NAMES, default_config, run_solver
+
+from conftest import make_problem
 
 DIMS = (2, 10, 50)
 
@@ -64,36 +70,39 @@ def test_seeds_change_payload():
 # evaluation semantics
 # ---------------------------------------------------------------------------
 
-def test_counter_and_budget():
-    inst = build_instance("largest-eig", 5, 0).fresh(budget=3)
-    for expected in (1, 2, 3):
-        inst.evaluate(inst.start.value)
-        assert inst.counter == expected
-    with pytest.raises(BudgetExhausted):
-        inst.evaluate(inst.start.value)
-    assert inst.counter == 3
-
-
-def test_fresh_resets_counter_but_shares_payload():
+def test_instances_are_immutable():
     inst = build_instance("largest-eig", 5, 0)
-    inst.evaluate(inst.start.value)
-    clone = inst.fresh(budget=10)
-    assert clone.counter == 0
-    assert clone.data["a"] is inst.data["a"]
+    with pytest.raises(FrozenInstanceError):
+        inst.seed = 1
+    with pytest.raises(FrozenInstanceError):
+        inst.f0 = 0.0
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_a_run_evaluates_the_objective_exactly_its_budget(name, monkeypatch):
+    # the run refuses an evaluation past its budget before the objective runs
+    calls = []
+    evaluate = ProblemInstance.evaluate
+    monkeypatch.setattr(ProblemInstance, "evaluate",
+                        lambda self, value: calls.append(1) or evaluate(self, value))
+    prob = make_problem(Sphere(3), lambda v: 1.0)
+    trace = run_solver(name, prob, default_config(name, budget=7, seed=0))
+    assert trace.stop_reason == "budget"
+    assert len(calls) == trace.evals_used == 7
 
 
 def test_reevaluation_bitwise_equal():
     for name in PROBLEM_NAMES:
         inst = build_instance(name, 10, 2)
         x = random_point(inst.manifold, 5)
-        assert inst.raw_f(x.value) == inst.raw_f(x.value)
+        assert inst.evaluate(x.value) == inst.evaluate(x.value)
 
 
 def test_largest_eig_matches_quadratic_form():
     inst = build_instance("largest-eig", 8, 1)
     a = inst.data["a"]
     x = random_point(inst.manifold, 9)
-    assert inst.raw_f(x.value) == pytest.approx(-(x.value @ a @ x.value), rel=1e-14)
+    assert inst.evaluate(x.value) == pytest.approx(-(x.value @ a @ x.value), rel=1e-14)
     # diagonal oracle: with A = diag(1, 2, 3) the value at e3 is -3
     e3 = np.array([0.0, 0.0, 1.0])
     assert float(-(e3 @ np.diag([1.0, 2.0, 3.0]) @ e3)) == -3.0
@@ -102,17 +111,17 @@ def test_largest_eig_matches_quadratic_form():
 def test_matrix_completion_truth_point_scores_zero():
     inst = build_instance("matrix-completion", 10, 4)
     truth = FixedRank.pack(inst.data["u_bar"], inst.data["s_bar"], inst.data["v_bar"])
-    assert inst.raw_f(truth) == pytest.approx(0.0, abs=1e-20)
+    assert inst.evaluate(truth) == pytest.approx(0.0, abs=1e-20)
     inst_ns = build_instance("nonsmooth-mc", 10, 4)
     truth = FixedRank.pack(inst_ns.data["u_bar"], inst_ns.data["s_bar"], inst_ns.data["v_bar"])
-    assert inst_ns.raw_f(truth) == pytest.approx(0.0, abs=1e-12)
+    assert inst_ns.evaluate(truth) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sparsest_vector_matches_l1_formula():
     inst = build_instance("sparsest-vector", 6, 3)
     q = inst.data["q"]
     x = random_point(inst.manifold, 11)
-    assert inst.raw_f(x.value) == pytest.approx(np.abs(q @ x.value).sum(), rel=1e-14)
+    assert inst.evaluate(x.value) == pytest.approx(np.abs(q @ x.value).sum(), rel=1e-14)
     # hand value: with Q = I2 and x = (1, 1)/sqrt(2) the objective is sqrt(2)
     x2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.abs(np.eye(2) @ x2).sum() == pytest.approx(np.sqrt(2.0), rel=1e-15)
@@ -173,7 +182,7 @@ def test_projected_gradient_matches_directional_derivative():
             pg = m.project_tangent(x, inst.euclidean_gradient(x.value))
             pairing = float(pg.ambient() @ d.ambient())
             t = 1e-6
-            fd = (inst.raw_f(m.retract(x, d.scaled(t)).value) - inst.raw_f(x.value)) / t
+            fd = (inst.evaluate(m.retract(x, d.scaled(t)).value) - inst.evaluate(x.value)) / t
             tol = 1e-3 * (1 + abs(pairing)) + 1e-4 * (1 + abs(inst.f0))
             assert abs(fd - pairing) <= tol, (name, fd, pairing)
 
@@ -189,8 +198,8 @@ def test_retraction_decrease_bounded_by_fitted_quadratic():
         for _ in range(20):
             x = random_point(m, int(rng.integers(1 << 30)))
             d = random_tangent(x, rng, unit=True).scaled(rng.uniform(0.01, 0.1))
-            fx = inst.raw_f(x.value)
-            fr = inst.raw_f(m.retract(x, d).value)
+            fx = inst.evaluate(x.value)
+            fr = inst.evaluate(m.retract(x, d).value)
             pg = m.project_tangent(x, inst.euclidean_gradient(x.value))
             lin = float(pg.ambient() @ d.ambient())
             cases.append((fr - fx - lin, d.ambient_norm() ** 2))
@@ -214,7 +223,7 @@ def test_known_opt_lower_bounds_feasible_values():
         worst_gap = 0.0
         for _ in range(1000):
             x = inst.manifold.random_point(rng)
-            worst_gap = min(worst_gap, inst.raw_f(x.value) - lo)
+            worst_gap = min(worst_gap, inst.evaluate(x.value) - lo)
         assert worst_gap >= -1e-9, (name, worst_gap)
 
 

@@ -277,11 +277,12 @@ def test_history_is_one_float64_per_evaluation(name):
 
 
 def test_budget_refuses_extra_call():
-    prob = make_problem(Sphere(3), lambda v: 1.0).fresh(budget=2)
-    prob.evaluate(prob.start.value)
-    prob.evaluate(prob.start.value)
-    with pytest.raises(BudgetExhausted):
-        prob.evaluate(prob.start.value)
+    prob = make_problem(Sphere(3), lambda v: 1.0)
+    cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0, budget=2)
+    values = []
+    trace = run_solver("rds-sb", prob, cfg, on_eval=lambda p, f: values.append(f))
+    assert values == [1.0, 1.0]
+    assert trace.stop_reason == "budget"
 
 
 def test_opportunistic_break_spends_one_poll():
@@ -483,7 +484,7 @@ def test_accepted_steps_replay_sufficient_decrease():
         for x, d, alpha, f_before, f_after in records:
             assert alpha > 0
             y = prob.manifold.retract(x, d.scaled(alpha))
-            replayed = prob.raw_f(y.value)
+            replayed = prob.evaluate(y.value)
             assert replayed == f_after  # bitwise deterministic
             assert replayed <= f_before - cfg.gamma * alpha**2
 
@@ -524,7 +525,7 @@ def test_nan_trial_is_a_failed_poll(value, name):
     assert accepts
     assert all(f_new < f_old for f_old, f_new in accepts)
     if name == "rdse-sb" and np.isnan(value):
-        assert prob.raw_f(trace.final_point.value) == trace.best_f
+        assert prob.evaluate(trace.final_point.value) == trace.best_f
     else:
         assert all(np.isfinite(f_new) for _, f_new in accepts)
         assert np.isfinite(trace.best_f)
