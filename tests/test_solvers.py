@@ -3,7 +3,7 @@ import pytest
 
 from manisearch import solvers
 from manisearch.errors import BudgetExhausted
-from manisearch.manifolds import Manifold, Sphere, Stiefel, TangentVector
+from manisearch.manifolds import Manifold, SpecialOrthogonal, Sphere, Stiefel, TangentVector
 from manisearch.problems import build_instance
 from manisearch.solvers import (
     CHUNK_MAX,
@@ -529,6 +529,39 @@ def test_nan_trial_is_a_failed_poll(value, name):
     else:
         assert all(np.isfinite(f_new) for _, f_new in accepts)
         assert np.isfinite(trace.best_f)
+
+
+def _steep_linear(m):
+    g = np.random.default_rng(3).standard_normal(m.ambient_dim)
+    return lambda v: 1e100 * float(g @ v.ravel())
+
+
+_SWEEP_MANIFOLDS = {"so3": SpecialOrthogonal(3), "sphere8": Sphere(8)}
+_SWEEP_OBJECTIVES = {"plateau": lambda m: lambda v: 1e300, "steep-linear": _steep_linear}
+_LONG_STEP = pytest.mark.xfail(strict=True, reason="open defect: a long step leaves "
+                               "so(3)'s det = +1 component and the retraction raises")
+_SWEEP_XFAIL = {
+    ("so3", "plateau", "rds-dd"): pytest.mark.xfail(
+        strict=True, reason="open defect: f_new <= f_old - gamma alpha^2 accepts "
+        "f_new == f_old at 1e300, so rds-dd doubles alpha until a long step raises"),
+    **{("so3", "steep-linear", name): _LONG_STEP
+       for name in ("rdse-sb", "rdse-dd", "rdse-dd-plus", "zo-rgd")},
+}
+
+
+@pytest.mark.parametrize("kind, objective, name", [
+    pytest.param(kind, objective, name, marks=_SWEEP_XFAIL.get((kind, objective, name), ()))
+    for kind in _SWEEP_MANIFOLDS for objective in _SWEEP_OBJECTIVES for name in SOLVER_NAMES])
+def test_adversarial_objectives_end_at_a_feasible_point(kind, objective, name):
+    # a huge constant and a linear objective of slope 1e100: every run
+    # must end for a stated reason at a finite point on the manifold
+    m = _SWEEP_MANIFOLDS[kind]
+    prob = make_problem(m, _SWEEP_OBJECTIVES[objective](m), seed=0)
+    with deadline(10):
+        trace = run_solver(name, prob, default_config(name, budget=200, seed=0))
+    assert trace.stop_reason in ("budget", "step-floor")
+    assert np.isfinite(trace.final_point.value).all()
+    assert trace.final_point.residual() <= 1e-8
 
 
 def test_visited_points_stay_feasible():
