@@ -56,6 +56,25 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _refuse_non_files(paths) -> None:
+    """Raise ``CliError`` where a file to be written exists and is not a file.
+
+    Checked before any work starts, so such a layout ends the command
+    with an error instead of a traceback after part of the output.
+    """
+    for p in paths:
+        if p.exists() and not p.is_file():
+            raise CliError(f"output path {p} is not a file")
+
+
+def _curve_name(solver, kind, tau) -> str:
+    return f"{solver}__{kind}__tau{tau:g}.csv"
+
+
+def _plot_name(kind, tau) -> str:
+    return f"{kind}__tau{tau:g}.svg"
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat key=value config; dotted keys collect per-solver overrides."""
     try:
@@ -195,6 +214,9 @@ class Cell(NamedTuple):
     budget: int
     run_seed: int
 
+    def trace_name(self) -> str:
+        return f"{self.inst.name}__{self.inst.ambient_dim}__{self.inst.seed}__{self.solver}.csv"
+
 
 def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
     """The runs of a problems x dims x seeds x solvers grid, in grid order.
@@ -234,9 +256,12 @@ def cmd_run(args) -> int:
     cells = grid_cells(settings["problems"], settings["dims"], settings["seeds"],
                        settings["solvers"], settings["budget_mult"])
     out = settings["out"]
+    traces_dir = out / "traces"
+    if traces_dir.exists() and not traces_dir.is_dir():
+        raise CliError(f"output path {traces_dir} is not a directory")
+    _refuse_non_files([out / "results.csv", *(traces_dir / c.trace_name() for c in cells)])
     # a run cut short must not leave a previous table beside its new traces
     (out / "results.csv").unlink(missing_ok=True)
-    traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for cell in cells:
@@ -245,8 +270,7 @@ def cmd_run(args) -> int:
         # tolist() yields Python floats, whose repr is the shortest round trip
         lines = ["eval_index,best_f"] + [
             f"{i},{v!r}" for i, v in enumerate(rec["history"].tolist(), 1)]
-        name = f"{rec['problem']}__{rec['n_p']}__{rec['seed']}__{rec['solver']}.csv"
-        _write_atomic(traces_dir / name, "\n".join(lines) + "\n")
+        _write_atomic(traces_dir / cell.trace_name(), "\n".join(lines) + "\n")
     table = bench.assemble_results(records, settings["taus"])
     _write_atomic(out / "results.csv", table.to_csv())
     n_keys = len({(r["problem"], r["n_p"], r["seed"]) for r in records})
@@ -282,6 +306,15 @@ def cmd_profile(args) -> int:
     budget_mult = args.budget_mult if args.budget_mult is not None else 100
     if budget_mult < 1:
         raise CliError("budget_mult must be >= 1")
+    # the files to be written: a curve for each solver with rows at tau
+    names = []
+    for tau in taus:
+        solvers = sorted({r.solver for r in table.rows if r.tau == tau})
+        for kind in kinds:
+            names += [_curve_name(s, kind, tau) for s in solvers]
+            if args.svg:
+                names.append(_plot_name(kind, tau))
+    _refuse_non_files(prof_dir / name for name in names)
     # every curve and plot is computed before profiles/ is created, so a
     # tau without rows or a repeated run leaves no partial output
     files = {}
@@ -292,10 +325,10 @@ def cmd_profile(args) -> int:
             else:
                 curves = bench.data_profile(table, tau, kappa_max=budget_mult)
             for curve in curves:
-                files[f"{curve.solver}__{kind}__tau{tau:g}.csv"] = bench.profile_curve_csv(curve)
+                files[_curve_name(curve.solver, kind, tau)] = bench.profile_curve_csv(curve)
             if args.svg:
                 svg = render_profile_svg(curves, f"{kind} profile, tau={tau:g}")
-                files[f"{kind}__tau{tau:g}.svg"] = svg
+                files[_plot_name(kind, tau)] = svg
     prof_dir.mkdir(exist_ok=True)
     for name, text in files.items():
         _write_atomic(prof_dir / name, text)

@@ -424,21 +424,37 @@ def _table_directory(out):
     (out / "results.csv").mkdir(parents=True)
 
 
+def _curve_directory(out):
+    out.mkdir()
+    (out / "results.csv").write_text(PROFILE_TABLE)
+    (out / "profiles" / "b__data__tau0.1.csv").mkdir(parents=True)
+
+
+def _plot_directory(out):
+    out.mkdir()
+    (out / "results.csv").write_text(PROFILE_TABLE)
+    (out / "profiles" / "data__tau0.5.svg").mkdir(parents=True)
+
+
 @pytest.mark.parametrize("layout, named", [
     (_table_and_profiles_file, "profiles is not a directory"),
     (_table_directory, "no result table at"),
-], ids=["profiles-is-a-file", "table-is-a-directory"])
+    (_curve_directory, "b__data__tau0.1.csv is not a file"),
+    (_plot_directory, "data__tau0.5.svg is not a file"),
+], ids=["profiles-is-a-file", "table-is-a-directory", "curve-is-a-directory",
+        "plot-is-a-directory"])
 def test_profile_rejects_unusable_layouts_before_any_curve(tmp_path, capsys, monkeypatch,
                                                           layout, named):
     out = tmp_path / "res"
     layout(out)
+    before = sorted(out.rglob("*"))
     computed = []
     monkeypatch.setattr(cli.bench, "profile_curve_csv",
                         lambda curve: computed.append(curve) or "")
     assert main(["profile", "--out", str(out), "--svg"]) == 1
     assert named in capsys.readouterr().err
     assert not computed
-    assert not (out / "profiles").is_dir()
+    assert sorted(out.rglob("*")) == before
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -489,19 +505,31 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     (["--config", "drop.cfg"], "unknown solver parameter 'drop_tol'"),
     (["--out", "taken"], "output path taken: taken is not a directory"),
     (["--out", "taken/o"], "output path taken/o: taken is not a directory"),
+    (["--out", "tf"], "output path tf/traces is not a directory"),
+    (["--out", "td"], "output path td/results.csv is not a file"),
+    (["--out", "tt"], "output path tt/traces/largest-eig__10__0__rds-sb.csv is not a file"),
 ], ids=["override-solver", "dims", "seeds", "no-problems", "no-dims", "no-seeds",
         "no-solvers", "no-taus", "repeated-solver", "repeated-tau", "missing-config",
-        "removed-drop-tol-key", "out-is-a-file", "out-under-a-file"])
+        "removed-drop-tol-key", "out-is-a-file", "out-under-a-file", "traces-is-a-file",
+        "table-is-a-directory", "last-trace-is-a-directory"])
 def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
                                                  flags, named):
     monkeypatch.chdir(tmp_path)
     Path("typo.cfg").write_text("rds-xb.gamma1 = 0.5\n")
     Path("drop.cfg").write_text("rds-sb.drop_tol = 1e-12\n")
     Path("taken").write_text("")
+    Path("tf").mkdir()
+    Path("tf/traces").write_text("")
+    Path("td/results.csv").mkdir(parents=True)
+    Path("tt/traces/largest-eig__10__0__rds-sb.csv").mkdir(parents=True)
+    before = sorted(Path().rglob("*"))
+    ran = []
+    monkeypatch.setattr(cli, "run_solver", lambda *args, **kwargs: ran.append(args))
     assert main(["run", "--problems", "largest-eig", "--solvers", "rds-sb",
                  "--budget-mult", "2", "--out", "o", *flags]) == 1
     assert named in capsys.readouterr().err
-    assert not Path("o").exists()
+    assert not ran
+    assert sorted(Path().rglob("*")) == before
 
 
 def test_usage_error_maps_to_exit_one():
