@@ -379,12 +379,15 @@ class SpecialOrthogonal(Stiefel):
         return f"so({self.d})"
 
     def _retract_many(self, x, T):
+        """The Stiefel QR retraction, with NaN rows where it leaves det = +1.
+
+        A tangent step x @ skew keeps det +1 in exact arithmetic, but not
+        in floating point once x drops below the rounding of the step (on
+        so(3), steps of length about 1e18).  Such a row is set to NaN
+        instead of raising, so its trial fails like a non-finite value.
+        """
         Q = super()._retract_many(x, T)
-        if (np.linalg.det(Q.reshape(len(T), self.d, self.d)) <= 0).any():
-            # a tangent step x @ skew keeps det +1 in exact arithmetic,
-            # but not in floating point once x drops below the rounding
-            # of the step (on so(3), steps of length about 1e18)
-            raise InvalidShape("so retraction left the det=+1 component")
+        Q[np.linalg.det(Q.reshape(len(T), self.d, self.d)) <= 0] = np.nan
         return Q
 
     def _point_residual(self, x):

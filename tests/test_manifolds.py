@@ -71,6 +71,18 @@ def test_so2_zero_tangent_keeps_identity():
     np.testing.assert_array_equal(so.retract(x, d).value, np.eye(2).ravel())
 
 
+def test_so_step_that_leaves_det_one_retracts_to_nan():
+    # once x is below the rounding of a long step, the QR factor can have
+    # det = -1; that row is NaN and the other rows of the stack are kept
+    so = SpecialOrthogonal(3)
+    x = so.random_point(np.random.default_rng(0))
+    u = random_tangent(x, np.random.default_rng(1), unit=True)
+    Q = so._retract_many(x.value, np.stack([0.5 * u.value, 1e18 * u.value]))
+    assert np.isnan(Q[1]).all()
+    assert np.array_equal(Q[0], so.retract(x, u.scaled(0.5)).value)
+    assert so.point(Q[0]).residual() <= so.feasibility_tol
+
+
 def test_sphere_inner_examples():
     sph = Sphere(3)
     x = sph.point(np.array([1.0, 0.0, 0.0]))

@@ -538,14 +538,11 @@ def _steep_linear(m):
 
 _SWEEP_MANIFOLDS = {"so3": SpecialOrthogonal(3), "sphere8": Sphere(8)}
 _SWEEP_OBJECTIVES = {"plateau": lambda m: lambda v: 1e300, "steep-linear": _steep_linear}
-_LONG_STEP = pytest.mark.xfail(strict=True, reason="open defect: a long step leaves "
-                               "so(3)'s det = +1 component and the retraction raises")
 _SWEEP_XFAIL = {
     ("so3", "plateau", "rds-dd"): pytest.mark.xfail(
         strict=True, reason="open defect: f_new <= f_old - gamma alpha^2 accepts "
-        "f_new == f_old at 1e300, so rds-dd doubles alpha until a long step raises"),
-    **{("so3", "steep-linear", name): _LONG_STEP
-       for name in ("rdse-sb", "rdse-dd", "rdse-dd-plus", "zo-rgd")},
+        "f_new == f_old at 1e300, so rds-dd doubles alpha until a long step leaves "
+        "so(3) and the NaN point it lands on is accepted"),
 }
 
 
