@@ -215,7 +215,8 @@ class Cell(NamedTuple):
     run_seed: int
 
     def trace_name(self) -> str:
-        return f"{self.inst.name}__{self.inst.ambient_dim}__{self.inst.seed}__{self.solver}.csv"
+        inst = self.inst
+        return f"{inst.name}__{inst.ambient_dim}__{inst.seed}__{self.solver}.csv"
 
 
 def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:

@@ -71,9 +71,9 @@ class ProblemInstance:
     ``raw_ambient`` accepts slightly off-manifold flat vectors, which
     finite-difference checks need: it evaluates ``f`` on the flat ambient
     vector read as a point value, unless ``_ambient_f`` supplies an
-    ambient objective (needed where points are stored factored).  ``ambient_dim``, the
-    n_p of the result table, is the manifold's: a requested dimension
-    can resolve to another (matrix-completion 50 -> 49).
+    ambient objective (needed where points are stored factored).
+    ``ambient_dim``, the n_p of the result table, is the manifold's: a
+    requested dimension can resolve to another (matrix-completion 50 -> 49).
     """
 
     name: str
