@@ -86,7 +86,7 @@ def sample_point(m, rng):
     return m.random_point(rng)
 
 
-def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
+def make_problem(man, f_val, seed=0, smooth=True, start=None,
                  name="custom", known_opt=None):
     """Hand-built problem instance for engineered objectives."""
     if start is None:
@@ -94,7 +94,7 @@ def make_problem(man, f_val, seed=0, smooth=True, grad=None, start=None,
     return ProblemInstance(
         name=name, manifold=man, seed=seed, smooth=smooth, data={},
         start=start, f0=float(f_val(man._unpack(start.value))), known_opt=known_opt,
-        _value_f=f_val, _grad_f=grad,
+        _value_f=f_val,
     )
 
 

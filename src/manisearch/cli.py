@@ -67,12 +67,15 @@ def _refuse_non_files(paths) -> None:
             raise CliError(f"output path {p} is not a file")
 
 
+# files are named by repr(tau), the shortest string that reads back as tau,
+# so distinct taus never share a file; for a tau of at most six significant
+# digits it equals the ``{tau:g}`` form (0.1, 0.001)
 def _curve_name(solver, kind, tau) -> str:
-    return f"{solver}__{kind}__tau{tau:g}.csv"
+    return f"{solver}__{kind}__tau{tau!r}.csv"
 
 
 def _plot_name(kind, tau) -> str:
-    return f"{kind}__tau{tau:g}.svg"
+    return f"{kind}__tau{tau!r}.svg"
 
 
 def parse_config_file(path: Path) -> dict:
@@ -281,7 +284,7 @@ def cmd_run(args) -> int:
             solved = sum(1 for r in table.rows
                          if r.solver == solver and r.tau == tau
                          and r.t_ps is not None)
-            parts.append(f"tau={tau:g}: {solved}/{n_keys}")
+            parts.append(f"tau={tau!r}: {solved}/{n_keys}")
         print(f"{solver}: solved " + ", ".join(parts))
     print(f"wrote {out / 'results.csv'} and {len(records)} trace files")
     return 0
@@ -467,6 +470,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ManisearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy refuses an array larger than the host can hold (a problem
+        # dimension too large to build) before allocating any of it
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

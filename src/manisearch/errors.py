@@ -29,10 +29,6 @@ class BudgetExhausted(ManisearchError):
     """The objective-evaluation budget has been spent."""
 
 
-class Unsupported(ManisearchError):
-    """Operation not available for this problem (e.g. gradients of a nonsmooth objective)."""
-
-
 class InvalidBaseline(ManisearchError):
     """Convergence baseline f_L exceeds the starting value f0."""
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import InvalidDimension, UnknownProblem, Unsupported
+from .errors import InvalidDimension, UnknownProblem
 from .manifolds import (
     Euclidean,
     FixedRank,
@@ -66,12 +66,9 @@ class ProblemInstance:
     An instance is immutable, and ``evaluate`` is the pure objective on a
     point value: it counts nothing and knows no budget, so one instance
     serves any number of runs (a solver run counts and caps its own
-    evaluations).  Point values are flat; the objective ``_value_f`` and
-    gradient ``_grad_f`` receive them as the manifold's ``_unpack`` views.
-    ``raw_ambient`` accepts slightly off-manifold flat vectors, which
-    finite-difference checks need: it evaluates ``f`` on the flat ambient
-    vector read as a point value, unless ``_ambient_f`` supplies an
-    ambient objective (needed where points are stored factored).
+    evaluations).  It carries one objective and no derivatives: point
+    values are flat, and ``_value_f`` receives them as the manifold's
+    ``_unpack`` views.
     ``ambient_dim``, the n_p of the result table, is the manifold's: a
     requested dimension can resolve to another (matrix-completion 50 -> 49).
     """
@@ -85,8 +82,6 @@ class ProblemInstance:
     f0: float
     known_opt: Optional[float]
     _value_f: Callable = field(repr=False)
-    _ambient_f: Optional[Callable] = field(repr=False, default=None)
-    _grad_f: Optional[Callable] = field(repr=False, default=None)
 
     @property
     def ambient_dim(self) -> int:
@@ -94,18 +89,6 @@ class ProblemInstance:
 
     def evaluate(self, value) -> float:
         return self._value_f(self.manifold._unpack(value))
-
-    def raw_ambient(self, flat) -> float:
-        flat = np.asarray(flat, dtype=float).ravel()
-        if self._ambient_f is not None:
-            return self._ambient_f(flat)
-        return self.evaluate(flat)
-
-    def euclidean_gradient(self, value) -> np.ndarray:
-        """Analytic ambient gradient, flattened (smooth problems only)."""
-        if self._grad_f is None:
-            raise Unsupported(f"{self.name} has no smooth gradient")
-        return self._grad_f(self.manifold._unpack(value))
 
 
 def _round(x: float) -> int:
@@ -121,9 +104,7 @@ def _payload_rng(name: str, seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# builders: each returns (manifold, payload, smooth, f_val, f_amb, grad,
-# known_opt); f_amb, the objective on flat ambient vectors, is set only
-# where points are stored factored
+# builders: each returns (manifold, payload, f_val, known_opt)
 # ---------------------------------------------------------------------------
 
 def _build_largest_eig(n_p, seed):
@@ -135,11 +116,8 @@ def _build_largest_eig(n_p, seed):
     def f_val(x):
         return float(-(x @ a @ x))
 
-    def grad(x):
-        return -2.0 * (a @ x)
-
     known = float(-np.linalg.eigvalsh(a)[-1])
-    return man, dict(a=a), True, f_val, None, grad, known
+    return man, dict(a=a), f_val, known
 
 
 def _build_largest_sv(n_p, seed):
@@ -153,12 +131,8 @@ def _build_largest_sv(n_p, seed):
         x, y = v
         return float(-(x @ a @ y))
 
-    def grad(v):
-        x, y = v
-        return np.concatenate([-(a @ y), -(a.T @ x)])
-
     known = float(-np.linalg.svd(a, compute_uv=False)[0])
-    return man, dict(a=a), True, f_val, None, grad, known
+    return man, dict(a=a), f_val, known
 
 
 def _build_top_sv(n_p, seed):
@@ -177,12 +151,8 @@ def _build_top_sv(n_p, seed):
         x, y = v
         return float(-np.sum(x * (a @ y)))
 
-    def grad(v):
-        x, y = v
-        return np.concatenate([-(a @ y).ravel(), -(a.T @ x).ravel()])
-
     known = float(-np.sum(np.linalg.svd(a, compute_uv=False)[:r]))
-    return man, dict(a=a, r=r), True, f_val, None, grad, known
+    return man, dict(a=a, r=r), f_val, known
 
 
 def _build_dict_learning(n_p, seed):
@@ -204,22 +174,8 @@ def _build_dict_learning(n_p, seed):
         resid = float(np.linalg.norm(y - dm @ c))
         return resid + DICT_LAMBDA * kernels.smooth_l1_sum(c, DICT_EPS)
 
-    def grad(v):
-        cols, c = v
-        dm = np.column_stack(cols)
-        rsd = dm @ c - y
-        nr = float(np.linalg.norm(rsd))
-        if nr > 0:
-            g_d = (rsd @ c.T) / nr
-            g_c = (dm.T @ rsd) / nr
-        else:
-            g_d = np.zeros_like(dm)
-            g_c = np.zeros_like(c)
-        g_c = g_c + DICT_LAMBDA * c / np.sqrt(c * c + DICT_EPS * DICT_EPS)
-        return np.concatenate([g_d.ravel(order="F"), g_c.ravel()])
-
     payload = dict(y=y, d_bar=d_bar, c_bar=c_bar, lam=DICT_LAMBDA, eps=DICT_EPS)
-    return man, payload, True, f_val, None, grad, None
+    return man, payload, f_val, None
 
 
 def _expm(a):
@@ -260,14 +216,9 @@ def _build_sync_rotations(n_p, seed):
         diff = a - h_meas @ b
         return float(np.sum(diff * diff))
 
-    def grad(v):
-        a, b = v
-        diff = a - h_meas @ b
-        return np.concatenate([(2.0 * diff).ravel(), (-2.0 * h_meas.T @ diff).ravel()])
-
     sv = np.linalg.svd(h_meas, compute_uv=False)
     known = float(d + np.sum(h_meas * h_meas) - 2.0 * np.sum(sv))
-    return man, dict(h=h_meas), True, f_val, None, grad, known
+    return man, dict(h=h_meas), f_val, known
 
 
 def _mc_shapes(n_p):
@@ -296,26 +247,9 @@ def _build_completion(name, n_p, seed, absolute):
         u, s, vt = v
         return float(kernel(u, s, vt, rows, cols, vals))
 
-    def f_amb(flat):
-        z = flat.reshape(m, h)
-        diff = z[rows, cols] - vals
-        if absolute:
-            return float(np.abs(diff).sum())
-        return float(diff @ diff)
-
-    if absolute:
-        grad = None
-    else:
-        def grad(v):
-            u, s, vt = v
-            pred = ((u[rows] * s) * vt[cols]).sum(axis=1)
-            g = np.zeros((m, h))
-            g[rows, cols] = 2.0 * (pred - vals)
-            return g.ravel()
-
     payload = dict(m_true=m_true, rows=rows, cols=cols, vals=vals,
                    u_bar=u_bar, s_bar=s_bar, v_bar=v_bar, rank=r)
-    return man, payload, not absolute, f_val, f_amb, grad, 0.0
+    return man, payload, f_val, 0.0
 
 
 def _build_matrix_completion(n_p, seed):
@@ -379,24 +313,9 @@ def _build_gmm(n_p, seed):
         ll = np.logaddexp(np.log(w[0]) + lq1, np.log(w[1]) + lq2)
         return float(-ll.sum())
 
-    def grad(v):
-        s1, s2, w = v
-        lqs = [_log_q(s1), _log_q(s2)]
-        a = np.vstack([np.log(w[0]) + lqs[0], np.log(w[1]) + lqs[1]])
-        ll = np.logaddexp(a[0], a[1])
-        resp = np.exp(a - ll)  # 2 x n_obs
-        parts = []
-        for k, s_mat in enumerate((s1, s2)):
-            inv = np.linalg.inv(s_mat)
-            wk = np.linalg.solve(s_mat, y_aug)
-            g = 0.5 * (resp[k].sum() * inv - (wk * resp[k]) @ wk.T)
-            parts.append(g.ravel())
-        parts.append(-resp.sum(axis=1) / w)
-        return np.concatenate(parts)
-
     payload = dict(observations=xs, y_aug=y_aug, w_bar=w_bar, means=means,
                    covs=covs, base_dim=d)
-    return man, payload, True, f_val, None, grad, None
+    return man, payload, f_val, None
 
 
 def _build_procrustes(n_p, seed):
@@ -413,10 +332,7 @@ def _build_procrustes(n_p, seed):
         diff = a @ x - b
         return float(np.sum(diff * diff))
 
-    def grad(x):
-        return (2.0 * a.T @ (a @ x - b)).ravel()
-
-    return man, dict(a=a, b=b, x_bar=x_bar), True, f_val, None, grad, None
+    return man, dict(a=a, b=b, x_bar=x_bar), f_val, None
 
 
 def _build_sparsest_vector(n_p, seed):
@@ -430,7 +346,7 @@ def _build_sparsest_vector(n_p, seed):
     def f_val(x):
         return float(np.abs(q @ x).sum())
 
-    return man, dict(q=q), False, f_val, None, None, None
+    return man, dict(q=q), f_val, None
 
 
 _BUILDERS = {
@@ -447,9 +363,8 @@ _BUILDERS = {
 }
 
 PROBLEM_NAMES = tuple(_BUILDERS)
-SMOOTH_PROBLEMS = tuple(n for n in PROBLEM_NAMES
-                        if n not in ("sparsest-vector", "nonsmooth-mc"))
 NONSMOOTH_PROBLEMS = ("sparsest-vector", "nonsmooth-mc")
+SMOOTH_PROBLEMS = tuple(n for n in PROBLEM_NAMES if n not in NONSMOOTH_PROBLEMS)
 
 
 def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
@@ -463,19 +378,16 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
         raise UnknownProblem(f"unknown problem '{name}'")
     if int(n_p) != n_p or n_p < 2:
         raise InvalidDimension(f"n_p must be an integer >= 2, got {n_p}")
-    man, payload, smooth, f_val, f_amb, grad, known = _BUILDERS[name](int(n_p), seed)
+    man, payload, f_val, known = _BUILDERS[name](int(n_p), seed)
     start = random_point(man, seed)
-    inst = ProblemInstance(
+    return ProblemInstance(
         name=name,
         manifold=man,
         seed=seed,
-        smooth=smooth,
+        smooth=name not in NONSMOOTH_PROBLEMS,
         data=payload,
         start=start,
         f0=float(f_val(man._unpack(start.value))),
         known_opt=known,
         _value_f=f_val,
-        _ambient_f=f_amb,
-        _grad_f=grad,
     )
-    return inst

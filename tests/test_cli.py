@@ -325,6 +325,21 @@ def test_profile_outputs_are_pinned_bytes(tmp_path):
     assert got == PINNED_PROFILES
 
 
+def test_profile_names_taus_apart_past_six_digits(tmp_path, capsys):
+    # the taus agree to six digits, so {tau:g} names would give both one set of files
+    out = tmp_path / "res"
+    assert main(["run", "--problems", "largest-eig", "--dims", "4",
+                 "--solvers", "rds-sb,rdse-sb", "--budget-mult", "5",
+                 "--tau", "0.1,0.1000001", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert "tau=0.1: " in summary and "tau=0.1000001: " in summary
+    assert main(["profile", "--out", str(out), "--kind", "data"]) == 0
+    assert sorted(p.name for p in (out / "profiles").iterdir()) == [
+        "rds-sb__data__tau0.1.csv", "rds-sb__data__tau0.1000001.csv",
+        "rdse-sb__data__tau0.1.csv", "rdse-sb__data__tau0.1000001.csv"]
+    assert "wrote 4 profile curve files" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tau, named", [
     (",", "taus needs at least one value"),
     ("5", "tau must lie in (0, 1), got 5.0"),
@@ -529,6 +544,18 @@ def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
                  "--budget-mult", "2", "--out", "o", *flags]) == 1
     assert named in capsys.readouterr().err
     assert not ran
+    assert sorted(Path().rglob("*")) == before
+
+
+def test_dimension_too_large_to_allocate_fails_before_any_output(tmp_path, monkeypatch,
+                                                                capsys):
+    # largest-eig at n = 1e8 asks for a 71 PiB matrix, which numpy refuses
+    # before allocating anything
+    monkeypatch.chdir(tmp_path)
+    before = sorted(Path().rglob("*"))
+    assert main(["run", "--problems", "largest-eig", "--dims", "100000000",
+                 "--solvers", "rds-sb", "--out", "o"]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
     assert sorted(Path().rglob("*")) == before
 
 

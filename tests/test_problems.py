@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from manisearch import problems
-from manisearch.errors import InvalidDimension, UnknownProblem, Unsupported
-from manisearch.manifolds import FixedRank, Sphere, random_point, random_tangent
+from manisearch.errors import InvalidDimension, UnknownProblem
+from manisearch.manifolds import FixedRank, Sphere, random_point
 from manisearch.problems import (
     NONSMOOTH_PROBLEMS,
     PROBLEM_NAMES,
@@ -125,88 +125,6 @@ def test_sparsest_vector_matches_l1_formula():
     # hand value: with Q = I2 and x = (1, 1)/sqrt(2) the objective is sqrt(2)
     x2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.abs(np.eye(2) @ x2).sum() == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
-def test_nonsmooth_gradient_unsupported():
-    inst = build_instance("sparsest-vector", 6, 0)
-    with pytest.raises(Unsupported):
-        inst.euclidean_gradient(inst.start.value)
-
-
-def test_gradients_match_central_differences():
-    rng = np.random.default_rng(13)
-    for name in SMOOTH_PROBLEMS:
-        inst = build_instance(name, 10, 1)
-        for pseed in range(5):
-            x = random_point(inst.manifold, pseed)
-            g = inst.euclidean_gradient(x.value)
-            flat = x.ambient()
-            idx = rng.choice(flat.size, size=min(12, flat.size), replace=False)
-            scale = 1e-5 * (1 + np.linalg.norm(g))
-            for i in idx:
-                e = np.zeros(flat.size)
-                e[i] = 1e-6
-                fd = (inst.raw_ambient(flat + e) - inst.raw_ambient(flat - e)) / 2e-6
-                assert abs(fd - g[i]) <= scale, (name, pseed, i)
-
-
-def test_raw_ambient_reads_flat_vector_in_native_layout():
-    # exact equality off the manifold too; the factored fixed-rank problems
-    # keep their own ambient objective and are covered by the gradient test
-    for name in PROBLEM_NAMES:
-        if name in ("matrix-completion", "nonsmooth-mc"):
-            continue
-        for n_p in DIMS:
-            inst = build_instance(name, n_p, 0)
-            rng = np.random.default_rng([n_p, 5])
-            for pseed in range(5):
-                x = random_point(inst.manifold, pseed)
-                flat = x.ambient() + 1e-3 * rng.standard_normal(x.value.size)
-                expected = inst._value_f(inst.manifold._unpack(flat))
-                assert inst.raw_ambient(flat) == expected, (name, n_p, pseed)
-
-
-def test_projected_gradient_matches_directional_derivative():
-    # <P grad, d> (ambient pairing) against (f(R(x, t d)) - f(x)) / t
-    for name in SMOOTH_PROBLEMS:
-        inst = build_instance(name, 10, 2)
-        m = inst.manifold
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            x = random_point(m, int(rng.integers(1 << 30)))
-            d = random_tangent(x, rng, unit=True)
-            pg = m.project_tangent(x, inst.euclidean_gradient(x.value))
-            pairing = float(pg.ambient() @ d.ambient())
-            t = 1e-6
-            fd = (inst.evaluate(m.retract(x, d.scaled(t)).value) - inst.evaluate(x.value)) / t
-            tol = 1e-3 * (1 + abs(pairing)) + 1e-4 * (1 + abs(inst.f0))
-            assert abs(fd - pairing) <= tol, (name, fd, pairing)
-
-
-def test_retraction_decrease_bounded_by_fitted_quadratic():
-    # f(R(x, d)) <= f(x) + <P grad, d> + L_hat |d|^2 with L_hat fitted as
-    # twice the worst observed quotient on a pilot sample
-    for name in SMOOTH_PROBLEMS:
-        inst = build_instance(name, 10, 3)
-        m = inst.manifold
-        rng = np.random.default_rng(19)
-        cases = []
-        for _ in range(20):
-            x = random_point(m, int(rng.integers(1 << 30)))
-            d = random_tangent(x, rng, unit=True).scaled(rng.uniform(0.01, 0.1))
-            fx = inst.evaluate(x.value)
-            fr = inst.evaluate(m.retract(x, d).value)
-            pg = m.project_tangent(x, inst.euclidean_gradient(x.value))
-            lin = float(pg.ambient() @ d.ambient())
-            cases.append((fr - fx - lin, d.ambient_norm() ** 2))
-        l_hat = 2 * max(q / n2 for q, n2 in cases)
-        l_hat = max(l_hat, 1e-12)
-        for q, n2 in cases:
-            assert q <= l_hat * n2 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@ import pytest
 
 from manisearch import solvers
 from manisearch.errors import BudgetExhausted
-from manisearch.manifolds import Manifold, SpecialOrthogonal, Sphere, Stiefel, TangentVector
+from manisearch.manifolds import (
+    Manifold,
+    SpecialOrthogonal,
+    Sphere,
+    Stiefel,
+    SymmetricPositiveDefinite,
+    TangentVector,
+)
 from manisearch.problems import build_instance
 from manisearch.solvers import (
     CHUNK_MAX,
@@ -536,13 +543,23 @@ def _steep_linear(m):
     return lambda v: 1e100 * float(g @ v.ravel())
 
 
-_SWEEP_MANIFOLDS = {"so3": SpecialOrthogonal(3), "sphere8": Sphere(8)}
+_SWEEP_MANIFOLDS = {"so3": SpecialOrthogonal(3), "sphere8": Sphere(8),
+                    "spd4": SymmetricPositiveDefinite(4)}
 _SWEEP_OBJECTIVES = {"plateau": lambda m: lambda v: 1e300, "steep-linear": _steep_linear}
 _SWEEP_XFAIL = {
     ("so3", "plateau", "rds-dd"): pytest.mark.xfail(
         strict=True, reason="open defect: f_new <= f_old - gamma alpha^2 accepts "
         "f_new == f_old at 1e300, so rds-dd doubles alpha until a long step leaves "
         "so(3) and the NaN point it lands on is accepted"),
+    **{("spd4", "steep-linear", name): pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="open defect: x + xi + xi x^-1 xi / 2 "
+        "is positive definite in exact arithmetic only, so a long step ends at a "
+        "symmetric point whose smallest eigenvalue rounds below 0 and residual() is inf")
+       for name in ("rdse-sb", "rdse-dd-plus")},
+    ("spd4", "steep-linear", "zo-rgd"): pytest.mark.xfail(
+        strict=True, raises=TimeoutError, reason="open defect: after one step the "
+        "eigenvalues are near 1e195, every projected draw has a norm near 1e-195 "
+        "<= 1e-12, and random_tangent redraws forever"),
 }
 
 
@@ -554,7 +571,7 @@ def test_adversarial_objectives_end_at_a_feasible_point(kind, objective, name):
     # must end for a stated reason at a finite point on the manifold
     m = _SWEEP_MANIFOLDS[kind]
     prob = make_problem(m, _SWEEP_OBJECTIVES[objective](m), seed=0)
-    with deadline(10):
+    with deadline(3):
         trace = run_solver(name, prob, default_config(name, budget=200, seed=0))
     assert trace.stop_reason in ("budget", "step-floor")
     assert np.isfinite(trace.final_point.value).all()
