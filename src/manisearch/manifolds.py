@@ -130,7 +130,9 @@ class Manifold:
     # ---- raw geometry on flat values, per kind ------------------------
 
     def _unpack(self, x):
-        """Views of the point value ``x`` in the shapes its objective reads."""
+        """Views of the point value ``x`` in the shapes its objective reads;
+        of a (k, len) stack of point values, the same views with a leading
+        axis of k."""
         return x
 
     def _project_many(self, x, A) -> np.ndarray:
@@ -340,7 +342,7 @@ class Stiefel(Manifold):
         return f"stiefel({self.n},{self.p})"
 
     def _unpack(self, x):
-        return x.reshape(self.n, self.p)
+        return x.reshape(*x.shape[:-1], self.n, self.p)
 
     def _project_many(self, x, A):
         x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
@@ -442,7 +444,9 @@ class FixedRank(Manifold):
 
     def _unpack(self, x):
         i, j = self._point_cuts
-        return x[:i].reshape(self.m, self.r), x[i:j], x[j:].reshape(self.h, self.r)
+        k = x.shape[:-1]
+        return (x[..., :i].reshape(*k, self.m, self.r), x[..., i:j],
+                x[..., j:].reshape(*k, self.h, self.r))
 
     def _unpack_tangent(self, t):
         i, j = self._tangent_cuts
@@ -575,7 +579,7 @@ class SymmetricPositiveDefinite(Manifold):
         return f"spd({self.d})"
 
     def _unpack(self, x):
-        return x.reshape(self.d, self.d)
+        return x.reshape(*x.shape[:-1], self.d, self.d)
 
     def _project_many(self, x, A):
         return _sym(A.reshape(len(A), self.d, self.d)).reshape(len(A), -1)
@@ -672,7 +676,7 @@ class Euclidean(Manifold):
         return f"euclidean({'x'.join(str(s) for s in self.shape)})"
 
     def _unpack(self, x):
-        return x.reshape(self.shape)
+        return x.reshape(*x.shape[:-1], *self.shape)
 
     def _project_many(self, x, A):
         return A.copy()
@@ -727,7 +731,7 @@ class Product(Manifold):
         return f"{self.kind}({inner})"
 
     def _unpack(self, x):
-        return tuple(b._unpack(x[sl]) for b, sl in zip(self.blocks, self._slices))
+        return tuple(b._unpack(x[..., sl]) for b, sl in zip(self.blocks, self._slices))
 
     def _project_many(self, x, A):
         return np.concatenate(

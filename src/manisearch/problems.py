@@ -68,7 +68,13 @@ class ProblemInstance:
     serves any number of runs (a solver run counts and caps its own
     evaluations).  It carries one objective and no derivatives: point
     values are flat, and ``_value_f`` receives them as the manifold's
-    ``_unpack`` views.
+    ``_unpack`` views.  A built instance's ``_value_f`` is ``stacked``: it
+    takes the views of a (k, len) stack of point values and returns
+    their k values, value i bitwise the same in any stack holding row i,
+    and ``evaluate`` is its stack of one; a solver run evaluates such an
+    objective a trial chunk at a time (``evaluate_many``).  Otherwise
+    ``_value_f`` takes one point's views and returns its value, and a run
+    calls it only on the points its searches reach.
     ``ambient_dim``, the n_p of the result table, is the manifold's: a
     requested dimension can resolve to another (matrix-completion 50 -> 49).
     """
@@ -82,13 +88,21 @@ class ProblemInstance:
     f0: float
     known_opt: Optional[float]
     _value_f: Callable = field(repr=False)
+    stacked: bool = False
 
     @property
     def ambient_dim(self) -> int:
         return self.manifold.ambient_dim
 
     def evaluate(self, value) -> float:
+        if self.stacked:
+            return float(self._value_f(self.manifold._unpack(value[None]))[0])
         return self._value_f(self.manifold._unpack(value))
+
+    def evaluate_many(self, values) -> np.ndarray:
+        """The objective at each row of a (k, len) stack of point values
+        (``stacked`` instances only)."""
+        return self._value_f(self.manifold._unpack(values))
 
 
 def _round(x: float) -> int:
@@ -104,7 +118,12 @@ def _payload_rng(name: str, seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# builders: each returns (manifold, payload, f_val, known_opt)
+# builders: each returns (manifold, payload, f_vals, known_opt), where
+# f_vals is the stacked objective: it takes the _unpack views of a stack of
+# point values and returns their values, row i bitwise the same in any
+# stack holding it: products are batched per row (a (1, n) @ (n, n) or
+# (m, n) @ (n, 1) product per row, not one matrix product over the stack)
+# and every sum runs over C-contiguous rows (kernels.row_sums, row_dots)
 # ---------------------------------------------------------------------------
 
 def _build_largest_eig(n_p, seed):
@@ -113,11 +132,11 @@ def _build_largest_eig(n_p, seed):
     a = _sym(rng.standard_normal((n, n)))
     man = Sphere(n)
 
-    def f_val(x):
-        return float(-(x @ a @ x))
+    def f_vals(x):
+        return -kernels.row_dots(x[:, None, :] @ a, x)
 
     known = float(-np.linalg.eigvalsh(a)[-1])
-    return man, dict(a=a), f_val, known
+    return man, dict(a=a), f_vals, known
 
 
 def _build_largest_sv(n_p, seed):
@@ -127,12 +146,12 @@ def _build_largest_sv(n_p, seed):
     a = rng.standard_normal((m, h))
     man = product_spheres([m, h])
 
-    def f_val(v):
+    def f_vals(v):
         x, y = v
-        return float(-(x @ a @ y))
+        return -kernels.row_dots(x[:, None, :] @ a, y)
 
     known = float(-np.linalg.svd(a, compute_uv=False)[0])
-    return man, dict(a=a), f_val, known
+    return man, dict(a=a), f_vals, known
 
 
 def _build_top_sv(n_p, seed):
@@ -147,12 +166,12 @@ def _build_top_sv(n_p, seed):
     a = rng.standard_normal((m, h))
     man = Product([Stiefel(m, r), Stiefel(h, r)])
 
-    def f_val(v):
+    def f_vals(v):
         x, y = v
-        return float(-np.sum(x * (a @ y)))
+        return -kernels.row_sums(x * (a @ y))
 
     known = float(-np.sum(np.linalg.svd(a, compute_uv=False)[:r]))
-    return man, dict(a=a, r=r), f_val, known
+    return man, dict(a=a, r=r), f_vals, known
 
 
 def _build_dict_learning(n_p, seed):
@@ -168,14 +187,14 @@ def _build_dict_learning(n_p, seed):
     y = d_bar @ c_bar
     man = Product([product_spheres([d] * h), Euclidean((h, k))])
 
-    def f_val(v):
+    def f_vals(v):
         cols, c = v
-        dm = np.column_stack(cols)
-        resid = float(np.linalg.norm(y - dm @ c))
-        return resid + DICT_LAMBDA * kernels.smooth_l1_sum(c, DICT_EPS)
+        dm = np.stack(cols, axis=-1)  # each row's columns side by side
+        r = y - dm @ c
+        return np.sqrt(kernels.row_dots(r, r)) + DICT_LAMBDA * kernels.smooth_l1_sum(c, DICT_EPS)
 
     payload = dict(y=y, d_bar=d_bar, c_bar=c_bar, lam=DICT_LAMBDA, eps=DICT_EPS)
-    return man, payload, f_val, None
+    return man, payload, f_vals, None
 
 
 def _expm(a):
@@ -211,14 +230,14 @@ def _build_sync_rotations(n_p, seed):
     noise = _expm(0.1 * (g - g.T) / 2.0)
     h_meas = r1 @ r2.T @ noise
 
-    def f_val(v):
+    def f_vals(v):
         a, b = v
         diff = a - h_meas @ b
-        return float(np.sum(diff * diff))
+        return kernels.row_sums(diff * diff)
 
     sv = np.linalg.svd(h_meas, compute_uv=False)
     known = float(d + np.sum(h_meas * h_meas) - 2.0 * np.sum(sv))
-    return man, dict(h=h_meas), f_val, known
+    return man, dict(h=h_meas), f_vals, known
 
 
 def _mc_shapes(n_p):
@@ -243,13 +262,13 @@ def _build_completion(name, n_p, seed, absolute):
     man = FixedRank(m, h, r)
     kernel = kernels.masked_residual_abs if absolute else kernels.masked_residual_sq
 
-    def f_val(v):
+    def f_vals(v):
         u, s, vt = v
-        return float(kernel(u, s, vt, rows, cols, vals))
+        return kernel(u, s, vt, rows, cols, vals)
 
     payload = dict(m_true=m_true, rows=rows, cols=cols, vals=vals,
                    u_bar=u_bar, s_bar=s_bar, v_bar=v_bar, rank=r)
-    return man, payload, f_val, 0.0
+    return man, payload, f_vals, 0.0
 
 
 def _build_matrix_completion(n_p, seed):
@@ -295,27 +314,28 @@ def _build_gmm(n_p, seed):
     man = Product([SymmetricPositiveDefinite(dd), SymmetricPositiveDefinite(dd),
                    PositiveSimplex(2)])
 
-    def _log_q(s_mat):
-        sign, logdet = np.linalg.slogdet(s_mat)
-        if sign <= 0 or not np.isfinite(logdet):
-            return None
-        w = np.linalg.solve(s_mat, y_aug)
-        quad = np.sum(y_aug * w, axis=0)
-        return log_c - 0.5 * logdet - 0.5 * quad
-
-    def f_val(v):
+    def f_vals(v):
+        # both covariances of every row in one slogdet and one solve.  A row
+        # with a non-positive weight, or a covariance whose determinant is
+        # not positive and finite, is +inf; such a covariance is swapped for
+        # the identity before the solve, so that a singular one cannot raise
         s1, s2, w = v
-        if np.min(w) <= 0:
-            return np.inf
-        lq1, lq2 = _log_q(s1), _log_q(s2)
-        if lq1 is None or lq2 is None:
-            return np.inf
-        ll = np.logaddexp(np.log(w[0]) + lq1, np.log(w[1]) + lq2)
-        return float(-ll.sum())
+        k = len(w)
+        s = np.concatenate((s1, s2))  # row i's covariances at i and k + i
+        sign, logdet = np.linalg.slogdet(s)
+        not_pd = (sign <= 0) | ~np.isfinite(logdet)
+        s[not_pd] = np.eye(dd)
+        ok = ~((w.min(axis=1) <= 0) | not_pd[:k] | not_pd[k:])
+        quad = np.add.reduce(y_aug * np.linalg.solve(s, y_aug), axis=1)
+        lq = log_c - 0.5 * logdet[:, None] - 0.5 * quad
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows that are not ok
+            lw = np.log(w)
+            ll = np.logaddexp(lw[:, :1] + lq[:k], lw[:, 1:] + lq[k:])
+        return np.where(ok, -kernels.row_sums(ll), np.inf)
 
     payload = dict(observations=xs, y_aug=y_aug, w_bar=w_bar, means=means,
                    covs=covs, base_dim=d)
-    return man, payload, f_val, None
+    return man, payload, f_vals, None
 
 
 def _build_procrustes(n_p, seed):
@@ -328,11 +348,11 @@ def _build_procrustes(n_p, seed):
     b = a @ x_bar + 0.01 * rng.standard_normal((l, p))
     man = Stiefel(n, p)
 
-    def f_val(x):
+    def f_vals(x):
         diff = a @ x - b
-        return float(np.sum(diff * diff))
+        return kernels.row_sums(diff * diff)
 
-    return man, dict(a=a, b=b, x_bar=x_bar), f_val, None
+    return man, dict(a=a, b=b, x_bar=x_bar), f_vals, None
 
 
 def _build_sparsest_vector(n_p, seed):
@@ -343,10 +363,10 @@ def _build_sparsest_vector(n_p, seed):
     q = _qr_fixed(rng.standard_normal((4 * n, n)))
     man = Sphere(n)
 
-    def f_val(x):
-        return float(np.abs(q @ x).sum())
+    def f_vals(x):
+        return kernels.row_sums(np.abs((q @ x[:, :, None])[..., 0]))
 
-    return man, dict(q=q), f_val, None
+    return man, dict(q=q), f_vals, None
 
 
 _BUILDERS = {
@@ -378,7 +398,7 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
         raise UnknownProblem(f"unknown problem '{name}'")
     if int(n_p) != n_p or n_p < 2:
         raise InvalidDimension(f"n_p must be an integer >= 2, got {n_p}")
-    man, payload, f_val, known = _BUILDERS[name](int(n_p), seed)
+    man, payload, f_vals, known = _BUILDERS[name](int(n_p), seed)
     start = random_point(man, seed)
     return ProblemInstance(
         name=name,
@@ -387,7 +407,8 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
         smooth=name not in NONSMOOTH_PROBLEMS,
         data=payload,
         start=start,
-        f0=float(f_val(man._unpack(start.value))),
+        f0=float(f_vals(man._unpack(start.value[None]))[0]),
         known_opt=known,
-        _value_f=f_val,
+        _value_f=f_vals,
+        stacked=True,
     )

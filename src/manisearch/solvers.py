@@ -26,9 +26,13 @@ One registry names each solver by its loop and its sources:
 Both loops read their trial points ``R(x, alpha d)`` from one generator
 per iterate, ``_ahead``, which takes the direction rows of the next
 ``CHUNK_MAX`` searches from their source and retracts them as one stack;
-on the spanning basis a chunk stops at the last slot.  Evaluation stays
-lazy and in search order, so budgets, traces, hooks and stream emissions
-are those of one search at a time.
+on the spanning basis a chunk stops at the last slot.  Where the
+instance's objective takes stacks it evaluates the chunk's trial points
+in one call too, ahead of their searches (as parallel direct search
+evaluates its poll set together); the run still consumes the values one
+search at a time, in search order, so budgets, traces, hooks and stream
+emissions are those of one search at a time.  Any other objective is
+evaluated only at the trial points that searches reach.
 
 ``run_solver`` runs any of them: it reads an immutable problem instance
 and a ``SolverConfig``, spends at most ``budget`` objective evaluations,
@@ -164,6 +168,7 @@ def linesearch_extrapolate(
     f_x: Optional[float] = None,
     on_accept: Optional[AcceptHook] = None,
     first: Optional[ManifoldPoint] = None,
+    f_first: Optional[float] = None,
 ) -> LinesearchResult:
     """Test ``alpha_tilde`` along ``d`` and extrapolate while decrease holds.
 
@@ -180,7 +185,8 @@ def linesearch_extrapolate(
     spending an evaluation.  ``first``, when given, must be the first
     trial point ``R(x, alpha_tilde d)``, retracted ahead by the caller
     (the linesearch loop takes it from ``_ahead``); ``d`` must still be
-    rooted at ``x``.
+    rooted at ``x``.  ``f_first``, when given, is its value, computed
+    ahead: ``f(first, f_first)`` then consumes it, as a run does.
     """
     if not alpha_tilde > 0:
         raise ValueError("alpha_tilde must be > 0")
@@ -194,7 +200,7 @@ def linesearch_extrapolate(
     retract = x.manifold.retract
     try:
         trial = retract(x, d.scaled(alpha_tilde)) if first is None else first
-        f_trial = f(trial)
+        f_trial = f(trial) if f_first is None else f(trial, f_first)
     except BudgetExhausted:
         return LinesearchResult(0.0, alpha_tilde, truncated=True)
     if not (isfinite(f_trial) and f_trial <= f_x - gamma * alpha_tilde * alpha_tilde):
@@ -228,21 +234,26 @@ def linesearch_extrapolate(
 class _Run:
     """One solver run: its budgeted evaluations, iterate and counts.
 
-    Calling the run evaluates a point.  An evaluation past ``cfg.budget``
-    is refused before the objective runs, by raising ``BudgetExhausted``;
-    that refusal is the one place a run is marked exhausted.  A NaN or
-    -inf value never becomes the best value.  ``history`` lists the best
-    value after each evaluation, so its length is the evaluations made;
-    entries share one float object until it improves, so an entry costs
-    one list slot.  ``fields`` collects the stepsize fields of the
-    ``RunTrace``; a later phase overwrites what an earlier one set.
+    Calling the run evaluates a point, or consumes its value computed
+    ahead.  An evaluation past ``cfg.budget`` is refused before the
+    objective runs or the value is consumed, by raising
+    ``BudgetExhausted``; that refusal is the one place a run is marked
+    exhausted.  A NaN or -inf value never becomes the best value.
+    ``history`` lists the best value after each evaluation, so its length
+    is the evaluations made; entries share one float object until it
+    improves, so an entry costs one list slot.  ``fields`` collects the
+    stepsize fields of the ``RunTrace``; a later phase overwrites what an
+    earlier one set.  ``evaluate_many`` is the instance's stacked
+    objective, which trial chunks are evaluated with, or ``None`` where
+    it has none.
     """
 
-    __slots__ = ("inst", "budget", "on_eval", "best", "history",
+    __slots__ = ("inst", "evaluate_many", "budget", "on_eval", "best", "history",
                  "x", "fx", "iters", "succ", "exhausted", "fields")
 
     def __init__(self, problem, cfg, on_eval):
         self.inst = problem
+        self.evaluate_many = problem.evaluate_many if problem.stacked else None
         self.budget = cfg.budget
         self.on_eval = on_eval
         self.best = np.inf
@@ -254,12 +265,13 @@ class _Run:
         self.x = problem.start
         self.fx = self(problem.start)  # budget >= 1: never refused
 
-    def __call__(self, point: ManifoldPoint) -> float:
+    def __call__(self, point: ManifoldPoint, f: Optional[float] = None) -> float:
         if len(self.history) >= self.budget:
             self.exhausted = True
             raise BudgetExhausted(
                 f"budget of {self.budget} evaluations spent on {self.inst.name}")
-        f = self.inst.evaluate(point.value)
+        if f is None:
+            f = self.inst.evaluate(point.value)
         if _NEG_INF < f < self.best:
             self.best = f
         self.history.append(self.best)
@@ -340,8 +352,8 @@ class _Stream:
 # trial points
 # ---------------------------------------------------------------------------
 
-def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
-    """Yield ``(d, alpha, R(x, alpha d))`` for the searches ahead at ``x``.
+def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, evaluate_many):
+    """Yield ``(d, alpha, R(x, alpha d), f)`` for the searches ahead at ``x``.
 
     On the spanning basis the searches run through the slots j, j + 1,
     ..., wrapping to 0 after the last, and ``alpha`` is ``stepsizes`` at
@@ -351,7 +363,9 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
     per earlier search, by repeated multiplication: the stepsize that i
     failed searches leave behind, bitwise.  ``stepsizes`` is read as
     each chunk starts.  A zero direction comes with ``None`` for its
-    trial point, so it fails without an evaluation.
+    trial point, so it fails without an evaluation.  ``f`` is the trial
+    point's objective value, computed ahead by ``evaluate_many``, or
+    ``None`` where that is ``None`` (the run then evaluates the point).
 
     The chunk rule: trials are computed ``CHUNK_MAX`` searches at a time,
     when the consumer reaches the chunk.  On the basis a chunk stops at
@@ -359,10 +373,11 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
     0.  Every chunk is a stack: ``source.directions`` hands out its
     directions as rows (on a stream, one stacked ``_project_many`` call
     of the peeked draws, each emitted when its search is yielded), and
-    one ``_retract_many`` call retracts the rows times their stepsizes.
-    A row is wrapped as a tangent vector only when its search is
-    yielded.  Both loops keep one generator per iterate: the poll starts
-    it at slot 0, the linesearch at slot k mod K.
+    one ``_retract_many`` call retracts the rows times their stepsizes,
+    and one ``evaluate_many`` call evaluates the rows that moved.  A row
+    is wrapped as a tangent vector only when its search is yielded.
+    Both loops keep one generator per iterate: the poll starts it at
+    slot 0, the linesearch at slot k mod K.
     """
     m = x.manifold
     slots = source.slots(x)
@@ -381,11 +396,17 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray):
         rows = source.directions(x, j, stop)
         T = rows * alphas[:, None]
         Y = m._retract_many(x.value, T)
-        for row, a1, moved, y in zip(rows, alphas.tolist(), T.any(axis=1).tolist(), Y):
+        moved = T.any(axis=1)
+        fs = [None] * len(T)
+        if evaluate_many is not None and moved.any():
+            fs = np.zeros(len(T))
+            fs[moved] = evaluate_many(Y[moved])
+            fs = fs.tolist()
+        for row, a1, mv, y, f in zip(rows, alphas.tolist(), moved.tolist(), Y, fs):
             if stream:
                 source.stream.next_ambient()  # the search emits its draw
             # a kept point owns a copy of its row, not a view holding the stack
-            yield TangentVector(x, row), a1, ManifoldPoint(m, y.copy()) if moved else None
+            yield TangentVector(x, row), a1, ManifoldPoint(m, y.copy()) if mv else None, f
         j = stop % n  # a stream has one slot, so its j stays 0
 
 
@@ -413,11 +434,11 @@ def _poll(run, source, cfg, on_accept, switch_at=None) -> bool:
             bound = run.fx - cfg.gamma * alpha * alpha
             alphas.fill(alpha)
             if trials is None:
-                trials = _ahead(run.x, source, 0, alphas)
-            for d, _, trial in islice(trials, n):
+                trials = _ahead(run.x, source, 0, alphas, run.evaluate_many)
+            for d, _, trial, f_trial in islice(trials, n):
                 if trial is None:
                     continue
-                f_trial = run(trial)
+                f_trial = run(trial, f_trial)
                 if isfinite(f_trial) and f_trial <= bound:
                     if on_accept is not None:
                         on_accept(run.x, d, alpha, run.fx, f_trial)
@@ -458,10 +479,11 @@ def _linesearch(run, source, cfg, on_accept, switch_at=None) -> bool:
                 break
             j = k % len(slots)
             if trials is None:
-                trials = _ahead(run.x, source, j, atil)
-            d, a, first = next(trials)
+                trials = _ahead(run.x, source, j, atil, run.evaluate_many)
+            d, a, first, f_first = next(trials)
             res = linesearch_extrapolate(
-                run, run.x, a, d, cfg, f_x=run.fx, on_accept=on_accept, first=first,
+                run, run.x, a, d, cfg, f_x=run.fx, on_accept=on_accept,
+                first=first, f_first=f_first,
             )
             atil[slots[j]] = res.alpha_next
             if res.alpha > 0:

@@ -91,6 +91,61 @@ def test_a_run_evaluates_the_objective_exactly_its_budget(name, monkeypatch):
     assert len(calls) == trace.evals_used == 7
 
 
+# evaluate at random_point(manifold, 5) on each problem at n_p = 10, seed 2, as
+# the lone objectives computed it before they took stacks
+PINNED_VALUES = {
+    "largest-eig": 1.2926540067166714,
+    "largest-sv": -0.9202763634396043,
+    "top-sv": 1.7002942185911285,
+    "dict-learning": 2.629365384763249,
+    "sync-rotations": 7.0394159286635345,
+    "matrix-completion": 3.239362801298815,
+    "gmm": 81.37876644990014,
+    "procrustes": 53.173007556645835,
+    "sparsest-vector": 5.226347527054112,
+    "nonsmooth-mc": 4.1758233507126485,
+}
+
+
+def test_evaluate_keeps_its_pinned_values():
+    got = {}
+    for name in PROBLEM_NAMES:
+        inst = build_instance(name, 10, 2)
+        got[name] = inst.evaluate(random_point(inst.manifold, 5).value)
+    assert got == PINNED_VALUES
+
+
+@pytest.mark.parametrize("n_p", DIMS)
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_every_row_of_a_stack_is_its_stack_of_one(name, n_p):
+    # the stacked objective on 16 points retracted from the start, one of
+    # them NaN and, on gmm, two with a covariance that is not positive
+    # definite (one singular, one of negative determinant): every value of
+    # a stack of 1, 5 or 16 is bitwise the value of its row alone
+    inst = build_instance(name, n_p, 1)
+    m, x = inst.manifold, inst.start.value
+    rng = np.random.default_rng([n_p, 8])
+    T = m._project_many(x, rng.standard_normal((16, m.ambient_dim)))
+    P = m._retract_many(x, 0.3 * T)
+    P[3] = np.nan
+    if name == "gmm":
+        d = m.blocks[0].d
+        sl0, sl1 = m._slices[:2]
+        P[5, sl0] = 0.0
+        P[6, sl1] = np.diag([-1.0] + [1.0] * (d - 1)).ravel()
+    assert inst.stacked
+    alone = [repr(inst.evaluate(p)) for p in P]
+    if name == "gmm":  # a covariance with no finite log-determinant is +inf
+        assert alone[3] == alone[5] == alone[6] == "inf"
+    else:
+        assert alone[3] == "nan"
+    for k in (1, 5, 16):
+        for lo in range(0, 16, k):
+            got = inst.evaluate_many(P[lo:lo + k])
+            assert got.shape == (len(P[lo:lo + k]),)
+            assert list(map(repr, got.tolist())) == alone[lo:lo + k], (k, lo)
+
+
 def test_reevaluation_bitwise_equal():
     for name in PROBLEM_NAMES:
         inst = build_instance(name, 10, 2)
