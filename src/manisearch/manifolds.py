@@ -22,9 +22,11 @@ stack matrix by matrix).  They are a kind's one retraction and one
 projection: ``retract`` and ``project_tangent`` pass a stack of one, and
 row i of a stack is bitwise the same in any stack holding it.  The
 retraction's base point is one flat value or a (k, len) stack of them,
-one per row; numpy broadcasting covers both.  A product retracts each
-run of adjacent equal blocks in one call, on the stack of the block
-values that move.  ``_inners`` is a kind's one metric: the row-wise
+one per row; numpy broadcasting covers both, and so does the base point
+of ``_project_many`` and ``_inners``.  A product projects, measures and
+retracts each run of adjacent equal blocks in one call, on the stack of
+its block values (for a retraction, of those that move), with one base
+point per block value.  ``_inners`` is a kind's one metric: the row-wise
 Riemannian inner products of two tangent stacks in one stacked call,
 row i bitwise the same in any stack holding it.  ``_norms`` is the
 square root of ``_inners`` of a stack with itself; ``inner`` and
@@ -136,8 +138,9 @@ class Manifold:
         return x
 
     def _project_many(self, x, A) -> np.ndarray:
-        # the projections of the rows of a (k, ambient_dim) stack A; row i
-        # is bitwise the same in any stack holding A[i], one of one included
+        # the projections of the rows of a (k, ambient_dim) stack A at x, one
+        # flat base point or a (k, len) stack of them; row i is bitwise the
+        # same in any stack holding A[i], one of one included
         raise NotImplementedError
 
     def _retract_many(self, x, T) -> np.ndarray:
@@ -147,9 +150,10 @@ class Manifold:
         raise NotImplementedError
 
     def _inners(self, x, U, V) -> np.ndarray:
-        # the Riemannian inner products at x of the rows of two (k, len)
-        # tangent stacks, either of which may be one (1, len) row; row i
-        # is bitwise the same in any stack holding it, one of one included
+        # the Riemannian inner products at x (one flat base point or a
+        # (k, len) stack of them) of the rows of two (k, len) tangent
+        # stacks, either of which may be one (1, len) row; row i is bitwise
+        # the same in any stack holding it, one of one included
         raise NotImplementedError
 
     def _norms(self, x, T) -> np.ndarray:
@@ -346,7 +350,7 @@ class Stiefel(Manifold):
 
     def _project_many(self, x, A):
         x, Z = self._unpack(x), A.reshape(len(A), self.n, self.p)
-        return (Z - x @ _sym(x.T @ Z)).reshape(len(A), -1)
+        return (Z - x @ _sym(x.swapaxes(-1, -2) @ Z)).reshape(len(A), -1)
 
     def _retract_many(self, x, T):
         return _qr_fixed((x + T).reshape(len(T), self.n, self.p)).reshape(len(T), -1)
@@ -419,7 +423,8 @@ class FixedRank(Manifold):
     (2r x 2r) core; singular values that fall below ``feasibility_tol``
     are clamped up to it so iterates never leave the rank-r set.  The
     retraction takes one base point, not a stack: a product cannot hold
-    a fixed-rank block, so no caller has more than one.
+    a fixed-rank block, so no caller has more than one.  Where m == h the
+    two complement factors of a stack come from one QR call.
     """
 
     kind = "fixed-rank"
@@ -477,15 +482,16 @@ class FixedRank(Manifold):
 
     @staticmethod
     def _complement_factors(u, up):
-        # qr of each block of the stack up; qr of a rank-deficient block
-        # can emit filler columns leaking into span(u), so the blocks that
-        # leak (most coordinate directions do) are re-orthogonalised, in
-        # one stack, to keep [u, q] orthonormal
+        # qr of each block of the stack up, whose block i is orthogonal to
+        # the columns of u[i]; qr of a rank-deficient block can emit filler
+        # columns leaking into span(u[i]), so the blocks that leak (most
+        # coordinate directions do) are re-orthogonalised, in one stack, to
+        # keep [u[i], q] orthonormal
         q, ru = np.linalg.qr(up)
-        leak = np.abs(u.T @ q).max(axis=(1, 2)) > 1e-12
+        leak = np.abs(u.swapaxes(-1, -2) @ q).max(axis=(1, 2)) > 1e-12
         if leak.any():
-            ql = q[leak]
-            ql, _ = np.linalg.qr(ql - u @ (u.T @ ql))
+            ql, ul = q[leak], u[leak]
+            ql, _ = np.linalg.qr(ql - ul @ (ul.swapaxes(-1, -2) @ ql))
             q[leak], ru[leak] = ql, ql.swapaxes(-1, -2) @ up[leak]
         return q, ru
 
@@ -493,8 +499,14 @@ class FixedRank(Manifold):
         u, s, v = self._unpack(x)
         mid, up, vp = self._unpack_tangents(T)
         k, r = len(T), self.r
-        qu, ru = self._complement_factors(u, up)
-        qv, rv = self._complement_factors(v, vp)
+        if self.m == self.h:
+            base = np.empty((2 * k, self.m, r))
+            base[:k], base[k:] = u, v
+            q, rq = self._complement_factors(base, np.concatenate((up, vp)))
+            qu, qv, ru, rv = q[:k], q[k:], rq[:k], rq[k:]
+        else:
+            qu, ru = self._complement_factors(np.broadcast_to(u, up.shape), up)
+            qv, rv = self._complement_factors(np.broadcast_to(v, vp.shape), vp)
         core = np.zeros((k, 2 * r, 2 * r))
         core[:, :r, :r] = np.diag(s) + mid
         core[:, :r, r:] = rv.swapaxes(-1, -2)
@@ -733,33 +745,59 @@ class Product(Manifold):
     def _unpack(self, x):
         return tuple(b._unpack(x[..., sl]) for b, sl in zip(self.blocks, self._slices))
 
+    @staticmethod
+    def _bases(x, k, g, sl):
+        # the base points of a run's (k * g, len) stack of block values: the
+        # run's g block values of x (one flat value or a stack of k) in
+        # every row, or its one block value of x where g == 1
+        if g == 1:
+            return x[..., sl]
+        xb = np.empty((k, sl.stop - sl.start))
+        xb[:] = x[..., sl]
+        return xb.reshape(k * g, -1)
+
     def _project_many(self, x, A):
-        return np.concatenate(
-            [b._project_many(x[sl], A[:, sl]) for b, sl in zip(self.blocks, self._slices)],
-            axis=1,
-        )
+        # a run of g equal blocks projects its (k * g, len) stack of block
+        # values in one call
+        k = len(A)
+        P = np.empty(A.shape)
+        for b, g, sl in self._runs:
+            Ab = A[:, sl].reshape(k * g, -1)
+            P[:, sl] = b._project_many(self._bases(x, k, g, sl), Ab).reshape(k, -1)
+        return P
 
     def _retract_many(self, x, T):
         # a run of g equal blocks retracts its (k * g, len) stack of block
-        # values in one call, on the block values that move; a coordinate
-        # direction moves one block
+        # values in one call; where some do not move (a coordinate
+        # direction moves one block), on the block values that move
         k = len(T)
         Y = np.empty_like(T)
         Y[:] = x
         for b, g, sl in self._runs:
             Tb = T[:, sl].reshape(k * g, -1)
             moved = Tb.any(axis=1)
-            if moved.any():
+            if moved.all():
+                Y[:, sl] = b._retract_many(self._bases(x, k, g, sl), Tb).reshape(k, -1)
+            elif moved.any():
                 Yb = Y[:, sl].reshape(k * g, -1)
                 Yb[moved] = b._retract_many(Yb[moved], Tb[moved])
                 Y[:, sl] = Yb.reshape(k, -1)
         return Y
 
     def _inners(self, x, U, V):
-        # a norm passes one stack as both U and V; each block gets one view
-        # as both too, so that a kind can tell (spd then solves once)
-        return sum(b._inners(x[sl], Ub := U[:, sl], Ub if V is U else V[:, sl])
-                   for b, sl in zip(self.blocks, self._slices))
+        # a run of g equal blocks measures its (k * g, len) stacks in one
+        # call, and the block terms are added in block order.  A norm passes
+        # one stack as both U and V; each run gets one stack as both too, so
+        # that a kind can tell (spd then solves once per run)
+        if len(U) != len(V):
+            U, V = np.broadcast_arrays(U, V)
+        k = len(U)
+        terms = []
+        for b, g, sl in self._runs:
+            Ub = U[:, sl].reshape(k * g, -1)
+            Vb = Ub if V is U else V[:, sl].reshape(k * g, -1)
+            terms.extend(b._inners(self._bases(x, k, g, sl), Ub, Vb).reshape(k, g).T)
+        return sum(terms)
 
     def _point_residual(self, x):
         return float(sum(b._point_residual(x[sl])

@@ -312,11 +312,13 @@ def test_projection_rows_are_independent_of_their_stack(m):
             assert np.array_equal(P[i], m.project_tangent(x, a).value)
 
 
-@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("m", manifold_zoo() + [FixedRank(5, 5, 2)],
+                         ids=lambda m: m.spec_string())
 def test_stacked_geometry_matches_per_row_bitwise(m):
     # row i of a k-stack is its stack of one.  Every kind a product may
     # hold also takes one base point per row, as a run of equal blocks
-    # passes them; fixed-rank takes one base point only
+    # passes them; fixed-rank takes one base point only, and a square one
+    # takes both complement factors of a stack from one QR call
     rng = np.random.default_rng(61)
     for _ in range(3):
         x = sample_point(m, rng).value
@@ -492,15 +494,16 @@ def test_spd_retraction_stays_positive_definite():
     assert np.linalg.eigvalsh(spd._unpack(y.value))[0] > 0
 
 
-@pytest.mark.parametrize("m, spd_blocks", [
+@pytest.mark.parametrize("m, spd_runs", [
     (SymmetricPositiveDefinite(4), 1),
     (Product([SymmetricPositiveDefinite(3), SymmetricPositiveDefinite(3),
-              PositiveSimplex(2)]), 2),
+              PositiveSimplex(2)]), 1),
 ], ids=["spd", "spd-spd-simplex"])
-def test_spd_norm_solves_once_per_block(m, spd_blocks, monkeypatch):
+def test_spd_norm_solves_once_per_block(m, spd_runs, monkeypatch):
     # a norm passes one stack as both sides of the metric, so each spd
-    # block solves X^-1 T once; an inner product of two stacks solves
-    # twice, and the norms are bitwise its square roots
+    # block solves X^-1 T once, in one solve per run of equal spd blocks;
+    # an inner product of two stacks solves twice, and the norms are
+    # bitwise its square roots
     rng = np.random.default_rng(61)
     x = sample_point(m, rng)
     calls = []
@@ -510,10 +513,10 @@ def test_spd_norm_solves_once_per_block(m, spd_blocks, monkeypatch):
         T = m._project_many(x.value, rng.standard_normal((k, m.ambient_dim)))
         calls.clear()
         norms = m._norms(x.value, T)
-        assert len(calls) == spd_blocks
+        assert len(calls) == spd_runs
         calls.clear()
         two_solves = m._inners(x.value, T, T.copy())
-        assert len(calls) == 2 * spd_blocks
+        assert len(calls) == 2 * spd_runs
         assert np.array_equal(norms, np.sqrt(np.fmax(0.0, two_solves)))
 
 
