@@ -272,6 +272,24 @@ def _qr_fixed(a: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
+def _thin_qr(a: np.ndarray) -> np.ndarray:
+    """``_qr_fixed`` of a stack of n-by-p matrices with p <= 2, without LAPACK.
+
+    Classical Gram-Schmidt applied twice (CGS2), which leaves the columns
+    orthonormal to rounding for any numerically full-rank matrix, with the
+    diagonal of R positive.  Every sum runs over C-contiguous rows, so
+    matrix i of the result is bitwise the same in any stack holding it.
+    """
+    q = np.empty_like(a)
+    a1, q1 = a[..., 0], q[..., 0]
+    np.divide(a1, np.sqrt(np.add.reduce(a1 * a1, axis=1, keepdims=True)), out=q1)
+    if a.shape[-1] == 2:
+        v = a[..., 1] - q1 * np.add.reduce(q1 * a[..., 1], axis=1, keepdims=True)
+        v -= q1 * np.add.reduce(q1 * v, axis=1, keepdims=True)
+        np.divide(v, np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True)), out=q[..., 1])
+    return q
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
@@ -331,7 +349,11 @@ class Sphere(Manifold):
 
 
 class Stiefel(Manifold):
-    """Matrices with orthonormal columns, embedded metric, QR retraction."""
+    """Matrices with orthonormal columns, embedded metric, QR retraction.
+
+    The retraction's thin QR is ``_thin_qr`` where p <= 2 (a LAPACK call
+    costs more than the arithmetic there) and LAPACK's otherwise.
+    """
 
     kind = "stiefel"
 
@@ -353,7 +375,8 @@ class Stiefel(Manifold):
         return (Z - x @ _sym(x.swapaxes(-1, -2) @ Z)).reshape(len(A), -1)
 
     def _retract_many(self, x, T):
-        return _qr_fixed((x + T).reshape(len(T), self.n, self.p)).reshape(len(T), -1)
+        a = (x + T).reshape(len(T), self.n, self.p)
+        return (_thin_qr(a) if self.p <= 2 else _qr_fixed(a)).reshape(len(T), -1)
 
     def _inners(self, x, U, V):
         return (U * V).sum(axis=1)

@@ -13,6 +13,7 @@ from manisearch.manifolds import (
     SymmetricPositiveDefinite,
     TangentVector,
     product_spheres,
+    _qr_fixed,
     random_point,
     random_tangent,
 )
@@ -338,9 +339,31 @@ def test_stacked_geometry_matches_per_row_bitwise(m):
             if isinstance(m, FixedRank):
                 continue
             X = np.array([points[i % 3] for i in range(len(T))])
-            TX = np.vstack([m._project_many(xi, t[None]) for xi, t in zip(X, T)])
+            A = rng.standard_normal((len(T), m.ambient_dim))
+            TX = np.vstack([m._project_many(xi, a[None]) for xi, a in zip(X, A)])
+            assert np.array_equal(m._project_many(X, A), TX)
             want = np.array([m._retract_many(xi, t[None])[0] for xi, t in zip(X, TX)])
             assert np.array_equal(m._retract_many(X, TX), want)
+            want = np.array([m._inners(xi, t[None], t[None])[0] for xi, t in zip(X, TX)])
+            assert np.array_equal(m._inners(X, TX, TX), want)
+
+
+@pytest.mark.parametrize("m", [Stiefel(9, 1), Stiefel(9, 2), Stiefel(2, 2),
+                               SpecialOrthogonal(2)], ids=lambda m: m.spec_string())
+def test_thin_qr_retraction_is_feasible_at_every_step_length(m):
+    # where p <= 2 the retraction orthonormalises by Gram-Schmidt, twice;
+    # it stays on the manifold from tiny to huge steps, and on moderate
+    # steps it is LAPACK's QR to rounding
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        x = m.random_point(rng)
+        t = random_tangent(x, rng)
+        for length in 10.0 ** np.arange(-8, 9):
+            y = m.retract(x, t.scaled(length))
+            assert y.residual() <= 10 * m.feasibility_tol, (m.spec_string(), length)
+        T = t.value[None] * np.array([[0.01], [0.3], [1.0], [3.0]])
+        want = _qr_fixed((x.value + T).reshape(len(T), m.n, m.p)).reshape(len(T), -1)
+        assert np.abs(m._retract_many(x.value, T) - want).max() <= 1e-13
 
 
 def test_product_stack_retracts_each_block_on_its_rows_only(monkeypatch):
