@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBasis, InvalidShape
-from .manifolds import ManifoldPoint, TangentVector, _row_dots, random_tangent
+from .kernels import row_dots
+from .manifolds import ManifoldPoint, TangentVector, random_tangent
 
 # a projected direction whose norm does not exceed this is zero: it was
 # normal to the tangent space, up to rounding
@@ -72,9 +73,8 @@ def spanning_basis(x: ManifoldPoint) -> SpanningBasis:
     m = x.manifold
     n = m.ambient_dim
     P = m._project_many(x.value, np.eye(n))
-    # every packed tangent value has the ambient norm of its embedding,
-    # and the row dots round as np.linalg.norm does
-    norms = np.sqrt(_row_dots(P, P)[:, 0])
+    # every packed tangent value has the ambient norm of its embedding
+    norms = np.sqrt(row_dots(P, P))
     kept = np.flatnonzero(norms > DROP_TOL)
     if kept.size == 0:
         raise DegenerateBasis(
@@ -110,8 +110,6 @@ def measure_tau(basis: SpanningBasis, trials: int, seed) -> float:
     worst = np.inf
     for _ in range(trials):
         r = random_tangent(x, rng, unit=True)
-        # r first: spd's metric is symmetric in its two stacks only up
-        # to rounding, and the swapped order changes its last bits
         worst = min(worst, np.abs(m._inners(x.value, r.value[None], plus)).max())
     return float(worst)
 
@@ -141,13 +139,12 @@ class DenseDirectionStream:
 
     def _fill(self, k: int) -> None:
         # draw until k usable draws wait unemitted; a stack of draws takes
-        # the generator's values in the order single draws would, and its
-        # row dots round as np.linalg.norm does
+        # the generator's values in the order single draws would
         while len(self._peeked) < k:
             D = self._rng.standard_normal((k - len(self._peeked), self.ambient_dim))
-            nrm = np.sqrt(_row_dots(D, D))
-            kept = nrm[:, 0] > 1e-12
-            self._peeked = np.concatenate((self._peeked, D[kept] / nrm[kept]))
+            nrm = np.sqrt(row_dots(D, D))
+            kept = nrm > 1e-12
+            self._peeked = np.concatenate((self._peeked, D[kept] / nrm[kept, None]))
 
     def peek(self, k: int) -> np.ndarray:
         """The next ``k`` emissions as a (k, ambient_dim) stack, not emitted."""

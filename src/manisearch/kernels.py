@@ -1,17 +1,19 @@
-"""Hot objective-evaluation kernels, on stacks of points.
+"""Row reductions, and the hot objective kernels built on them.
 
-The kernels here sit inside the innermost evaluation loop of benchmark
-runs (one call per trial chunk, up to ~10^5 calls per grid): the
-smoothed entrywise absolute sum and the masked residuals of a factored
-low-rank matrix.  Each takes a stack, one point per leading index, and
-returns one value per point, value i bitwise the same in any stack
-holding point i.  That holds because every reduction runs over the
-C-contiguous rows of an array (``row_sums``, and the (1, n) @ (n, 1)
-products of ``row_dots``): numpy sums such a row as it sums the 1-D
-array, while a column-major stack, which fancy indexing can produce,
-is summed in another order.  They are vectorised numpy; BLAS-bound
-operations (QR, SVD, matrix products) are called directly where needed
-and are not routed through here.
+Every per-row sum and dot product of the package is ``row_sums`` or
+``row_dots``: ``np.add.reduce`` over the rows of a C-contiguous array, a
+dot being the row sum of the elementwise product.  numpy adds such a row
+as it adds the 1-D row, in an order set by its length alone, so value i
+is bitwise the same in every stack holding row i, at any memory offset.
+A column-major stack, which fancy indexing can produce, is copied to rows
+first, as numpy would add it in another order.  No row reduction calls
+BLAS, whose SSE kernels round a dot by its operands' memory offsets.
+Matrix products stay in BLAS, one per point of a stack, never one product
+over the whole stack.
+
+The kernels sit inside the innermost evaluation loop of benchmark runs:
+the smoothed entrywise absolute sum and the masked residuals of a
+factored low-rank matrix, each on a stack of points, one value per point.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ def row_sums(A: np.ndarray) -> np.ndarray:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A[i].ravel() @ B[i].ravel()`` for each i, rounded as the 1-D dot rounds."""
-    A = np.ascontiguousarray(A).reshape(len(A), 1, -1)
-    B = np.ascontiguousarray(B).reshape(len(B), -1, 1)
-    return (A @ B)[:, 0, 0]
+    """``row_sums(A * B)``: the dot product of each ``A[i]`` with ``B[i]``.
+
+    Either operand may be one row instead (1-D, or a leading axis of 1),
+    which broadcasts against every row of the other.
+    """
+    return row_sums(A * B)
 
 
 def smooth_l1_sum(C: np.ndarray, eps: float) -> np.ndarray:

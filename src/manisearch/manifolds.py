@@ -53,6 +53,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import BaseMismatch, InvalidShape
+from .kernels import row_dots, row_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,28 +278,21 @@ def _thin_qr(a: np.ndarray) -> np.ndarray:
 
     Classical Gram-Schmidt applied twice (CGS2), which leaves the columns
     orthonormal to rounding for any numerically full-rank matrix, with the
-    diagonal of R positive.  Every sum runs over C-contiguous rows, so
-    matrix i of the result is bitwise the same in any stack holding it.
+    diagonal of R positive.  Its dot products are ``row_dots``, so matrix
+    i of the result is bitwise the same in any stack holding it.
     """
     q = np.empty_like(a)
     a1, q1 = a[..., 0], q[..., 0]
-    np.divide(a1, np.sqrt(np.add.reduce(a1 * a1, axis=1, keepdims=True)), out=q1)
+    np.divide(a1, np.sqrt(row_dots(a1, a1))[:, None], out=q1)
     if a.shape[-1] == 2:
-        v = a[..., 1] - q1 * np.add.reduce(q1 * a[..., 1], axis=1, keepdims=True)
-        v -= q1 * np.add.reduce(q1 * v, axis=1, keepdims=True)
-        np.divide(v, np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True)), out=q[..., 1])
+        v = a[..., 1] - q1 * row_dots(q1, a[..., 1])[:, None]
+        v -= q1 * row_dots(q1, v)[:, None]
+        np.divide(v, np.sqrt(row_dots(v, v))[:, None], out=q[..., 1])
     return q
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (k, 1) column of A[i] @ b[i]; a one-row A or a 1-D b broadcasts.
-    # A (1, n) @ (n, 1) product rounds as the 1-D dot and np.linalg.norm
-    # do; einsum and norm(axis=1) sum in another order
-    return (A[:, None, :] @ b[..., :, None])[:, 0]
 
 
 def _hstack_rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -325,14 +319,14 @@ class Sphere(Manifold):
         return f"sphere({self.n})"
 
     def _project_many(self, x, A):
-        return A - _row_dots(A, x) * x
+        return A - row_dots(A, x)[:, None] * x
 
     def _retract_many(self, x, T):
         Y = x + T
-        return Y / np.sqrt(_row_dots(Y, Y))
+        return Y / np.sqrt(row_dots(Y, Y))[:, None]
 
     def _inners(self, x, U, V):
-        return _row_dots(U, V)[:, 0]
+        return row_dots(U, V)
 
     def _point_residual(self, x):
         return abs(np.linalg.norm(x) - 1.0)
@@ -379,7 +373,7 @@ class Stiefel(Manifold):
         return (_thin_qr(a) if self.p <= 2 else _qr_fixed(a)).reshape(len(T), -1)
 
     def _inners(self, x, U, V):
-        return (U * V).sum(axis=1)
+        return row_dots(U, V)
 
     def _point_residual(self, x):
         x = self._unpack(x)
@@ -625,10 +619,12 @@ class SymmetricPositiveDefinite(Manifold):
         return _sym(x + T + 0.5 * (T @ W)).reshape(len(T), -1)
 
     def _inners(self, x, U, V):
+        # the entries of A * B^T sum to trace(A B), and swapping u and v
+        # transposes them: their symmetric part's sum is bitwise symmetric
         x, d = self._unpack(x), self.d
         A = np.linalg.solve(x, U.reshape(len(U), d, d))
         B = A if V is U else np.linalg.solve(x, V.reshape(len(V), d, d))
-        return (A * B.swapaxes(-1, -2)).reshape(-1, d * d).sum(axis=1)
+        return row_sums(_sym(A * B.swapaxes(-1, -2)))
 
     def _point_residual(self, x):
         x = self._unpack(x)
@@ -679,7 +675,7 @@ class PositiveSimplex(Manifold):
         return W / W.sum(axis=1, keepdims=True)
 
     def _inners(self, x, U, V):
-        return (U * V / x).sum(axis=1)
+        return row_sums(U * V / x)
 
     def _point_residual(self, x):
         if np.min(x) <= 0:
@@ -720,7 +716,7 @@ class Euclidean(Manifold):
         return x + T
 
     def _inners(self, x, U, V):
-        return (U * V).sum(axis=1)
+        return row_dots(U, V)
 
     def _point_residual(self, x):
         return 0.0

@@ -120,10 +120,7 @@ def _payload_rng(name: str, seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # builders: each returns (manifold, payload, f_vals, known_opt), where
 # f_vals is the stacked objective: it takes the _unpack views of a stack of
-# point values and returns their values, row i bitwise the same in any
-# stack holding it: products are batched per row (a (1, n) @ (n, n) or
-# (m, n) @ (n, 1) product per row, not one matrix product over the stack)
-# and every sum runs over C-contiguous rows (kernels.row_sums, row_dots)
+# point values and returns their values
 # ---------------------------------------------------------------------------
 
 def _build_largest_eig(n_p, seed):
@@ -133,7 +130,7 @@ def _build_largest_eig(n_p, seed):
     man = Sphere(n)
 
     def f_vals(x):
-        return -kernels.row_dots(x[:, None, :] @ a, x)
+        return -kernels.row_dots((x[:, None, :] @ a)[:, 0], x)
 
     known = float(-np.linalg.eigvalsh(a)[-1])
     return man, dict(a=a), f_vals, known
@@ -148,7 +145,7 @@ def _build_largest_sv(n_p, seed):
 
     def f_vals(v):
         x, y = v
-        return -kernels.row_dots(x[:, None, :] @ a, y)
+        return -kernels.row_dots((x[:, None, :] @ a)[:, 0], y)
 
     known = float(-np.linalg.svd(a, compute_uv=False)[0])
     return man, dict(a=a), f_vals, known

@@ -90,23 +90,23 @@ def test_rerun_is_byte_identical(tmp_path):
 # sha256 prefixes of a small four-solver grid's outputs; a change to how a
 # history is stored, aggregated or written must leave every byte in place
 PINNED_OUTPUTS = {
-    "results.csv": "d8edf89450f2c974",
-    "largest-eig__4__0__rds-dd.csv": "4d324f45625429ef",
-    "largest-eig__4__0__rds-sb.csv": "e9f6341e17cb2170",
-    "largest-eig__4__0__rdse-dd.csv": "f4c3b321584b17eb",
-    "largest-eig__4__0__rdse-sb.csv": "1a20bbbd4f020942",
-    "largest-eig__4__1__rds-dd.csv": "1e4fb36e87a4c6d9",
-    "largest-eig__4__1__rds-sb.csv": "1303388d7f1e376e",
-    "largest-eig__4__1__rdse-dd.csv": "b372bc5c511165a8",
-    "largest-eig__4__1__rdse-sb.csv": "e1ab586b7a2d1b6b",
-    "sparsest-vector__4__0__rds-dd.csv": "230f309199809ade",
+    "results.csv": "c12881cb3b770cab",
+    "largest-eig__4__0__rds-dd.csv": "5c2954e1bb03d658",
+    "largest-eig__4__0__rds-sb.csv": "f26953f57acaa68e",
+    "largest-eig__4__0__rdse-dd.csv": "cb575f69aa8bbbc5",
+    "largest-eig__4__0__rdse-sb.csv": "7d5da0b9ca26f9fa",
+    "largest-eig__4__1__rds-dd.csv": "17a898348650b16d",
+    "largest-eig__4__1__rds-sb.csv": "a6a4e73064daae40",
+    "largest-eig__4__1__rdse-dd.csv": "a5bfdf5119cc5f3d",
+    "largest-eig__4__1__rdse-sb.csv": "06ee8d917aa4bdc9",
+    "sparsest-vector__4__0__rds-dd.csv": "7a09cf4b052450c1",
     "sparsest-vector__4__0__rds-sb.csv": "4adf78a176b7d0d0",
     "sparsest-vector__4__0__rdse-dd.csv": "e32b45404d7e11ea",
     "sparsest-vector__4__0__rdse-sb.csv": "4adf78a176b7d0d0",
-    "sparsest-vector__4__1__rds-dd.csv": "e111036600853c4b",
-    "sparsest-vector__4__1__rds-sb.csv": "e6f75033a0945081",
-    "sparsest-vector__4__1__rdse-dd.csv": "39ac7a5d3d4c23b1",
-    "sparsest-vector__4__1__rdse-sb.csv": "480129551d81461d",
+    "sparsest-vector__4__1__rds-dd.csv": "fc78df263e8e8990",
+    "sparsest-vector__4__1__rds-sb.csv": "621767a346bda4ea",
+    "sparsest-vector__4__1__rdse-dd.csv": "3232773577e3fd2e",
+    "sparsest-vector__4__1__rdse-sb.csv": "509813552ce656a3",
 }
 
 
@@ -130,26 +130,26 @@ def test_run_outputs_are_pinned_bytes(tmp_path):
 # (procrustes, sync-rotations, top-sv) are those of the Gram-Schmidt thin
 # QR that retracts where p <= 2
 PINNED_EVERY_KIND = {
-    "smooth/results.csv": "b476da99efbba069",
-    "dict-learning__12__0__rdse-sb.csv": "1554b528e438a4da",
-    "dict-learning__12__0__zo-rgd.csv": "b23550c6e4c24eb3",
+    "smooth/results.csv": "28cc844c20ad3089",
+    "dict-learning__12__0__rdse-sb.csv": "366d2b10aac495b7",
+    "dict-learning__12__0__zo-rgd.csv": "bdfa53940e145249",
     "gmm__10__0__rdse-sb.csv": "c7c5f39fd93e3c7f",
     "gmm__10__0__zo-rgd.csv": "f745ad2811563337",
-    "largest-eig__10__0__rdse-sb.csv": "d9943aa2aac1beb2",
-    "largest-eig__10__0__zo-rgd.csv": "9bf6abf4d2800344",
-    "largest-sv__10__0__rdse-sb.csv": "49dd34966bdfa7e1",
-    "largest-sv__10__0__zo-rgd.csv": "fca5f731c9ec8cab",
-    "matrix-completion__9__0__rdse-sb.csv": "2f7944015165a3e9",
-    "matrix-completion__9__0__zo-rgd.csv": "d27f4af17ffe9458",
+    "largest-eig__10__0__rdse-sb.csv": "71e211bc80cb93f6",
+    "largest-eig__10__0__zo-rgd.csv": "3c9c7af6d6669ca4",
+    "largest-sv__10__0__rdse-sb.csv": "a0a00faa8ec552ca",
+    "largest-sv__10__0__zo-rgd.csv": "8f1b5f0831c3cce7",
+    "matrix-completion__9__0__rdse-sb.csv": "1a91951aac2a5223",
+    "matrix-completion__9__0__zo-rgd.csv": "27a562f11af71b0c",
     "procrustes__10__0__rdse-sb.csv": "0c44592e177faac0",
     "procrustes__10__0__zo-rgd.csv": "c7bceaf31354d4c2",
     "sync-rotations__8__0__rdse-sb.csv": "809391c5a1a01d83",
     "sync-rotations__8__0__zo-rgd.csv": "4c787a5582ddca02",
     "top-sv__12__0__rdse-sb.csv": "51f60253bdcfef85",
     "top-sv__12__0__zo-rgd.csv": "ede8f0c4823b023e",
-    "nonsmooth/results.csv": "ca993a2bf26476de",
-    "nonsmooth-mc__25__0__rdse-dd.csv": "d7f2e3f4aaf67fec",
-    "sparsest-vector__25__0__rdse-dd.csv": "1fa9349e0e8f4cb1",
+    "nonsmooth/results.csv": "f08e7cc28690a4ea",
+    "nonsmooth-mc__25__0__rdse-dd.csv": "6fbcb8dc4a022e9c",
+    "sparsest-vector__25__0__rdse-dd.csv": "405bd5765780636a",
 }
 
 

@@ -348,6 +348,20 @@ def test_stacked_geometry_matches_per_row_bitwise(m):
             assert np.array_equal(m._inners(X, TX, TX), want)
 
 
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.spec_string())
+def test_metric_is_bitwise_symmetric(m):
+    # <u, v> and <v, u> are one float on every kind: spd's metric, and so
+    # the gmm-shaped product's, sums a matrix product and its transpose
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        x = sample_point(m, rng)
+        U, V = (m._project_many(x.value, rng.standard_normal((200, m.ambient_dim)))
+                for _ in range(2))
+        assert m._inners(x.value, U, V).tolist() == m._inners(x.value, V, U).tolist()
+        u, v = TangentVector(x, U[0]), TangentVector(x, V[0])
+        assert m.inner(x, u, v) == m.inner(x, v, u)
+
+
 @pytest.mark.parametrize("m", [Stiefel(9, 1), Stiefel(9, 2), Stiefel(2, 2),
                                SpecialOrthogonal(2)], ids=lambda m: m.spec_string())
 def test_thin_qr_retraction_is_feasible_at_every_step_length(m):
