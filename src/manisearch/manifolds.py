@@ -125,7 +125,6 @@ class Manifold:
 
     kind: str = "abstract"
     ambient_dim: int
-    intrinsic_dim: int
     # the one feasibility tolerance: ``point`` accepts residuals up to ten
     # times it, and the fixed-rank and simplex retractions clamp to it
     feasibility_tol: float = 1e-10
@@ -313,7 +312,6 @@ class Sphere(Manifold):
             raise InvalidShape("sphere needs ambient dimension >= 2")
         self.n = int(n)
         self.ambient_dim = self.n
-        self.intrinsic_dim = self.n - 1
 
     def spec_string(self) -> str:
         return f"sphere({self.n})"
@@ -356,7 +354,6 @@ class Stiefel(Manifold):
             raise InvalidShape("stiefel needs 1 <= p <= n")
         self.n, self.p = int(n), int(p)
         self.ambient_dim = self.n * self.p
-        self.intrinsic_dim = self.n * self.p - self.p * (self.p + 1) // 2
 
     def spec_string(self) -> str:
         return f"stiefel({self.n},{self.p})"
@@ -396,7 +393,6 @@ class SpecialOrthogonal(Stiefel):
             raise InvalidShape("so needs d >= 2")
         super().__init__(d, d)
         self.d = int(d)
-        self.intrinsic_dim = d * (d - 1) // 2
 
     def spec_string(self) -> str:
         return f"so({self.d})"
@@ -451,7 +447,6 @@ class FixedRank(Manifold):
             raise InvalidShape("fixed-rank needs 1 <= r <= min(m,h) and min(m,h) >= 2")
         self.m, self.h, self.r = int(m), int(h), int(r)
         self.ambient_dim = self.m * self.h
-        self.intrinsic_dim = (self.m + self.h - self.r) * self.r
         # where the second and third factor start in a point / tangent value
         self._point_cuts = (self.m * self.r, (self.m + 1) * self.r)
         self._tangent_cuts = (self.r * self.r, (self.r + self.m) * self.r)
@@ -602,7 +597,6 @@ class SymmetricPositiveDefinite(Manifold):
             raise InvalidShape("spd needs d >= 1")
         self.d = int(d)
         self.ambient_dim = self.d * self.d
-        self.intrinsic_dim = self.d * (self.d + 1) // 2
 
     def spec_string(self) -> str:
         return f"spd({self.d})"
@@ -659,7 +653,6 @@ class PositiveSimplex(Manifold):
             raise InvalidShape("simplex needs K >= 2")
         self.k = int(k)
         self.ambient_dim = self.k
-        self.intrinsic_dim = self.k - 1
 
     def spec_string(self) -> str:
         return f"simplex({self.k})"
@@ -701,7 +694,6 @@ class Euclidean(Manifold):
         self.ambient_dim = int(np.prod(self.shape))
         if self.ambient_dim < 1:
             raise InvalidShape("euclidean block needs at least one entry")
-        self.intrinsic_dim = self.ambient_dim
 
     def spec_string(self) -> str:
         return f"euclidean({'x'.join(str(s) for s in self.shape)})"
@@ -745,7 +737,6 @@ class Product(Manifold):
         self.blocks = blocks
         self.kind = kind
         self.ambient_dim = sum(b.ambient_dim for b in blocks)
-        self.intrinsic_dim = sum(b.intrinsic_dim for b in blocks)
         offsets = np.cumsum([0] + [b.ambient_dim for b in blocks]).tolist()
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         # (block, g, slice) per run of g adjacent blocks that retract alike;

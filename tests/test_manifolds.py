@@ -620,12 +620,3 @@ def test_product_rejects_fixed_rank_block():
         Product([FixedRank(6, 5, 2), Sphere(3)])
     with pytest.raises(InvalidShape):
         Product([Sphere(3), Product([FixedRank(4, 4, 1)])])
-
-
-def test_intrinsic_dims():
-    assert Sphere(5).intrinsic_dim == 4
-    assert Stiefel(5, 2).intrinsic_dim == 10 - 3
-    assert SpecialOrthogonal(3).intrinsic_dim == 3
-    assert FixedRank(6, 5, 2).intrinsic_dim == (6 + 5 - 2) * 2
-    assert SymmetricPositiveDefinite(3).intrinsic_dim == 6
-    assert PositiveSimplex(4).intrinsic_dim == 3
