@@ -86,15 +86,28 @@ def sample_point(m, rng):
     return m.random_point(rng)
 
 
+def _rows(views):
+    # each row of a stack's _unpack views as fresh copies (a product's views
+    # nest in tuples): BLAS can round a product on a row view by where the
+    # row sits in memory, and a copy computes as the row alone
+    if isinstance(views, tuple):
+        return list(zip(*map(_rows, views)))
+    return [v.copy() for v in views]
+
+
 def make_problem(man, f_val, seed=0, smooth=True, start=None,
                  name="custom", known_opt=None):
-    """Hand-built problem instance for engineered objectives."""
+    """Hand-built problem instance for engineered objectives.
+
+    ``f_val`` takes one point's ``_unpack`` views and returns its value;
+    the instance applies it to each row of a stack.
+    """
     if start is None:
         start = man.random_point(np.random.default_rng([seed, 97]))
     return ProblemInstance(
         name=name, manifold=man, seed=seed, smooth=smooth, data={},
-        start=start, f0=float(f_val(man._unpack(start.value))), known_opt=known_opt,
-        _value_f=f_val,
+        start=start, known_opt=known_opt,
+        _value_f=lambda views: np.array([f_val(v) for v in _rows(views)], dtype=float),
     )
 
 

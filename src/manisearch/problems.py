@@ -67,16 +67,14 @@ class ProblemInstance:
     point value: it counts nothing and knows no budget, so one instance
     serves any number of runs (a solver run counts and caps its own
     evaluations).  It carries one objective and no derivatives: point
-    values are flat, and ``_value_f`` receives them as the manifold's
-    ``_unpack`` views.  A built instance's ``_value_f`` is ``stacked``: it
-    takes the views of a (k, len) stack of point values and returns
-    their k values, value i bitwise the same in any stack holding row i,
-    and ``evaluate`` is its stack of one; a solver run evaluates such an
-    objective a trial chunk at a time (``evaluate_many``).  Otherwise
-    ``_value_f`` takes one point's views and returns its value, and a run
-    calls it only on the points its searches reach.
-    ``ambient_dim``, the n_p of the result table, is the manifold's: a
-    requested dimension can resolve to another (matrix-completion 50 -> 49).
+    values are flat, and ``_value_f`` takes the manifold's ``_unpack``
+    views of a (k, len) stack of point values and returns their k values,
+    value i bitwise the same in any stack holding row i.
+    ``evaluate_many`` is that stack and ``evaluate`` its stack of one; a
+    solver run evaluates a trial chunk at a time.  ``f0`` is the value at
+    the start point.  ``ambient_dim``, the n_p of the result table, is the
+    manifold's: a requested dimension can resolve to another
+    (matrix-completion 50 -> 49).
     """
 
     name: str
@@ -85,23 +83,22 @@ class ProblemInstance:
     smooth: bool
     data: dict
     start: ManifoldPoint
-    f0: float
     known_opt: Optional[float]
     _value_f: Callable = field(repr=False)
-    stacked: bool = False
 
     @property
     def ambient_dim(self) -> int:
         return self.manifold.ambient_dim
 
+    @property
+    def f0(self) -> float:
+        return self.evaluate(self.start.value)
+
     def evaluate(self, value) -> float:
-        if self.stacked:
-            return float(self._value_f(self.manifold._unpack(value[None]))[0])
-        return self._value_f(self.manifold._unpack(value))
+        return float(self._value_f(self.manifold._unpack(value[None]))[0])
 
     def evaluate_many(self, values) -> np.ndarray:
-        """The objective at each row of a (k, len) stack of point values
-        (``stacked`` instances only)."""
+        """The objective at each row of a (k, len) stack of point values."""
         return self._value_f(self.manifold._unpack(values))
 
 
@@ -119,8 +116,8 @@ def _payload_rng(name: str, seed: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # builders: each returns (manifold, payload, f_vals, known_opt), where
-# f_vals is the stacked objective: it takes the _unpack views of a stack of
-# point values and returns their values
+# f_vals is the objective: it takes the _unpack views of a stack of point
+# values and returns their values
 # ---------------------------------------------------------------------------
 
 def _build_largest_eig(n_p, seed):
@@ -387,9 +384,9 @@ SMOOTH_PROBLEMS = tuple(n for n in PROBLEM_NAMES if n not in NONSMOOTH_PROBLEMS)
 def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
     """Build the seeded instance of ``name`` at requested dimension ``n_p``.
 
-    The start point is a seeded random manifold point and ``f0`` its
-    objective value (uncounted).  Raises ``UnknownProblem`` for names
-    outside the registry and ``InvalidDimension`` for ``n_p < 2``.
+    The start point is a seeded random manifold point.  Raises
+    ``UnknownProblem`` for names outside the registry and
+    ``InvalidDimension`` for ``n_p < 2``.
     """
     if name not in _BUILDERS:
         raise UnknownProblem(f"unknown problem '{name}'")
@@ -404,8 +401,6 @@ def build_instance(name: str, n_p: int, seed: int) -> ProblemInstance:
         smooth=name not in NONSMOOTH_PROBLEMS,
         data=payload,
         start=start,
-        f0=float(f_vals(man._unpack(start.value[None]))[0]),
         known_opt=known,
         _value_f=f_vals,
-        stacked=True,
     )

@@ -26,13 +26,11 @@ One registry names each solver by its loop and its sources:
 Both loops read their trial points ``R(x, alpha d)`` from one generator
 per iterate, ``_ahead``, which takes the direction rows of the next
 ``CHUNK_MAX`` searches from their source and retracts them as one stack;
-on the spanning basis a chunk stops at the last slot.  Where the
-instance's objective takes stacks it evaluates the chunk's trial points
-in one call too, ahead of their searches (as parallel direct search
-evaluates its poll set together); the run still consumes the values one
-search at a time, in search order, so budgets, traces, hooks and stream
-emissions are those of one search at a time.  Any other objective is
-evaluated only at the trial points that searches reach.
+on the spanning basis a chunk stops at the last slot.  It evaluates the
+chunk's trial points in one stacked call too, ahead of their searches (as
+parallel direct search evaluates its poll set together); the run still
+consumes the values one search at a time, in search order, so budgets,
+traces, hooks and stream emissions are those of one search at a time.
 
 ``run_solver`` runs any of them: it reads an immutable problem instance
 and a ``SolverConfig``, spends at most ``budget`` objective evaluations,
@@ -243,17 +241,14 @@ class _Run:
     is the evaluations made; entries share one float object until it
     improves, so an entry costs one list slot.  ``fields`` collects the
     stepsize fields of the ``RunTrace``; a later phase overwrites what an
-    earlier one set.  ``evaluate_many`` is the instance's stacked
-    objective, which trial chunks are evaluated with, or ``None`` where
-    it has none.
+    earlier one set.
     """
 
-    __slots__ = ("inst", "evaluate_many", "budget", "on_eval", "best", "history",
+    __slots__ = ("inst", "budget", "on_eval", "best", "history",
                  "x", "fx", "iters", "succ", "exhausted", "fields")
 
     def __init__(self, problem, cfg, on_eval):
         self.inst = problem
-        self.evaluate_many = problem.evaluate_many if problem.stacked else None
         self.budget = cfg.budget
         self.on_eval = on_eval
         self.best = np.inf
@@ -364,8 +359,7 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, evaluate_man
     failed searches leave behind, bitwise.  ``stepsizes`` is read as
     each chunk starts.  A zero direction comes with ``None`` for its
     trial point, so it fails without an evaluation.  ``f`` is the trial
-    point's objective value, computed ahead by ``evaluate_many``, or
-    ``None`` where that is ``None`` (the run then evaluates the point).
+    point's objective value, computed ahead by ``evaluate_many``.
 
     The chunk rule: trials are computed ``CHUNK_MAX`` searches at a time,
     when the consumer reaches the chunk.  On the basis a chunk stops at
@@ -397,12 +391,10 @@ def _ahead(x: ManifoldPoint, source, j: int, stepsizes: np.ndarray, evaluate_man
         T = rows * alphas[:, None]
         Y = m._retract_many(x.value, T)
         moved = T.any(axis=1)
-        fs = [None] * len(T)
-        if evaluate_many is not None and moved.any():
-            fs = np.zeros(len(T))
+        fs = np.zeros(len(T))
+        if moved.any():
             fs[moved] = evaluate_many(Y[moved])
-            fs = fs.tolist()
-        for row, a1, mv, y, f in zip(rows, alphas.tolist(), moved.tolist(), Y, fs):
+        for row, a1, mv, y, f in zip(rows, alphas.tolist(), moved.tolist(), Y, fs.tolist()):
             if stream:
                 source.stream.next_ambient()  # the search emits its draw
             # a kept point owns a copy of its row, not a view holding the stack
@@ -434,7 +426,7 @@ def _poll(run, source, cfg, on_accept, switch_at=None) -> bool:
             bound = run.fx - cfg.gamma * alpha * alpha
             alphas.fill(alpha)
             if trials is None:
-                trials = _ahead(run.x, source, 0, alphas, run.evaluate_many)
+                trials = _ahead(run.x, source, 0, alphas, run.inst.evaluate_many)
             for d, _, trial, f_trial in islice(trials, n):
                 if trial is None:
                     continue
@@ -479,7 +471,7 @@ def _linesearch(run, source, cfg, on_accept, switch_at=None) -> bool:
                 break
             j = k % len(slots)
             if trials is None:
-                trials = _ahead(run.x, source, j, atil, run.evaluate_many)
+                trials = _ahead(run.x, source, j, atil, run.inst.evaluate_many)
             d, a, first, f_first = next(trials)
             res = linesearch_extrapolate(
                 run, run.x, a, d, cfg, f_x=run.fx, on_accept=on_accept,

@@ -11,13 +11,16 @@ import manisearch
 from manisearch import kernels
 
 # the tests of the row-bitwise contract: geometry, objectives and dense
-# directions, each row of a stack bitwise its stack of one
+# directions, each row of a stack bitwise its stack of one; and a run's
+# accepts replayed one point at a time, on a hand-built objective that
+# rounds its BLAS products by where they sit in memory
 CONTRACT_TESTS = [
     "tests/test_manifolds.py::test_stacked_geometry_matches_per_row_bitwise",
     "tests/test_problems.py::test_every_row_of_a_stack_is_its_stack_of_one",
     "tests/test_directions.py::test_dense_directions_rows_equal_their_stacks_of_one_bitwise",
     "tests/test_acceptance.py::test_criterion_1_geometry_suite",
     "tests/test_acceptance.py::test_criterion_2_spanning_suite",
+    "tests/test_solvers.py::test_accepted_steps_replay_sufficient_decrease",
 ]
 
 

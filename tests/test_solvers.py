@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from manisearch.manifolds import (
     SymmetricPositiveDefinite,
     TangentVector,
 )
-from manisearch.problems import ProblemInstance, build_instance
+from manisearch.problems import build_instance
 from manisearch.solvers import (
     CHUNK_MAX,
     SOLVER_NAMES,
@@ -682,33 +680,21 @@ def _row_by_row(many):
     return retract
 
 
-def _one_row(views):
-    # one point's _unpack views as the views of a stack of one
-    return tuple(map(_one_row, views)) if isinstance(views, tuple) else views[None]
-
-
 @pytest.mark.parametrize("problem", ["largest-eig", "largest-sv", "procrustes",
                                      "matrix-completion", "top-sv", "sync-rotations",
                                      "gmm", "dict-learning", "sparsest-vector",
                                      "nonsmooth-mc"])
 def test_stacked_geometry_leaves_runs_unchanged(problem, monkeypatch):
-    # the same runs four ways: as shipped; with every stacked retraction
-    # done row by row as stacks of one, base point by base point; with
+    # the same runs three ways: as shipped; with every stacked retraction
+    # done row by row as stacks of one, base point by base point; and with
     # chunks of one search, where every direction is projected and every
-    # trial point retracted and evaluated on its own; and on the instance
-    # with a lone objective, which a run evaluates only at the trial
-    # points its searches reach.  Evaluations, accepts and traces must be
-    # identical
+    # trial point retracted and evaluated on its own.  Evaluations, accepts
+    # and traces must be identical
     prob = build_instance(problem, 6, 1)
-    lazy = replace(prob, stacked=False,
-                   _value_f=lambda v: float(prob._value_f(_one_row(v))[0]))
     names = (("rds-sb", "rdse-sb", "rds-dd-plus", "rdse-dd-plus") if prob.smooth
              else ("rds-dd", "rdse-dd"))
-    calls = []
-    evaluate = ProblemInstance.evaluate
     runs = []
-    for variant in ("shipped", "stacks of one", "chunks of one", "lazy"):
-        inst = prob
+    for variant in ("shipped", "stacks of one", "chunks of one"):
         if variant == "stacks of one":
             for cls in _manifold_classes():
                 if "_retract_many" in vars(cls):
@@ -717,38 +703,32 @@ def test_stacked_geometry_leaves_runs_unchanged(problem, monkeypatch):
         elif variant == "chunks of one":
             monkeypatch.undo()
             monkeypatch.setattr(solvers, "CHUNK_MAX", 1)
-        elif variant == "lazy":
-            monkeypatch.undo()
-            monkeypatch.setattr(ProblemInstance, "evaluate",
-                                lambda self, value: calls.append(1) or evaluate(self, value))
-            inst = lazy
         got = []
         for name in names:
             # a large alpha_eps makes the *-plus runs reach their dense phase
             extra = {"alpha_eps": 0.2} if name.endswith("plus") else {}
             cfg = default_config(name, budget=30 * (prob.ambient_dim + 1), seed=4, **extra)
-            got.append(_recorded_run(name, inst, cfg))
+            got.append(_recorded_run(name, prob, cfg))
         runs.append(got)
     if prob.smooth:
         assert any(r[8] is not None for r in runs[0])  # a *-plus run switched
     else:
         assert all(r[5] > 0 for r in runs[0])  # some searches accepted
-    assert runs[0] == runs[1] == runs[2] == runs[3]
-    assert len(calls) == sum(r[3] for r in runs[3])  # one call per evaluation made
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("budget", [7, 23])
 @pytest.mark.parametrize("name", [n for n in SOLVER_NAMES if n != "zo-rgd"])
 def test_evaluating_ahead_spends_exactly_the_budget(name, budget):
     # a chunk is evaluated ahead of its searches, and past the budget; the
-    # run still consumes one value per evaluation and refuses the next
-    prob = build_instance("largest-eig", 6, 0)
-    assert prob.stacked
-    seen = []
-    trace = run_solver(name, prob, default_config(name, budget=budget, seed=1),
-                       on_eval=lambda p, f: seen.append(f))
-    assert trace.stop_reason == "budget"
-    assert len(seen) == trace.evals_used == budget
+    # run still consumes one value per evaluation and refuses the next, on
+    # a built instance and on a constant objective that fails every search
+    for prob in (build_instance("largest-eig", 6, 0), make_problem(Sphere(3), lambda v: 1.0)):
+        seen = []
+        trace = run_solver(name, prob, default_config(name, budget=budget, seed=1),
+                           on_eval=lambda p, f: seen.append(f))
+        assert trace.stop_reason == "budget"
+        assert len(seen) == trace.evals_used == budget
 
 
 @pytest.mark.parametrize("problem,n", [("sparsest-vector", 6), ("nonsmooth-mc", 9),
