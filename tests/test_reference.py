@@ -132,14 +132,13 @@ def reference_rdse_sb(run, cfg, switch_at=None) -> bool:
             return True
 
 
-def reference_rdse_dd(run, cfg) -> bool:
+def reference_rdse_dd(run, cfg):
     """RDSE on the dense stream: one linesearch per fresh stream direction,
     with one tentative stepsize, until it is below the floor."""
     stream = DenseDirectionStream(cfg.seed, run.inst.manifold.ambient_dim)
     a = cfg.alpha0
     while a >= STEP_FLOOR:
         a = reference_extrapolate(run, dense_direction(stream, run.x), a, cfg)
-    return False
 
 
 def reference_zo_rgd(run, cfg):
