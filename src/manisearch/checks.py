@@ -35,7 +35,7 @@ from .manifolds import (
     random_tangent,
 )
 from .problems import ProblemInstance
-from .solvers import SolverConfig, run_solver
+from .solvers import default_config, run_solver
 
 
 @dataclass
@@ -272,8 +272,7 @@ def solver_checks(seed=0):
     k_iters = 5
     n_dirs = 2 * man.ambient_dim
 
-    cfg = SolverConfig(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha0=1.0,
-                       budget=1 + k_iters * n_dirs, seed=seed)
+    cfg = default_config("rds-sb", budget=1 + k_iters * n_dirs, seed=seed)
     trace = run_solver("rds-sb", prob, cfg)
     expected = cfg.alpha0
     for _ in range(k_iters):
@@ -285,8 +284,7 @@ def solver_checks(seed=0):
         "solvers/rds-sb-budget", trace.evals_used == cfg.budget,
         f"{trace.evals_used} of {cfg.budget}"))
 
-    cfg_dd = SolverConfig(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0,
-                          budget=1 + k_iters, seed=seed)
+    cfg_dd = default_config("rds-dd", budget=1 + k_iters, seed=seed)
     trace_dd = run_solver("rds-dd", prob, cfg_dd)
     expected = cfg_dd.alpha0
     for _ in range(trace_dd.iterations):
@@ -295,8 +293,7 @@ def solver_checks(seed=0):
         "solvers/rds-dd-geometric-decay", trace_dd.final_alpha == expected,
         f"alpha {trace_dd.final_alpha!r} after {trace_dd.iterations} iterations"))
 
-    cfg_e = SolverConfig(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha0=1.0,
-                         budget=1 + n_dirs, seed=seed)
+    cfg_e = default_config("rdse-sb", budget=1 + n_dirs, seed=seed)
     trace_e = run_solver("rdse-sb", prob, cfg_e)
     slot_alphas = np.array(list(trace_e.final_alpha_by_slot.values()))
     one_shrink = cfg_e.gamma1 * cfg_e.alpha0

@@ -29,10 +29,9 @@ from typing import NamedTuple
 from . import bench
 from .errors import CliError, ManisearchError
 from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, ProblemInstance, build_instance
-from .solvers import DEFAULT_MU, SOLVER_NAMES, check_config, default_config, run_solver
+from .solvers import DEFAULT_PARAMS, SOLVER_NAMES, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
-_SOLVER_PARAM_KEYS = ("gamma", "gamma1", "gamma2", "alpha0", "alpha_eps", "mu")
 
 
 def stable_seed(*parts) -> int:
@@ -79,12 +78,12 @@ def _plot_name(kind, tau) -> str:
 
 
 def parse_config_file(path: Path) -> dict:
-    """Flat key=value config; dotted keys collect per-solver overrides."""
+    """Flat key=value config; ``<solver>.<param>`` sets a parameter the solver reads."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc.strerror}") from None
-    out = {"solver_overrides": {}}
+    out, first = {"solver_overrides": {}}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,11 +91,16 @@ def parse_config_file(path: Path) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in first:  # a later line would silently undo the first
+            raise CliError(f"{path}:{lineno}: '{key}' is set twice, first on line {first[key]}")
+        first[key] = lineno
         if "." in key:
             solver, param = key.split(".", 1)
             if solver not in SOLVER_NAMES:
                 raise CliError(f"{path}:{lineno}: unknown solver '{solver}' in '{key}'")
-            if param not in _SOLVER_PARAM_KEYS:
+            if param not in DEFAULT_PARAMS[solver]:
+                if any(param in params for params in DEFAULT_PARAMS.values()):
+                    raise CliError(f"{path}:{lineno}: {solver} does not read '{param}'")
                 raise CliError(f"{path}:{lineno}: unknown solver parameter '{param}'")
             try:
                 number = float(value)
@@ -185,7 +189,7 @@ def _resolve_run_settings(args) -> dict:
     for solver, params in cfg["solver_overrides"].items():
         for param, value in params.items():
             try:
-                _make_config(solver, 1, 0, {solver: {param: value}})
+                default_config(solver, 1, 0, **{param: value})
             except ValueError as exc:
                 raise CliError(f"bad solver override {solver}.{param} = {value!r}: {exc}") from None
     out = Path(cfg.get("out", "results"))
@@ -198,16 +202,6 @@ def _resolve_run_settings(args) -> dict:
         budget_mult=budget_mult, taus=taus, out=out,
         solver_overrides=cfg["solver_overrides"],
     )
-
-
-def _make_config(solver: str, budget: int, seed: int, overrides: dict) -> tuple:
-    params = dict(overrides.get(solver, {}))
-    mu = params.pop("mu", DEFAULT_MU)
-    if not mu > 0:
-        raise ValueError("mu must be > 0")
-    cfg = default_config(solver, budget, seed, **params)
-    check_config(solver, cfg)
-    return cfg, mu
 
 
 class Cell(NamedTuple):
@@ -249,8 +243,9 @@ def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
 def run_cell(cell: Cell, overrides: dict, on_accept=None) -> dict:
     """Run one cell; return the record ``bench.assemble_results`` reads."""
     inst = cell.inst
-    cfg, mu = _make_config(cell.solver, cell.budget, cell.run_seed, overrides)
-    trace = run_solver(cell.solver, inst, cfg, mu=mu, on_accept=on_accept)
+    cfg = default_config(cell.solver, cell.budget, cell.run_seed,
+                         **overrides.get(cell.solver, {}))
+    trace = run_solver(cell.solver, inst, cfg, on_accept=on_accept)
     return dict(problem=inst.name, n_p=inst.ambient_dim, seed=inst.seed,
                 solver=cell.solver, history=trace.history, f0=inst.f0)
 

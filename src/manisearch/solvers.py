@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,15 +73,16 @@ _NEG_INF = -np.inf
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters shared by every solver.
+    """Parameters of the solvers; ``DEFAULT_PARAMS`` names those each one reads.
 
-    gamma      sufficient-decrease coefficient (> 0)
+    gamma      sufficient-decrease coefficient (finite, > 0)
     gamma1     stepsize shrink factor, in (0, 1)
-    gamma2     stepsize expansion factor, >= 1 (> 1 where a linesearch runs)
-    alpha0     initial stepsize (> 0)
+    gamma2     stepsize expansion factor, finite, >= 1 (> 1 where a linesearch runs)
+    alpha0     initial stepsize (finite, > 0)
     budget     maximum number of objective evaluations (>= 1)
-    alpha_eps  switching threshold for the *-plus strategies (> 0 when set)
+    alpha_eps  switching threshold for the *-plus strategies (finite, > 0 when set)
     seed       seed for all direction randomness of the run
+    mu         probe length of zo-rgd (finite, > 0)
     """
 
     gamma: float
@@ -91,20 +92,21 @@ class SolverConfig:
     budget: int = 1000
     alpha_eps: Optional[float] = None
     seed: int = 0
+    mu: float = 1e-6
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if not 0 < self.gamma1 < 1:
-            raise ValueError("gamma1 must lie in (0, 1)")
-        if not self.gamma2 >= 1:
-            raise ValueError("gamma2 must be >= 1")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be > 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.alpha_eps is not None and not self.alpha_eps > 0:
-            raise ValueError("alpha_eps must be > 0")
+        eps = self.alpha_eps
+        for name, ok, rule in (
+            ("gamma", 0 < self.gamma < inf, "finite and > 0"),
+            ("gamma1", 0 < self.gamma1 < 1, "in (0, 1)"),
+            ("gamma2", 1 <= self.gamma2 < inf, "finite and >= 1"),
+            ("alpha0", 0 < self.alpha0 < inf, "finite and > 0"),
+            ("budget", self.budget >= 1, ">= 1"),
+            ("alpha_eps", eps is None or 0 < eps < inf, "finite and > 0 when set"),
+            ("mu", 0 < self.mu < inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -495,7 +497,7 @@ def _linesearch(run, source, cfg, on_accept, switch_at=None) -> bool:
 
 def default_nonsmooth_phase(cfg: SolverConfig) -> SolverConfig:
     """Dense-phase parameters used by the *-plus strategies."""
-    return replace(cfg, gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0)
+    return replace(cfg, **_DENSE)
 
 
 def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> RunTrace:
@@ -523,7 +525,7 @@ def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> Run
 # zeroth-order gradient baseline
 # ---------------------------------------------------------------------------
 
-def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
+def _zo_rgd(problem, cfg: SolverConfig, on_eval) -> RunTrace:
     """Two-point gradient-estimate descent baseline (smooth problems).
 
     Each iteration probes a random unit tangent direction u, forms the
@@ -534,12 +536,10 @@ def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
     that value is not finite: the iteration then fails, the iterate stays,
     and the evaluations it made still count against the budget.
     """
-    if not mu > 0:
-        raise ValueError("mu must be > 0")
     if not problem.smooth:
         raise ValueError("zo-rgd applies to smooth problems only")
     run = _Run(problem, cfg, on_eval)
-    m = problem.manifold
+    m, mu = problem.manifold, cfg.mu
     eta = 1.64 / m.ambient_dim
     rng = np.random.default_rng([cfg.seed, 90])
     try:
@@ -564,36 +564,32 @@ def _zo_rgd(problem, cfg: SolverConfig, mu: float, on_eval) -> RunTrace:
 # registry
 # ---------------------------------------------------------------------------
 
+# the tuned defaults, each stated once; every direct-search method starts at
+# SolverConfig's alpha0 = 1, and so does the dense phase of a *-plus strategy
+_RDS_SB = dict(gamma=0.77, gamma1=0.61, gamma2=1.0)
+_RDSE_SB = dict(gamma=0.11, gamma1=0.81, gamma2=3.12)
+_DENSE = dict(gamma=1.0, gamma1=0.95, gamma2=2.0, alpha0=1.0)
+_ALPHA_EPS = 1e-3
+
 # name -> (search loop, direction sources in phase order, tuned defaults);
-# zo-rgd runs its own loop and takes no direction source.
-# alpha0 = 1 for all direct-search methods
+# zo-rgd runs its own loop and reads no gamma: the dense ones fill its config
 _SOLVERS = {
-    "rds-sb": (_poll, (_Basis,), dict(gamma=0.77, gamma1=0.61, gamma2=1.0)),
-    "rdse-sb": (_linesearch, (_Basis,), dict(gamma=0.11, gamma1=0.81, gamma2=3.12)),
-    "rds-dd": (_poll, (_Stream,), dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
-    "rdse-dd": (_linesearch, (_Stream,), dict(gamma=1.0, gamma1=0.95, gamma2=2.0)),
-    "rds-dd-plus": (_poll, (_Basis, _Stream),
-                    dict(gamma=0.77, gamma1=0.61, gamma2=1.0, alpha_eps=1e-3)),
-    "rdse-dd-plus": (_linesearch, (_Basis, _Stream),
-                     dict(gamma=0.11, gamma1=0.81, gamma2=3.12, alpha_eps=1e-3)),
-    "zo-rgd": (_zo_rgd, (), dict(gamma=1.0, gamma1=0.5, gamma2=1.0)),  # gamma* unused here
+    "rds-sb": (_poll, (_Basis,), _RDS_SB),
+    "rdse-sb": (_linesearch, (_Basis,), _RDSE_SB),
+    "rds-dd": (_poll, (_Stream,), _DENSE),
+    "rdse-dd": (_linesearch, (_Stream,), _DENSE),
+    "rds-dd-plus": (_poll, (_Basis, _Stream), dict(_RDS_SB, alpha_eps=_ALPHA_EPS)),
+    "rdse-dd-plus": (_linesearch, (_Basis, _Stream), dict(_RDSE_SB, alpha_eps=_ALPHA_EPS)),
+    "zo-rgd": (_zo_rgd, (), _DENSE),
 }
 
 SOLVER_NAMES = tuple(_SOLVERS)
-DEFAULT_PARAMS = {name: params for name, (_, _, params) in _SOLVERS.items()}
-DEFAULT_MU = 1e-6
 
 
 def _lookup(name: str) -> tuple:
     if name not in _SOLVERS:
         raise ValueError(f"unknown solver '{name}'")
     return _SOLVERS[name]
-
-
-def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
-    """Config with the tuned defaults for ``solver``, plus overrides."""
-    params = {**_lookup(solver)[2], **overrides}
-    return SolverConfig(budget=budget, seed=seed, **params)
 
 
 def check_config(name: str, cfg: SolverConfig) -> None:
@@ -611,15 +607,27 @@ def check_config(name: str, cfg: SolverConfig) -> None:
         raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
 
 
-def run_solver(name: str, problem, cfg: SolverConfig, *, mu: float = DEFAULT_MU,
-               on_accept=None, on_eval=None) -> RunTrace:
-    """Run a solver by its stable name.
+def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
+    """Config with the tuned defaults for ``solver`` plus overrides, checked by ``check_config``."""
+    cfg = SolverConfig(budget=budget, seed=seed, **{**_lookup(solver)[2], **overrides})
+    check_config(solver, cfg)
+    return cfg
 
-    ``mu`` is the probe length of zo-rgd, and ``on_accept`` is called on
-    every accepted step of the direct-search solvers; each solver ignores
-    the keyword it does not take.
-    """
+
+# solver -> {each parameter it reads: its default}; direct search reads the
+# gammas and alpha0, a switching strategy alpha_eps too, zo-rgd only mu
+_DIRECT = ("gamma", "gamma1", "gamma2", "alpha0")
+DEFAULT_PARAMS = {
+    name: {p: getattr(default_config(name, 1, 0), p)
+           for p in (_DIRECT + ("alpha_eps",) * (len(src) > 1) if src else ("mu",))}
+    for name, (_, src, _) in _SOLVERS.items()}
+
+
+def run_solver(name: str, problem, cfg: SolverConfig, *, on_accept=None,
+               on_eval=None) -> RunTrace:
+    """Run a solver by its stable name; ``on_accept`` is called on every
+    accepted step of a direct-search solver, ``on_eval`` on every evaluation."""
     loop, sources, _ = _lookup(name)
     if not sources:
-        return loop(problem, cfg, mu, on_eval)
+        return loop(problem, cfg, on_eval)
     return _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval)

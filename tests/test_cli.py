@@ -1,10 +1,14 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manisearch import cli
 from manisearch.bench import CSV_HEADER, ResultTable
@@ -13,6 +17,7 @@ from manisearch.cli import main, parse_config_file, render_profile_svg, stable_s
 from manisearch.errors import CliError
 from manisearch.manifolds import Product, Sphere, Stiefel
 from manisearch.problems import NONSMOOTH_PROBLEMS, SMOOTH_PROBLEMS
+from manisearch.solvers import DEFAULT_PARAMS
 
 
 RUN_ARGS = [
@@ -507,6 +512,79 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         parse_config_file(cfg)
 
 
+PARAMS = ("gamma", "gamma1", "gamma2", "alpha0", "alpha_eps", "mu")
+_DIRECT = PARAMS[:4]
+# the parameters each solver reads: 27 settable <solver>.<param> slots
+READS = {"rds-sb": _DIRECT, "rdse-sb": _DIRECT, "rds-dd": _DIRECT, "rdse-dd": _DIRECT,
+         "rds-dd-plus": _DIRECT + ("alpha_eps",), "rdse-dd-plus": _DIRECT + ("alpha_eps",),
+         "zo-rgd": ("mu",)}
+UNREAD = [(solver, p) for solver in READS for p in PARAMS if p not in READS[solver]]
+
+
+def test_the_solvers_registry_lists_the_parameters_each_solver_reads():
+    assert {solver: tuple(params) for solver, params in DEFAULT_PARAMS.items()} == READS
+    assert len(UNREAD) == 15
+
+
+@pytest.mark.parametrize("solver, param", UNREAD)
+def test_config_file_refuses_a_parameter_the_solver_does_not_read(tmp_path, solver, param):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# header\n{solver}.{param} = 0.5\n")
+    with pytest.raises(CliError, match=rf"bad\.cfg:2: {solver} does not read '{param}'"):
+        parse_config_file(cfg)
+
+
+def test_config_file_refuses_a_key_set_twice(tmp_path):
+    # the second line would undo the first, whose bad value no check sees
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("rds-sb.gamma1 = 5\nrds-sb.gamma1 = 0.5\n")
+    with pytest.raises(CliError, match=r"bad\.cfg:2: 'rds-sb\.gamma1' is set twice, first on line 1"):
+        parse_config_file(cfg)
+
+
+def _line_is_valid(key, text):
+    # the rules SolverConfig and check_config state, written out again
+    solver, _, param = key.partition(".")
+    if param not in READS.get(solver, ()):
+        return False
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    if not math.isfinite(value):
+        return False
+    if param == "gamma1":
+        return 0 < value < 1
+    if param == "gamma2":  # a linesearch needs gamma2 > 1 to terminate
+        return value > 1 if solver.startswith("rdse") else value >= 1
+    return value > 0
+
+
+# keys a solver reads and numbers are listed more than once, so that they
+# are drawn three times in four and files with every line valid are common
+_KEYS = st.sampled_from([f"{solver}.{p}" for solver in READS for p in READS[solver]] * 2
+                        + [f"{solver}.{p}" for solver, p in UNREAD]
+                        + ["bogus", "rds-xb.gamma", "rds-sb.bogus"])
+_VALUES = st.sampled_from(("0.5", "1.5", "2") * 5 + ("0", "-1", "nan", "inf", "abc"))
+
+
+@given(st.lists(st.tuples(_KEYS, _VALUES), max_size=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_config_grammar_exits_zero_exactly_when_every_line_is_valid(lines):
+    # main never raises; it exits 0 only when every line sets, once, a
+    # parameter its solver reads to a value it accepts, and 1 otherwise,
+    # before the output directory is created
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "grid.cfg"), Path(tmp, "o")
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        rc = main(["run", "--problems", "largest-eig", "--dims", "2", "--budget-mult", "1",
+                   "--solvers", ",".join(READS), "--config", str(cfg), "--out", str(out)])
+        keys = [key for key, _ in lines]
+        valid = len(set(keys)) == len(keys) and all(_line_is_valid(*line) for line in lines)
+        assert rc == (0 if valid else 1)
+        assert out.exists() == valid
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--config", "typo.cfg"], "rds-xb.gamma1"),
     (["--dims", "4,1"], "dimension must be an integer >= 2, got 1"),
@@ -671,7 +749,8 @@ def test_svg_emitter_renders_step_curves():
     ("rdse-sb.gamma1 = 1.5\n", "rds-sb", "rdse-sb.gamma1"),
     ("zo-rgd.mu = 0\n", "zo-rgd", "zo-rgd.mu"),
     ("rdse-sb.gamma2 = 1.0\n", "rds-sb,rdse-sb", "rdse-sb.gamma2"),
-], ids=["solver-run-second", "solver-not-run", "mu", "linesearch-gamma2"])
+    ("rds-sb.alpha0 = inf\n", "rds-sb", "rds-sb.alpha0 = inf: alpha0 must be finite"),
+], ids=["solver-run-second", "solver-not-run", "mu", "linesearch-gamma2", "infinite-alpha0"])
 def test_bad_override_values_fail_before_any_output(tmp_path, monkeypatch, capsys,
                                                     text, solvers, named):
     monkeypatch.chdir(tmp_path)

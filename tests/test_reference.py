@@ -20,7 +20,6 @@ from manisearch.directions import DenseDirectionStream, dense_direction, spannin
 from manisearch.manifolds import random_tangent
 from manisearch.problems import NONSMOOTH_PROBLEMS, build_instance
 from manisearch.solvers import (
-    DEFAULT_MU,
     STEP_FLOOR,
     default_config,
     default_nonsmooth_phase,
@@ -151,7 +150,7 @@ def reference_zo_rgd(run, cfg):
     rng = np.random.default_rng([cfg.seed, 90])
     while True:
         u = random_tangent(run.x, rng, unit=True)
-        coef = (run(m.retract(run.x, u.scaled(DEFAULT_MU))) - run.fx) / DEFAULT_MU
+        coef = (run(m.retract(run.x, u.scaled(cfg.mu))) - run.fx) / cfg.mu
         if isfinite(coef):
             x_new = m.retract(run.x, u.scaled(-eta * coef))
             f_new = run(x_new)

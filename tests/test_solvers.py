@@ -14,6 +14,7 @@ from manisearch.manifolds import (
 from manisearch.problems import build_instance
 from manisearch.solvers import (
     CHUNK_MAX,
+    DEFAULT_PARAMS,
     SOLVER_NAMES,
     STEP_FLOOR,
     SolverConfig,
@@ -152,17 +153,25 @@ def test_linesearch_rejects_nonpositive_alpha():
 def test_config_validation():
     good = dict(gamma=1.0, gamma1=0.5, gamma2=2.0, alpha0=1.0, budget=10)
     SolverConfig(**good)
-    for bad in (
-        dict(good, gamma=0.0),
-        dict(good, gamma1=1.0),
-        dict(good, gamma1=0.0),
-        dict(good, gamma2=0.9),
-        dict(good, alpha0=0.0),
-        dict(good, budget=0),
-        dict(good, alpha_eps=0.0),
+    for field, bad in (
+        ("gamma", 0.0),
+        ("gamma1", 1.0),
+        ("gamma1", 0.0),
+        ("gamma2", 0.9),
+        ("alpha0", 0.0),
+        ("budget", 0),
+        ("alpha_eps", 0.0),
+        ("mu", 0.0),
+        ("mu", np.nan),
+        # +inf passes every "> 0" test; each float parameter must be finite
+        ("gamma", np.inf),
+        ("gamma2", np.inf),
+        ("alpha0", np.inf),
+        ("alpha_eps", np.inf),
+        ("mu", np.inf),
     ):
-        with pytest.raises(ValueError):
-            SolverConfig(**bad)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverConfig(**dict(good, **{field: bad}))
 
 
 def test_linesearch_solvers_reject_gamma2_one():
@@ -410,6 +419,25 @@ def test_unknown_solver_name_rejected():
         default_config("nope", budget=10, seed=0)
 
 
+# a value other than every default, for each parameter a solver reads
+_OTHER = dict(gamma=0.3, gamma1=0.3, gamma2=1.5, alpha0=0.3, alpha_eps=0.2, mu=1e-2)
+SETTABLE = [(name, p) for name, params in DEFAULT_PARAMS.items() for p in params]
+
+
+@pytest.mark.parametrize("name, param", SETTABLE)
+def test_every_settable_parameter_changes_the_run(name, param):
+    # a parameter that a solver lists but its loop ignores would leave the
+    # history unchanged; the dense solvers run on a nonsmooth problem
+    assert len(SETTABLE) == 27
+    problem = "sparsest-vector" if name in ("rds-dd", "rdse-dd") else "largest-eig"
+    inst = build_instance(problem, 10, 0)
+    value = _OTHER[param]
+    assert value != DEFAULT_PARAMS[name][param]
+    base = run_solver(name, inst, default_config(name, budget=500, seed=1))
+    moved = run_solver(name, inst, default_config(name, budget=500, seed=1, **{param: value}))
+    assert base.history.tolist() != moved.history.tolist()
+
+
 # ---------------------------------------------------------------------------
 # zeroth-order baseline
 # ---------------------------------------------------------------------------
@@ -417,8 +445,8 @@ def test_unknown_solver_name_rejected():
 def test_zo_rgd_constant_objective_fixed_iterates():
     prob = make_problem(Sphere(5), lambda v: 4.0)
     cfg = SolverConfig(gamma=1.0, gamma1=0.5, gamma2=1.0, alpha0=1.0,
-                       budget=21, seed=11)
-    trace = run_solver("zo-rgd", prob, cfg, mu=1e-6)
+                       budget=21, seed=11, mu=1e-6)
+    trace = run_solver("zo-rgd", prob, cfg)
     assert trace.final_point is prob.start  # zero estimate, zero retraction
     assert trace.evals_used == 21
     assert trace.iterations == 10  # 1 + 2 per iteration
@@ -442,14 +470,11 @@ def test_zo_rgd_spends_its_budget_past_a_non_finite_value(bad):
     assert np.isfinite(trace.best_f)
 
 
-def test_zo_rgd_rejects_nonsmooth_and_bad_mu():
+def test_zo_rgd_rejects_nonsmooth():
     prob = make_problem(Sphere(3), lambda v: float(abs(v[0])), smooth=False)
     cfg = SolverConfig(gamma=1.0, gamma1=0.5, gamma2=1.0, budget=10)
     with pytest.raises(ValueError):
         run_solver("zo-rgd", prob, cfg)
-    smooth = make_problem(Sphere(3), lambda v: float(v[0]))
-    with pytest.raises(ValueError):
-        run_solver("zo-rgd", smooth, cfg, mu=0.0)
 
 
 # ---------------------------------------------------------------------------
