@@ -4,8 +4,9 @@ Subcommands
 -----------
 run      execute a problems x dims x seeds x solvers grid, write the
          result table CSV plus one trace CSV per run.  The grid is one
-         list of cells (``grid_cells``), each run by ``run_cell``; a dim
-         resolving to an instance already listed runs once
+         list of cells (``grid_cells``: instance, solver and checked
+         config, all built before any output), each run by ``run_cell``;
+         a dim resolving to an instance already listed runs once
 profile  turn a result table into data/performance profile curves
          (CSV per solver, optional SVG plot); nothing is written unless
          every curve can be computed
@@ -13,8 +14,9 @@ check    run the invariant suites and exit nonzero on any failure
 
 Configuration is a flat ``key = value`` text file (comma-separated
 lists, ``#`` comments, ``<solver>.<param>`` for per-solver overrides);
-command-line flags override file values.  Exit status: 0 success,
-1 validation error, 2 check failure.
+command-line flags override file values.  The library decides whether a
+run may start; the CLI checks only what no library call sees before any
+output.  Exit status: 0 success, 1 validation error, 2 check failure.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import NamedTuple
 
 from . import bench
 from .errors import CliError, ManisearchError
-from .problems import NONSMOOTH_PROBLEMS, PROBLEM_NAMES, ProblemInstance, build_instance
-from .solvers import DEFAULT_PARAMS, SOLVER_NAMES, default_config, run_solver
+from .problems import PROBLEM_NAMES, ProblemInstance, build_instance
+from .solvers import SolverConfig, check_config, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
 
@@ -78,7 +80,8 @@ def _plot_name(kind, tau) -> str:
 
 
 def parse_config_file(path: Path) -> dict:
-    """Flat key=value config; ``<solver>.<param>`` sets a parameter the solver reads."""
+    """Flat key=value config; ``<solver>.<param>`` sets a parameter the solver
+    reads, each such line checked alone by ``default_config``."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -96,16 +99,16 @@ def parse_config_file(path: Path) -> dict:
         first[key] = lineno
         if "." in key:
             solver, param = key.split(".", 1)
-            if solver not in SOLVER_NAMES:
-                raise CliError(f"{path}:{lineno}: unknown solver '{solver}' in '{key}'")
-            if param not in DEFAULT_PARAMS[solver]:
-                if any(param in params for params in DEFAULT_PARAMS.values()):
-                    raise CliError(f"{path}:{lineno}: {solver} does not read '{param}'")
-                raise CliError(f"{path}:{lineno}: unknown solver parameter '{param}'")
             try:
                 number = float(value)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: '{key}' needs a number, got '{value}'") from None
+            try:
+                default_config(solver, 1, 0, **{param: number})
+            # a TypeError: param is an argument of default_config, such as
+            # the budget or seed, which the grid sets
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"{path}:{lineno}: {key} = {value}: {exc}") from None
             out["solver_overrides"].setdefault(solver, {})[param] = number
         elif key in _CONFIG_KEYS:
             out[key] = value
@@ -119,7 +122,7 @@ def _split_list(value: str) -> list:
 
 
 def _reject_repeats(key: str, values: list) -> None:
-    # a repeated solver or tau would run or count the same thing twice
+    # a repeated entry would run or count the same thing twice
     twice = [v for i, v in enumerate(values) if v in values[:i]]
     if twice:
         raise CliError(f"{key} lists {twice[0]!r} twice")
@@ -152,18 +155,6 @@ def _resolve_run_settings(args) -> dict:
             cfg[key] = flag
     problems = _split_list(cfg.get("problems", ",".join(PROBLEM_NAMES)))
     solvers = _split_list(cfg.get("solvers", "rds-sb,rdse-sb"))
-    for p in problems:
-        if p not in PROBLEM_NAMES:
-            raise CliError(f"unknown problem '{p}'")
-    for s in solvers:
-        if s not in SOLVER_NAMES:
-            raise CliError(f"unknown solver '{s}'")
-    if "zo-rgd" in solvers:
-        bad = [p for p in problems if p in NONSMOOTH_PROBLEMS]
-        if bad:
-            raise CliError(
-                f"zo-rgd applies to smooth problems only, not {', '.join(bad)}"
-            )
     try:
         dims = [int(d) for d in _split_list(cfg.get("dims", "2,10"))]
         seeds = [int(s) for s in _split_list(cfg.get("seeds", "0"))]
@@ -174,24 +165,13 @@ def _resolve_run_settings(args) -> dict:
                         ("solvers", solvers)):
         if not values:
             raise CliError(f"{key} needs at least one value")
-    _reject_repeats("solvers", solvers)
+        _reject_repeats(key, values)
     taus = _parse_taus(cfg.get("taus", "0.1,0.001"))
-    for d in dims:
-        if d < 2:
-            raise CliError(f"dimension must be an integer >= 2, got {d}")
     for s in seeds:
         if s < 0:
             raise CliError(f"seed must be an integer >= 0, got {s}")
     if budget_mult < 1:
         raise CliError("budget_mult must be >= 1")
-    # every override is checked here, also for a solver this grid does not
-    # run, so a bad value stops the run before anything is written
-    for solver, params in cfg["solver_overrides"].items():
-        for param, value in params.items():
-            try:
-                default_config(solver, 1, 0, **{param: value})
-            except ValueError as exc:
-                raise CliError(f"bad solver override {solver}.{param} = {value!r}: {exc}") from None
     out = Path(cfg.get("out", "results"))
     # run writes into out, creating it and its missing parents
     for p in (out, *out.parents):
@@ -205,21 +185,23 @@ def _resolve_run_settings(args) -> dict:
 
 
 class Cell(NamedTuple):
-    """One run of a grid: a solver on a built instance."""
+    """One run of a grid: a solver on a built instance, with its checked config."""
     inst: ProblemInstance
     solver: str
-    budget: int
-    run_seed: int
+    cfg: SolverConfig
 
     def trace_name(self) -> str:
         inst = self.inst
         return f"{inst.name}__{inst.ambient_dim}__{inst.seed}__{self.solver}.csv"
 
 
-def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
+def grid_cells(problems, dims, seeds, solvers, budget_mult, overrides) -> list:
     """The runs of a problems x dims x seeds x solvers grid, in grid order.
 
-    Every instance is built before anything runs.  A dim resolving to an
+    Every instance is built, and every run's config made from ``overrides``
+    (solver -> {param: value}) and checked against its instance, before
+    anything runs; the library refuses an unknown problem or solver, a dim
+    below 2 and zo-rgd on a nonsmooth problem.  A dim resolving to an
     instance already listed is skipped, as rerunning it would only double it.
     """
     cells = []
@@ -234,18 +216,19 @@ def grid_cells(problems, dims, seeds, solvers, budget_mult) -> list:
                           "already listed; skipping duplicate")
                     continue
                 seen.add((problem, n_p, seed))
-                budget = budget_mult * (n_p + 1)
-                cells += [Cell(inst, solver, budget, stable_seed(problem, n_p, seed, solver))
-                          for solver in solvers]
+                for solver in solvers:
+                    cfg = default_config(solver, budget_mult * (n_p + 1),
+                                         stable_seed(problem, n_p, seed, solver),
+                                         **overrides.get(solver, {}))
+                    check_config(solver, cfg, inst)
+                    cells.append(Cell(inst, solver, cfg))
     return cells
 
 
-def run_cell(cell: Cell, overrides: dict, on_accept=None) -> dict:
+def run_cell(cell: Cell, on_accept=None) -> dict:
     """Run one cell; return the record ``bench.assemble_results`` reads."""
     inst = cell.inst
-    cfg = default_config(cell.solver, cell.budget, cell.run_seed,
-                         **overrides.get(cell.solver, {}))
-    trace = run_solver(cell.solver, inst, cfg, on_accept=on_accept)
+    trace = run_solver(cell.solver, inst, cell.cfg, on_accept=on_accept)
     return dict(problem=inst.name, n_p=inst.ambient_dim, seed=inst.seed,
                 solver=cell.solver, history=trace.history, f0=inst.f0)
 
@@ -253,7 +236,8 @@ def run_cell(cell: Cell, overrides: dict, on_accept=None) -> dict:
 def cmd_run(args) -> int:
     settings = _resolve_run_settings(args)
     cells = grid_cells(settings["problems"], settings["dims"], settings["seeds"],
-                       settings["solvers"], settings["budget_mult"])
+                       settings["solvers"], settings["budget_mult"],
+                       settings["solver_overrides"])
     out = settings["out"]
     traces_dir = out / "traces"
     if traces_dir.exists() and not traces_dir.is_dir():
@@ -264,7 +248,7 @@ def cmd_run(args) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for cell in cells:
-        rec = run_cell(cell, settings["solver_overrides"])
+        rec = run_cell(cell)
         records.append(rec)
         # tolist() yields Python floats, whose repr is the shortest round trip
         lines = ["eval_index,best_f"] + [

@@ -500,7 +500,7 @@ def default_nonsmooth_phase(cfg: SolverConfig) -> SolverConfig:
     return replace(cfg, **_DENSE)
 
 
-def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> RunTrace:
+def _direct_search(problem, cfg, loop, sources, on_accept, on_eval) -> RunTrace:
     """Run ``loop`` over each direction source in turn, on one budget and trace.
 
     With two sources (the *-plus strategies) the search starts on the
@@ -509,7 +509,6 @@ def _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval) -> Run
     the linesearch: every tentative stepsize of the current basis) falls
     to ``alpha_eps`` or below.
     """
-    check_config(name, cfg)
     cfgs = [cfg] + [default_nonsmooth_phase(cfg)] * (len(sources) - 1)
     run = _Run(problem, cfg, on_eval)
     for i, (source, c) in enumerate(zip(sources, cfgs)):
@@ -536,8 +535,6 @@ def _zo_rgd(problem, cfg: SolverConfig, on_eval) -> RunTrace:
     that value is not finite: the iteration then fails, the iterate stays,
     and the evaluations it made still count against the budget.
     """
-    if not problem.smooth:
-        raise ValueError("zo-rgd applies to smooth problems only")
     run = _Run(problem, cfg, on_eval)
     m, mu = problem.manifold, cfg.mu
     eta = 1.64 / m.ambient_dim
@@ -592,14 +589,18 @@ def _lookup(name: str) -> tuple:
     return _SOLVERS[name]
 
 
-def check_config(name: str, cfg: SolverConfig) -> None:
-    """Raise ``ValueError`` where ``cfg`` misses what solver ``name`` needs.
+def check_config(name: str, cfg: SolverConfig, problem=None) -> None:
+    """Raise ``ValueError`` where ``cfg``, or ``problem`` when given, misses
+    what solver ``name`` needs.
 
     ``SolverConfig`` checks each parameter alone; this adds the needs of
-    the solver's row: a switching strategy needs ``alpha_eps``, and a
-    linesearch needs ``gamma2 > 1`` to terminate.
+    the solver's row: a switching strategy needs ``alpha_eps``, a
+    linesearch needs ``gamma2 > 1`` to terminate, and zo-rgd, which
+    estimates gradients, needs a smooth problem.
     """
     loop, sources, _ = _lookup(name)
+    if loop is _zo_rgd and problem is not None and not problem.smooth:
+        raise ValueError(f"{name} applies to smooth problems only, not {problem.name}")
     if len(sources) > 1 and cfg.alpha_eps is None:
         raise ValueError("switching strategies need alpha_eps set")
     if loop is _linesearch and not cfg.gamma2 > 1:  # the dense phase has gamma2 = 2
@@ -607,27 +608,34 @@ def check_config(name: str, cfg: SolverConfig) -> None:
         raise ValueError(f"{who} needs gamma2 > 1 for the linesearch to terminate")
 
 
+# solver -> {each parameter it reads: its default}; direct search reads the
+# gammas and alpha0, a switching strategy alpha_eps too, zo-rgd only mu; a
+# default the row does not state is SolverConfig's
+_DIRECT = ("gamma", "gamma1", "gamma2", "alpha0")
+DEFAULT_PARAMS = {
+    name: {p: tuned[p] if p in tuned else getattr(SolverConfig, p)
+           for p in (_DIRECT + ("alpha_eps",) * (len(src) > 1) if src else ("mu",))}
+    for name, (_, src, tuned) in _SOLVERS.items()}
+
+
 def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
-    """Config with the tuned defaults for ``solver`` plus overrides, checked by ``check_config``."""
-    cfg = SolverConfig(budget=budget, seed=seed, **{**_lookup(solver)[2], **overrides})
+    """Config with the tuned defaults for ``solver`` plus overrides, checked by
+    ``check_config``; an override must name a parameter in ``DEFAULT_PARAMS[solver]``."""
+    tuned = _lookup(solver)[2]
+    for param in overrides:
+        if param not in DEFAULT_PARAMS[solver]:
+            raise ValueError(f"{solver} does not read '{param}'")
+    cfg = SolverConfig(budget=budget, seed=seed, **{**tuned, **overrides})
     check_config(solver, cfg)
     return cfg
 
 
-# solver -> {each parameter it reads: its default}; direct search reads the
-# gammas and alpha0, a switching strategy alpha_eps too, zo-rgd only mu
-_DIRECT = ("gamma", "gamma1", "gamma2", "alpha0")
-DEFAULT_PARAMS = {
-    name: {p: getattr(default_config(name, 1, 0), p)
-           for p in (_DIRECT + ("alpha_eps",) * (len(src) > 1) if src else ("mu",))}
-    for name, (_, src, _) in _SOLVERS.items()}
-
-
 def run_solver(name: str, problem, cfg: SolverConfig, *, on_accept=None,
                on_eval=None) -> RunTrace:
-    """Run a solver by its stable name; ``on_accept`` is called on every
-    accepted step of a direct-search solver, ``on_eval`` on every evaluation."""
+    """Run a solver by its stable name once ``check_config`` passes; ``on_accept`` is
+    called on every accepted step of a direct-search solver, ``on_eval`` on every evaluation."""
+    check_config(name, cfg, problem)
     loop, sources, _ = _lookup(name)
     if not sources:
         return loop(problem, cfg, on_eval)
-    return _direct_search(name, problem, cfg, loop, sources, on_accept, on_eval)
+    return _direct_search(problem, cfg, loop, sources, on_accept, on_eval)

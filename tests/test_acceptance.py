@@ -129,7 +129,7 @@ def test_criterion_5_sparsest_vector_oracle():
 @pytest.fixture(scope="module")
 def smooth_grid():
     cells = grid_cells(SMOOTH_PROBLEMS, GRID_DIMS, GRID_SEEDS,
-                       ("rds-sb", "rdse-sb", "zo-rgd"), 100)
+                       ("rds-sb", "rdse-sb", "zo-rgd"), 100, {})
     records = []
     accepted = []  # rdse-sb linesearch accepts: (inst, x, d, alpha, f0, f1)
     t0 = time.perf_counter()
@@ -137,14 +137,14 @@ def smooth_grid():
         def hook(x, d, alpha, fb, fa, cell=cell):
             if alpha > 0 and cell.solver == "rdse-sb":
                 accepted.append((cell.inst, x, d, alpha, fb, fa))
-        records.append(run_cell(cell, {}, on_accept=hook))
+        records.append(run_cell(cell, on_accept=hook))
     elapsed = time.perf_counter() - t0
     return dict(cells=cells, records=records, accepted=accepted, elapsed=elapsed)
 
 
 def test_criterion_6_smooth_grid_ordering(smooth_grid):
     records = smooth_grid["records"]
-    assert all(len(r["history"]) <= cell.budget
+    assert all(len(r["history"]) <= cell.cfg.budget
                for cell, r in zip(smooth_grid["cells"], records))
     table = assemble_results(records, taus=[0.1])
     curves = {c.solver: c for c in data_profile(table, 0.1, kappa_max=100)}
@@ -179,8 +179,8 @@ def test_criterion_9_linesearch_replay(smooth_grid):
 def test_criterion_7_nonsmooth_grid_ordering():
     solvers = ("rds-dd-plus", "rdse-dd-plus")
     cells = grid_cells(("sparsest-vector", "nonsmooth-mc"), GRID_DIMS, GRID_SEEDS,
-                       solvers, 100)
-    records = [run_cell(cell, {}) for cell in cells]
+                       solvers, 100, {})
+    records = [run_cell(cell) for cell in cells]
     table = assemble_results(records, taus=[0.1])
     solved = {
         s: sum(1 for r in table.rows if r.solver == s and r.t_ps is not None)

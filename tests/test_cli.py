@@ -17,7 +17,7 @@ from manisearch.cli import main, parse_config_file, render_profile_svg, stable_s
 from manisearch.errors import CliError
 from manisearch.manifolds import Product, Sphere, Stiefel
 from manisearch.problems import NONSMOOTH_PROBLEMS, SMOOTH_PROBLEMS
-from manisearch.solvers import DEFAULT_PARAMS
+from manisearch.solvers import DEFAULT_PARAMS, default_config
 
 
 RUN_ARGS = [
@@ -530,15 +530,26 @@ def test_the_solvers_registry_lists_the_parameters_each_solver_reads():
 def test_config_file_refuses_a_parameter_the_solver_does_not_read(tmp_path, solver, param):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# header\n{solver}.{param} = 0.5\n")
-    with pytest.raises(CliError, match=rf"bad\.cfg:2: {solver} does not read '{param}'"):
+    named = rf"bad\.cfg:2: {solver}\.{param} = 0\.5: {solver} does not read '{param}'"
+    with pytest.raises(CliError, match=named):
         parse_config_file(cfg)
 
 
+@pytest.mark.parametrize("solver, param", UNREAD)
+def test_default_config_refuses_a_parameter_the_solver_does_not_read(solver, param):
+    with pytest.raises(ValueError, match=rf"{solver} does not read '{param}'"):
+        default_config(solver, 300, 1, **{param: 0.5})
+
+
 def test_config_file_refuses_a_key_set_twice(tmp_path):
-    # the second line would undo the first, whose bad value no check sees
+    # a later line would silently undo the first
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("rds-sb.gamma1 = 5\nrds-sb.gamma1 = 0.5\n")
+    cfg.write_text("rds-sb.gamma1 = 0.7\nrds-sb.gamma1 = 0.5\n")
     with pytest.raises(CliError, match=r"bad\.cfg:2: 'rds-sb\.gamma1' is set twice, first on line 1"):
+        parse_config_file(cfg)
+    # a bad first value is refused on its own line
+    cfg.write_text("rds-sb.gamma1 = 5\nrds-sb.gamma1 = 0.5\n")
+    with pytest.raises(CliError, match=r"bad\.cfg:1: rds-sb\.gamma1 = 5: gamma1 must be in"):
         parse_config_file(cfg)
 
 
@@ -587,31 +598,43 @@ def test_config_grammar_exits_zero_exactly_when_every_line_is_valid(lines):
 
 @pytest.mark.parametrize("flags, named", [
     (["--config", "typo.cfg"], "rds-xb.gamma1"),
-    (["--dims", "4,1"], "dimension must be an integer >= 2, got 1"),
+    (["--dims", "4,1"], "n_p must be an integer >= 2, got 1"),
     (["--seeds", "-1"], "seed must be an integer >= 0, got -1"),
     (["--problems", ""], "problems needs at least one value"),
     (["--dims", ","], "dims needs at least one value"),
     (["--seeds", ""], "seeds needs at least one value"),
     (["--solvers", ","], "solvers needs at least one value"),
     (["--tau", ","], "taus needs at least one value"),
+    (["--problems", "nope"], "unknown problem 'nope'"),
+    (["--solvers", "nope"], "unknown solver 'nope'"),
+    (["--problems", "sparsest-vector", "--solvers", "zo-rgd"],
+     "zo-rgd applies to smooth problems only"),
     (["--solvers", "rds-sb,rdse-sb,rds-sb"], "solvers lists 'rds-sb' twice"),
+    (["--problems", "largest-eig,largest-eig"], "problems lists 'largest-eig' twice"),
+    (["--dims", "4,4"], "dims lists 4 twice"),
+    (["--seeds", "0,0"], "seeds lists 0 twice"),
     (["--tau", "0.1,1e-1"], "taus lists 0.1 twice"),
     (["--config", "missing.cfg"], "cannot read config missing.cfg"),
-    (["--config", "drop.cfg"], "unknown solver parameter 'drop_tol'"),
+    (["--config", "drop.cfg"],
+     "drop.cfg:1: rds-sb.drop_tol = 1e-12: rds-sb does not read 'drop_tol'"),
+    (["--config", "budget.cfg"], "budget.cfg:1: "),
     (["--out", "taken"], "output path taken: taken is not a directory"),
     (["--out", "taken/o"], "output path taken/o: taken is not a directory"),
     (["--out", "tf"], "output path tf/traces is not a directory"),
     (["--out", "td"], "output path td/results.csv is not a file"),
     (["--out", "tt"], "output path tt/traces/largest-eig__10__0__rds-sb.csv is not a file"),
 ], ids=["override-solver", "dims", "seeds", "no-problems", "no-dims", "no-seeds",
-        "no-solvers", "no-taus", "repeated-solver", "repeated-tau", "missing-config",
-        "removed-drop-tol-key", "out-is-a-file", "out-under-a-file", "traces-is-a-file",
-        "table-is-a-directory", "last-trace-is-a-directory"])
+        "no-solvers", "no-taus", "unknown-problem", "unknown-solver", "zo-rgd-nonsmooth",
+        "repeated-solver", "repeated-problem", "repeated-dim", "repeated-seed",
+        "repeated-tau", "missing-config", "removed-drop-tol-key", "budget-key",
+        "out-is-a-file", "out-under-a-file", "traces-is-a-file", "table-is-a-directory",
+        "last-trace-is-a-directory"])
 def test_bad_run_settings_fail_before_any_output(tmp_path, monkeypatch, capsys,
                                                  flags, named):
     monkeypatch.chdir(tmp_path)
     Path("typo.cfg").write_text("rds-xb.gamma1 = 0.5\n")
     Path("drop.cfg").write_text("rds-sb.drop_tol = 1e-12\n")
+    Path("budget.cfg").write_text("rds-sb.budget = 5\n")  # the grid sets the budget
     Path("taken").write_text("")
     Path("tf").mkdir()
     Path("tf/traces").write_text("")
@@ -783,7 +806,8 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
         "    for dim in (2, 10, 50):\n"
         "        cli.build_instance(name, dim, 0)\n"
         "inst = cli.build_instance('sync-rotations', 10, 0)\n"
-        "rec = cli.run_cell(cli.Cell(inst, 'rds-sb', 20 * (inst.ambient_dim + 1), 0), {})\n"
+        "cfg = cli.default_config('rds-sb', 20 * (inst.ambient_dim + 1), 0)\n"
+        "rec = cli.run_cell(cli.Cell(inst, 'rds-sb', cfg))\n"
         "assert len(rec['history']) > 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
