@@ -28,7 +28,6 @@ from .manifolds import (
     FixedRank,
     Manifold,
     ManifoldPoint,
-    PositiveSimplex,
     Product,
     SpecialOrthogonal,
     Sphere,

@@ -3,9 +3,8 @@
 Each suite exercises one module's contracts on seeded inputs and reports
 pass/fail with the measured margin, so a release can be gated on
 ``manisearch check``.  The manifold list is injectable to keep the
-suites testable against deliberately broken geometry.  The manifold zoo,
-point sampler and hand-built problem defined here double as the test
-suite's fixtures.
+suites testable against deliberately broken geometry.  The manifold zoo
+and hand-built problem defined here double as the test suite's fixtures.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .directions import (
 from .manifolds import (
     Euclidean,
     FixedRank,
-    PositiveSimplex,
     Product,
     SpecialOrthogonal,
     Sphere,
@@ -62,28 +60,13 @@ def manifold_zoo():
         SpecialOrthogonal(3),
         FixedRank(6, 5, 2),
         SymmetricPositiveDefinite(4),
-        PositiveSimplex(3),
         Euclidean((3, 2)),
         Product([Sphere(3), Stiefel(4, 2)]),
         product_spheres([4, 4]),
         Product([Stiefel(4, 2), Stiefel(4, 2)]),
         Product([SymmetricPositiveDefinite(3), SymmetricPositiveDefinite(3),
-                 PositiveSimplex(2)]),
+                 Euclidean((1,))]),
     ]
-
-
-def sample_point(m, rng):
-    """Seeded point; simplex weights kept away from the boundary.
-
-    Retraction bounds degrade toward the simplex boundary, so the suites
-    sample weights from a compact interior subset.
-    """
-    if isinstance(m, PositiveSimplex):
-        while True:
-            p = m.random_point(rng)
-            if np.min(p.value) >= 0.5 / m.k:
-                return p
-    return m.random_point(rng)
 
 
 def _rows(views):
@@ -123,7 +106,7 @@ def geometry_checks(manifolds=None, seed=0, cases=100):
         stack_gap = False
         coords = np.eye(m.ambient_dim)[[0, -1]]
         for _ in range(cases):
-            x = sample_point(m, rng)
+            x = m.random_point(rng)
             u_amb = rng.standard_normal(m.ambient_dim)
             w_amb = rng.standard_normal(m.ambient_dim)
             pu = m.project_tangent(x, u_amb)
@@ -211,13 +194,13 @@ def direction_checks(manifolds=None, seed=0, points=50, trials=200):
         max_norm = 0.0
         tau_min = np.inf
         for i in range(points):
-            x = sample_point(m, rng)
+            x = m.random_point(rng)
             basis = spanning_basis(x)
             for v in basis.vectors:
                 tangency = max(tangency, m.tangency_residual(x, v))
                 max_norm = max(max_norm, v.ambient_norm())
             tau_min = min(tau_min, measure_tau(basis, trials, [seed, 29, i]))
-        x = sample_point(m, np.random.default_rng([seed, 31]))
+        x = m.random_point(np.random.default_rng([seed, 31]))
         stream = DenseDirectionStream(seed=seed, ambient_dim=m.ambient_dim)
         dense_tangency = max(m.tangency_residual(x, dense_direction(stream, x))
                              for _ in range(20))

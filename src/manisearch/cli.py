@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import bench
 from .errors import CliError, ManisearchError
 from .problems import PROBLEM_NAMES, ProblemInstance, build_instance
-from .solvers import SolverConfig, check_config, default_config, run_solver
+from .solvers import SolverConfig, check_config, check_overrides, default_config, run_solver
 
 _CONFIG_KEYS = ("problems", "dims", "seeds", "solvers", "budget_mult", "taus", "out")
 
@@ -81,7 +81,8 @@ def _plot_name(kind, tau) -> str:
 
 def parse_config_file(path: Path) -> dict:
     """Flat key=value config; ``<solver>.<param>`` sets a parameter the solver
-    reads, each such line checked alone by ``default_config``."""
+    reads, each such line checked alone by ``check_overrides`` and
+    ``default_config``."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -104,10 +105,9 @@ def parse_config_file(path: Path) -> dict:
             except ValueError:
                 raise CliError(f"{path}:{lineno}: '{key}' needs a number, got '{value}'") from None
             try:
+                check_overrides(solver, [param])
                 default_config(solver, 1, 0, **{param: number})
-            # a TypeError: param is an argument of default_config, such as
-            # the budget or seed, which the grid sets
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: {key} = {value}: {exc}") from None
             out["solver_overrides"].setdefault(solver, {})[param] = number
         elif key in _CONFIG_KEYS:

@@ -168,8 +168,8 @@ def dense_directions(stream: DenseDirectionStream, x: ManifoldPoint, k: int) -> 
     one ``_norms`` call measures them, so row i is bitwise the same in
     any stack holding it, a stack of one included.  On the kinds with the
     embedded metric (sphere, product-spheres, stiefel, so, fixed-rank,
-    euclidean) the norm is the ambient norm; on spd, simplex and products
-    holding them it is the kind's own metric.
+    euclidean) the norm is the ambient norm; on spd and products holding
+    it, it is the kind's own metric.
     """
     m = x.manifold
     if stream.ambient_dim != m.ambient_dim:

@@ -40,7 +40,6 @@ Supported kinds and their stable names:
     so(d)                rotation matrices (det +1)
     fixed-rank(m,h,r)    m-by-h matrices of rank r, stored factored (U, s, V)
     spd(d)               symmetric positive definite matrices, affine-invariant metric
-    simplex(K)           strictly positive weights summing to one, Fisher metric
     euclidean(...)       an unconstrained block (used inside products)
     product(...)         direct product of any of the above except fixed-rank
 """
@@ -126,7 +125,7 @@ class Manifold:
     kind: str = "abstract"
     ambient_dim: int
     # the one feasibility tolerance: ``point`` accepts residuals up to ten
-    # times it, and the fixed-rank and simplex retractions clamp to it
+    # times it, and the fixed-rank retraction clamps to it
     feasibility_tol: float = 1e-10
 
     # ---- raw geometry on flat values, per kind ------------------------
@@ -635,53 +634,6 @@ class SymmetricPositiveDefinite(Manifold):
     def _random_point(self, rng):
         a = rng.standard_normal((self.d, self.d))
         return (a @ a.T + np.eye(self.d)).ravel()
-
-
-class PositiveSimplex(Manifold):
-    """Strictly positive weights summing to one, with the Fisher metric.
-
-    Metric ``<u, v> = sum(u_i v_i / w_i)``; the retraction
-    ``w * exp(t / w)``, renormalised, preserves positivity.  Entries
-    that underflow are clamped to ``feasibility_tol`` before the final
-    renormalisation so iterates never reach the boundary.
-    """
-
-    kind = "simplex"
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise InvalidShape("simplex needs K >= 2")
-        self.k = int(k)
-        self.ambient_dim = self.k
-
-    def spec_string(self) -> str:
-        return f"simplex({self.k})"
-
-    def _project_many(self, x, A):
-        return A - A.mean(axis=1, keepdims=True)
-
-    def _retract_many(self, x, T):
-        Z = T / x
-        Z -= Z.max(axis=1, keepdims=True)  # rescaling cancels in the normalisation
-        W = x * np.exp(Z)
-        W = np.maximum(W / W.sum(axis=1, keepdims=True), self.feasibility_tol)
-        return W / W.sum(axis=1, keepdims=True)
-
-    def _inners(self, x, U, V):
-        return row_sums(U * V / x)
-
-    def _point_residual(self, x):
-        if np.min(x) <= 0:
-            return np.inf
-        return abs(float(np.sum(x)) - 1.0)
-
-    def _tangent_residual(self, x, t):
-        return abs(float(np.sum(t)))
-
-    def _random_point(self, rng):
-        w = rng.uniform(0.0, 1.0, self.k)
-        w = np.maximum(w, 1e-6)
-        return w / w.sum()
 
 
 class Euclidean(Manifold):

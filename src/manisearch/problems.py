@@ -17,10 +17,20 @@ is what budgets and profiles use.
     sync-rotations     so(d) x so(d)                d = max(2, round(sqrt(n_p/2)))
     matrix-completion  fixed-rank(m,h,r)            m = max(2, round(sqrt(n_p))), h = max(2, round(n_p/m)),
                                                     r = 2 if min(m,h) >= 3 else 1
-    gmm                spd(d+1)^2 x simplex(2)      d minimises |2(d+1)^2 + 2 - n_p|
+    gmm                spd(d+1)^2 x R               d minimises |2(d+1)^2 + 1 - n_p|
     procrustes         stiefel(n,p)                 p = 2, n = max(p, round(n_p/2)), l = n + 5
     sparsest-vector    sphere(n)                    n = n_p, with a 4n x n orthonormal Q
     nonsmooth-mc       fixed-rank(m,h,r)            as matrix-completion
+
+The resolved ``n_p`` does not always name the instance: built again at
+its resolved ``n_p``, a problem can resolve once more.  dict-learning
+targets 2h^2 but its ambient dimension is 3h^2, so every requested dim
+from 13 to 200 moves (50 -> 75 -> 108), and top-sv moves at 9 (9 -> 10 ->
+12).  Only the requested dim rebuilds such an instance.
+
+gmm is the augmented-covariance form of Hosseini & Sra (NeurIPS 2015):
+two (d+1)-dim covariances and one unconstrained log-odds coordinate eta,
+with mixture weights sigmoid(eta) and 1 - sigmoid(eta).
 
 sync-rotations measures R1 R2^T N, where the noise rotation N is the
 exponential of a small skew matrix, computed with numpy by scaling and
@@ -43,7 +53,6 @@ from .manifolds import (
     FixedRank,
     Manifold,
     ManifoldPoint,
-    PositiveSimplex,
     Product,
     SpecialOrthogonal,
     Sphere,
@@ -275,7 +284,7 @@ def _build_nonsmooth_mc(n_p, seed):
 
 def _gmm_base_dim(n_p):
     def size(d):
-        return 2 * (d + 1) ** 2 + 2
+        return 2 * (d + 1) ** 2 + 1
 
     d = 1
     while size(d + 1) <= n_p:
@@ -306,25 +315,24 @@ def _build_gmm(n_p, seed):
     y_aug = np.vstack([xs.T, np.ones(n_obs)])  # (d+1) x n_obs, columns (x; 1)
     log_c = 0.5 + (1.0 - dd / 2.0) * math.log(2.0 * math.pi)
     man = Product([SymmetricPositiveDefinite(dd), SymmetricPositiveDefinite(dd),
-                   PositiveSimplex(2)])
+                   Euclidean((1,))])
 
     def f_vals(v):
         # both covariances of every row in one slogdet and one solve.  A row
-        # with a non-positive weight, or a covariance whose determinant is
-        # not positive and finite, is +inf; such a covariance is swapped for
-        # the identity before the solve, so that a singular one cannot raise
-        s1, s2, w = v
-        k = len(w)
+        # with a covariance whose determinant is not positive and finite is
+        # +inf; such a covariance is swapped for the identity before the
+        # solve, so that a singular one cannot raise.  The log-weights
+        # log sigmoid(+-eta) are -logaddexp(0, -+eta), finite for finite eta
+        s1, s2, eta = v
+        k = len(eta)
         s = np.concatenate((s1, s2))  # row i's covariances at i and k + i
         sign, logdet = np.linalg.slogdet(s)
         not_pd = (sign <= 0) | ~np.isfinite(logdet)
         s[not_pd] = np.eye(dd)
-        ok = ~((w.min(axis=1) <= 0) | not_pd[:k] | not_pd[k:])
+        ok = ~(not_pd[:k] | not_pd[k:])
         quad = np.add.reduce(y_aug * np.linalg.solve(s, y_aug), axis=1)
         lq = log_c - 0.5 * logdet[:, None] - 0.5 * quad
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows that are not ok
-            lw = np.log(w)
-            ll = np.logaddexp(lw[:, :1] + lq[:k], lw[:, 1:] + lq[k:])
+        ll = np.logaddexp(lq[:k] - np.logaddexp(0.0, -eta), lq[k:] - np.logaddexp(0.0, eta))
         return np.where(ok, -kernels.row_sums(ll), np.inf)
 
     payload = dict(observations=xs, y_aug=y_aug, w_bar=w_bar, means=means,

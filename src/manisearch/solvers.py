@@ -618,14 +618,22 @@ DEFAULT_PARAMS = {
     for name, (_, src, tuned) in _SOLVERS.items()}
 
 
-def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
-    """Config with the tuned defaults for ``solver`` plus overrides, checked by
-    ``check_config``; an override must name a parameter in ``DEFAULT_PARAMS[solver]``."""
-    tuned = _lookup(solver)[2]
-    for param in overrides:
+def check_overrides(solver: str, params) -> None:
+    """Raise ``ValueError`` for an override name that is not a parameter in
+    ``DEFAULT_PARAMS[solver]``.  A config line's name is checked here before
+    it reaches ``default_config``, where ``budget`` or ``seed`` would bind
+    that function's own argument."""
+    _lookup(solver)
+    for param in params:
         if param not in DEFAULT_PARAMS[solver]:
             raise ValueError(f"{solver} does not read '{param}'")
-    cfg = SolverConfig(budget=budget, seed=seed, **{**tuned, **overrides})
+
+
+def default_config(solver: str, budget: int, seed: int, **overrides) -> SolverConfig:
+    """Config with the tuned defaults for ``solver`` plus overrides, checked by
+    ``check_overrides`` and ``check_config``."""
+    check_overrides(solver, overrides)
+    cfg = SolverConfig(budget=budget, seed=seed, **{**_SOLVERS[solver][2], **overrides})
     check_config(solver, cfg)
     return cfg
 

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from manisearch.checks import make_problem, manifold_zoo, sample_point  # noqa: F401
+from manisearch.checks import make_problem, manifold_zoo  # noqa: F401
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from manisearch.manifolds import (
     Stiefel,
 )
 
-from conftest import manifold_zoo, sample_point
+from conftest import manifold_zoo
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_basis_vectors_tangent_and_bounded():
     for m in manifold_zoo():
         rng = np.random.default_rng(61)
         for _ in range(10):
-            x = sample_point(m, rng)
+            x = m.random_point(rng)
             basis = spanning_basis(x)
             assert basis.measured_b <= 1 + 1e-10
             for vec in basis.vectors:
@@ -135,7 +135,7 @@ def _sampled_points():
     for m in manifold_zoo():
         rng = np.random.default_rng(83)
         for _ in range(5):
-            yield sample_point(m, rng)
+            yield m.random_point(rng)
 
 
 def _assert_matches_eager(x):
@@ -164,7 +164,7 @@ def test_lazy_basis_matches_eager_oracle_at_degenerate_points():
 
 def test_basis_build_projects_in_one_stacked_call(monkeypatch):
     m = Stiefel(7, 3)
-    x = sample_point(m, np.random.default_rng(101))
+    x = m.random_point(np.random.default_rng(101))
     calls = []
     project_many = m._project_many
     monkeypatch.setattr(m, "_project_many",
@@ -227,10 +227,6 @@ _PINNED_TAU = {
         '0.17792409941120518', '0.11922996055983769', '0.19252932506031756',
         '0.21252041700378133', '0.17123891415598314',
     ),
-    'simplex(3)': (
-        '1.152606379409368', '1.2276703769528425', '1.2071056936982025',
-        '1.1827892890052305', '1.210186952962212',
-    ),
     'euclidean(3x2)': (
         '0.5378759061563311', '0.49677833477449523', '0.5027741098677568',
         '0.4872887765762622', '0.5058844302888182',
@@ -247,9 +243,9 @@ _PINNED_TAU = {
         '0.4112279380223585', '0.40382661714164486', '0.39922339405037965',
         '0.42560671880172896', '0.36662387419373044',
     ),
-    'product(spd(3),spd(3),simplex(2))': (
-        '0.2615212107932152', '0.23305099161998788', '0.18284075645511663',
-        '0.23446873478184363', '0.2743441371662877',
+    'product(spd(3),spd(3),euclidean(1))': (
+        '0.20779367689343212', '0.19190708295082964', '0.29569307248534227',
+        '0.1845244743529388', '0.2550917690878595',
     ),
 }
 
@@ -259,7 +255,7 @@ def test_measure_tau_positive_across_kinds():
         rng = np.random.default_rng(67)
         got = []
         for i in range(5):
-            x = sample_point(m, rng)
+            x = m.random_point(rng)
             got.append(measure_tau(spanning_basis(x), trials=50, seed=[3, i]))
             assert got[-1] > 0
         assert tuple(map(repr, got)) == _PINNED_TAU[m.spec_string()], m.spec_string()
@@ -390,7 +386,7 @@ def test_dense_directions_rows_equal_their_stacks_of_one_bitwise():
     # row i of a k-stack is the i-th next stack of one, which
     # dense_direction wraps and emits
     for m in manifold_zoo():
-        x = sample_point(m, np.random.default_rng(72))
+        x = m.random_point(np.random.default_rng(72))
         ahead = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
         lone = DenseDirectionStream(seed=6, ambient_dim=m.ambient_dim)
         rows = dense_directions(ahead, x, 12)
@@ -411,7 +407,7 @@ def test_dense_directions_zero_row_for_a_normal_draw():
 def test_dense_direction_norms_across_kinds():
     for m in manifold_zoo():
         rng = np.random.default_rng(71)
-        x = sample_point(m, rng)
+        x = m.random_point(rng)
         stream = DenseDirectionStream(seed=4, ambient_dim=m.ambient_dim)
         for _ in range(20):
             out = dense_direction(stream, x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from manisearch import problems
+from manisearch.cli import grid_cells
 from manisearch.errors import InvalidDimension, UnknownProblem
 from manisearch.manifolds import FixedRank, Sphere, random_point
 from manisearch.problems import (
@@ -57,7 +58,7 @@ def test_manifold_kinds_match_problem():
     assert build_instance("matrix-completion", 10, 0).manifold.kind == "fixed-rank"
     assert build_instance("procrustes", 10, 0).manifold.kind == "stiefel"
     gmm = build_instance("gmm", 10, 0).manifold
-    assert [b.kind for b in gmm.blocks] == ["spd", "spd", "simplex"]
+    assert [b.kind for b in gmm.blocks] == ["spd", "spd", "euclidean"]
 
 
 def test_seeds_change_payload():
@@ -101,7 +102,7 @@ PINNED_VALUES = {
     "dict-learning": 2.629365384763249,
     "sync-rotations": 7.0394159286635345,
     "matrix-completion": 3.2393628012988147,
-    "gmm": 81.37876644990014,
+    "gmm": 63.192831587663306,
     "procrustes": 53.173007556645835,
     "sparsest-vector": 5.226347527054112,
     "nonsmooth-mc": 4.1758233507126485,
@@ -267,17 +268,35 @@ def test_shape_schedule_spot_values():
     assert build_instance("largest-sv", 50, 0).ambient_dim == 50
     assert build_instance("sync-rotations", 50, 0).ambient_dim == 50
     assert build_instance("matrix-completion", 50, 0).ambient_dim == 49
-    assert build_instance("gmm", 10, 0).ambient_dim == 10
-    assert build_instance("gmm", 50, 0).ambient_dim == 52
+    assert build_instance("gmm", 10, 0).ambient_dim == 9
+    assert build_instance("gmm", 50, 0).ambient_dim == 51
     assert build_instance("procrustes", 50, 0).ambient_dim == 50
     assert build_instance("dict-learning", 50, 0).ambient_dim == 75
     assert build_instance("sparsest-vector", 50, 0).ambient_dim == 50
 
 
+def test_gmm_runs_end_with_both_mixture_components():
+    # the smooth grid's own gmm cells at dim 2, seeds 0-5, budget 100(n+1):
+    # no run may end at a one-component mixture, a weight at or below 1e-8
+    ended = {}
+    for cell in grid_cells(["gmm"], [2], range(6), ["rds-sb", "rdse-sb", "zo-rgd"], 100, {}):
+        eta = cell.inst.manifold._unpack(run_solver(cell.solver, cell.inst, cell.cfg)
+                                         .final_point.value)[2][0]
+        w1 = 1.0 / (1.0 + np.exp(-eta))
+        ended[cell.trace_name()] = min(w1, 1.0 - w1)
+    assert len(ended) == 18
+    assert {name: w for name, w in ended.items() if not w > 1e-8} == {}
+
+
 def test_gmm_objective_finite_and_positive_weights():
+    # every finite log-odds eta gives both weights sigmoid(+-eta) > 0, and the
+    # objective stays finite where 1 - sigmoid(eta) rounds to 0 in floating point
     inst = build_instance("gmm", 10, 1)
-    s1, s2, w = inst.manifold._unpack(inst.start.value)
+    s1, s2, eta = inst.manifold._unpack(inst.start.value)
     assert np.all(np.linalg.eigvalsh(s1) > 0)
     assert np.all(np.linalg.eigvalsh(s2) > 0)
-    assert np.min(w) > 0
-    assert np.isfinite(inst.f0)
+    assert eta.shape == (1,) and np.isfinite(inst.f0)
+    for far in (-800.0, 800.0):
+        x = inst.start.value.copy()
+        x[-1] = far
+        assert np.isfinite(inst.evaluate(x)), far

@@ -4,7 +4,9 @@ import pytest
 from manisearch import solvers
 from manisearch.errors import BudgetExhausted
 from manisearch.manifolds import (
+    Euclidean,
     Manifold,
+    Product,
     SpecialOrthogonal,
     Sphere,
     Stiefel,
@@ -564,23 +566,29 @@ def test_nan_trial_is_a_failed_poll(value, name):
 
 
 def _steep_linear(m):
+    # one point's _unpack views, a product's a tuple of them, read as its
+    # flat value
     g = np.random.default_rng(3).standard_normal(m.ambient_dim)
-    return lambda v: 1e100 * float(g @ v.ravel())
+    return lambda v: 1e100 * float(g @ (np.concatenate([b.ravel() for b in v])
+                                        if isinstance(v, tuple) else v.ravel()))
 
 
+# the last is gmm's shape: two spd(3) covariances and the mixture's log-odds
 _SWEEP_MANIFOLDS = {"so3": SpecialOrthogonal(3), "sphere8": Sphere(8),
-                    "spd4": SymmetricPositiveDefinite(4)}
+                    "spd4": SymmetricPositiveDefinite(4),
+                    "gmm-shape": Product([SymmetricPositiveDefinite(3),
+                                          SymmetricPositiveDefinite(3), Euclidean((1,))])}
 _SWEEP_OBJECTIVES = {"plateau": lambda m: lambda v: 1e300, "steep-linear": _steep_linear}
 _SWEEP_XFAIL = {
     ("so3", "plateau", "rds-dd"): pytest.mark.xfail(
         strict=True, reason="open defect: f_new <= f_old - gamma alpha^2 accepts "
         "f_new == f_old at 1e300, so rds-dd doubles alpha until a long step leaves "
         "so(3) and the NaN point it lands on is accepted"),
-    **{("spd4", "steep-linear", name): pytest.mark.xfail(
+    **{(kind, "steep-linear", name): pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="open defect: x + xi + xi x^-1 xi / 2 "
         "is positive definite in exact arithmetic only, so a long step ends at a "
         "symmetric point whose smallest eigenvalue rounds below 0 and residual() is inf")
-       for name in ("rdse-sb", "rdse-dd-plus")},
+       for kind in ("spd4", "gmm-shape") for name in ("rdse-sb", "rdse-dd-plus")},
     ("spd4", "steep-linear", "zo-rgd"): pytest.mark.xfail(
         strict=True, raises=TimeoutError, reason="open defect: after one step the "
         "eigenvalues are near 1e195, every projected draw has a norm near 1e-195 "
